@@ -14,7 +14,9 @@ byte-identical for identical (input, flags, seed).
 
 Exit codes: 0 success; 1 failed check or refused analysis; 2 parse error;
 3 eigenvalues outside the field; 4 ordering-search budget exceeded;
-5 an oracle disagreed with a fast path (always a bug).
+5 an oracle disagreed with a fast path (always a bug).  In ``analyze
+--batch`` a failing line prints {"error": {...}, "line": k} in its place
+and the exit code is the largest per-line code.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .pairs import (
     EigenOrdering,
     PairAnalysisReport,
     SplitDecomposition,
+    _three_term_side_orderings,
     analyze_pair,
     find_hessenberg_orderings_of,
     split_from_flags,
@@ -267,8 +270,8 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}, sort_keys=True) + "\n")
+def _error_json(kind: str, message: str) -> dict:
+    return {"error": {"type": kind, "message": message}}
 
 
 _ERROR_CODES = [
@@ -280,46 +283,64 @@ _ERROR_CODES = [
 ]
 
 
-def _dispatch_error(exc: Exception) -> int:
+def _classify_error(exc: Exception) -> tuple[str, int]:
+    """Error type name and exit code; anything not a HesspairsError propagates."""
     for klass, name, code in _ERROR_CODES:
         if isinstance(exc, klass):
-            _emit_error(name, str(exc))
-            return code
+            return name, code
     if isinstance(exc, HesspairsError):
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_FAIL
+        return type(exc).__name__, EXIT_FAIL
     raise exc
+
+
+def _dispatch_error(exc: Exception) -> int:
+    name, code = _classify_error(exc)
+    sys.stderr.write(json.dumps(_error_json(name, str(exc)), sort_keys=True) + "\n")
+    return code
 
 
 # -- subcommands ------------------------------------------------------------------
 
 
+def _analyze_document(args, text: str) -> PairAnalysisReport:
+    _, a, a_star, _truth = parse_document(_load_json(text))
+    return analyze_pair(
+        a,
+        a_star,
+        max_orderings=args.max_orderings,
+        seed=args.seed,
+        require_irreducible=args.require_irreducible,
+    )
+
+
 def cmd_analyze(args) -> int:
     text = _read_text(args.document)
-    if args.batch:
-        docs = [ _load_json(line) for line in text.splitlines() if line.strip() ]
-    else:
-        docs = [_load_json(text)]
-    outputs = []
-    for obj in docs:
-        _, a, a_star, _truth = parse_document(obj)
-        report = analyze_pair(
-            a,
-            a_star,
-            max_orderings=args.max_orderings,
-            seed=args.seed,
-            require_irreducible=args.require_irreducible,
-        )
-        outputs.append(report)
-    for report in outputs:
+    if not args.batch:
+        report = _analyze_document(args, text)
         if args.format == "json":
-            if args.batch:
-                sys.stdout.write(json.dumps(report_to_json(report), sort_keys=True) + "\n")
-            else:
-                _emit(report_to_json(report))
+            _emit(report_to_json(report))
         else:
             sys.stdout.write(report_to_text(report) + "\n")
-    return EXIT_OK
+        return EXIT_OK
+    # One document per line, each parsed, analyzed and printed before the
+    # next; a failing line prints an error object in its place.
+    worst = EXIT_OK
+    for k, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            report = _analyze_document(args, line)
+        except HesspairsError as exc:
+            name, code = _classify_error(exc)
+            out = json.dumps({**_error_json(name, str(exc)), "line": k}, sort_keys=True)
+            worst = max(worst, code)
+        else:
+            if args.format == "json":
+                out = json.dumps(report_to_json(report), sort_keys=True)
+            else:
+                out = report_to_text(report)
+        sys.stdout.write(out + "\n")
+    return worst
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -438,7 +459,7 @@ def cmd_oracle(args) -> int:
     field, a, a_star, _truth = parse_document(_load_json(_read_text(args.document)))
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
-    result: dict = {"ordering_search": None, "irreducibility": None}
+    result: dict = {"ordering_search": None, "tridiagonal_search": None, "irreducibility": None}
     if eig_a.diagonalizable and eig_a_star.diagonalizable:
         fast = find_hessenberg_orderings_of(
             a, a_star, eig_a, eig_a_star, max_orderings=args.max_orderings
@@ -451,8 +472,16 @@ def cmd_oracle(args) -> int:
         result["ordering_search"] = {"agrees": agrees, "pairs": len(fast)}
         if not agrees:
             raise OracleDisagreementError("pruned ordering search disagrees with brute force")
+        sides = ((eig_a, a_star), (eig_a_star, a))
+        fast_t = [_three_term_side_orderings(eig, acting) for eig, acting in sides]
+        slow_t = [_three_term_side_orderings(eig, acting, pruned=False) for eig, acting in sides]
+        agrees = fast_t == slow_t
+        result["tridiagonal_search"] = {"agrees": agrees, "orderings": [len(side) for side in fast_t]}
+        if not agrees:
+            raise OracleDisagreementError("pruned three-term search disagrees with brute force")
     else:
         result["ordering_search"] = {"skipped": "pair is not diagonalizable"}
+        result["tridiagonal_search"] = {"skipped": "pair is not diagonalizable"}
     if field.is_finite and _count_subspaces(field.order(), a.nrows) <= args.subspace_limit:
         fast_v = decide_irreducible(a, a_star, seed=args.seed, eigen_a=eig_a, eigen_a_star=eig_a_star)
         slow_v = decide_irreducible_by_enumeration(a, a_star)

@@ -35,7 +35,7 @@ from .pairs import (
     EigenOrdering,
     SplitDecomposition,
     _three_term_side_holds,
-    is_tridiagonal_pair,
+    _tridiagonal_orderings,
     split_from_flags,
     verify_split,
 )
@@ -242,7 +242,7 @@ def gen_tridiagonal_form(
         verdict = decide_irreducible(a, a_star, seed=seed + attempt, eigen_a=eig_a, eigen_a_star=eig_b)
         if not verdict.is_irreducible:
             continue
-        ok, witnesses = is_tridiagonal_pair(a, a_star, verdict=verdict)
+        ok, witnesses = _tridiagonal_orderings(a, a_star, eig_a, eig_b, verdict)
         if not ok:
             continue
         wanted = (tuple(v.value for v in va), tuple(v.value for v in vb))

@@ -10,8 +10,16 @@ with the conventions V_{-1} = V_{d+1} = 0 (and likewise on the starred
 side).  This module decides that property, searches for admissible
 orderings, builds the two-parameter lattice of flag intersections,
 constructs and verifies split decompositions, and detects tridiagonal
-pairs via the reversed-ordering characterization, cross-checked against
-the direct three-term inclusions.
+pairs via the reversed-ordering characterization: the three-term
+orderings of a side are the admissible orderings whose reversal is also
+admissible.  Every tridiagonal verdict is cross-checked against a pruned
+search of the direct three-term inclusions; the unpruned (d+1)! scans
+are kept as oracles (``pruned=False``) for ``hesspairs oracle`` and the
+tests.
+
+:func:`analyze_pair` computes each eigen structure and each side's
+admissible orderings once and derives the ordering pairs, splits and
+tridiagonal orderings from them.
 
 Everything is exact and deterministic: orderings are reported in
 lexicographic order of their eigenvalue sequences, and all subspaces are
@@ -20,6 +28,7 @@ canonical RREF bases, so results can be compared structurally.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from math import factorial
@@ -146,6 +155,39 @@ def is_hessenberg_wrt(
     return _side_condition_holds(a_star, ord_a) and _side_condition_holds(a, ord_a_star)
 
 
+def _search_orderings(count: int, admits) -> list[tuple[int, ...]]:
+    """Orderings of range(count) all of whose prefixes pass ``admits``.
+
+    A depth-first search that never extends a failing prefix; orderings
+    come out in lexicographic order.
+    """
+    results: list[tuple[int, ...]] = []
+
+    def extend(prefix: list[int]) -> None:
+        if not admits(prefix):
+            return
+        if len(prefix) == count:
+            results.append(tuple(prefix))
+        for nxt in range(count):
+            if nxt not in prefix:
+                extend(prefix + [nxt])
+
+    extend([])
+    return results
+
+
+def _scan_orderings(eigen: EigenStructure, acting: Matrix, side_holds) -> list[tuple[int, ...]]:
+    """The orderings for which ``side_holds(acting, ordering)``, each checked on its own.
+
+    The unpruned oracle for the pruned searches: (d+1)! checks.
+    """
+    return [
+        p
+        for p in itertools.permutations(range(len(eigen.eigenvalues)))
+        if side_holds(acting, EigenOrdering(eigen, p))
+    ]
+
+
 def _admissible_side_orderings(
     eigen: EigenStructure,
     acting: Matrix,
@@ -164,42 +206,57 @@ def _admissible_side_orderings(
         raise SearchBudgetExceededError(
             f"({count})! orderings exceed the cap of {max_orderings}"
         )
-    spaces = eigen.eigenspaces
-    field, n = acting.field, acting.ncols
     if not pruned:
-        out = []
-        for perm in itertools.permutations(range(count)):
-            if _side_condition_holds(acting, EigenOrdering(eigen, perm)):
-                out.append(perm)
-        return out
+        return _scan_orderings(eigen, acting, _side_condition_holds)
+    images = [apply(acting, s) for s in eigen.eigenspaces]
+    # The span of a prefix depends only on its members.
+    spans = {frozenset(): _Echelon(acting.field, acting.ncols)}
 
-    images = [apply(acting, s) for s in spaces]
-    results: list[tuple[int, ...]] = []
+    def admits(prefix: list[int]) -> bool:
+        members = frozenset(prefix)
+        if members not in spans:
+            spans[members] = spans[members - {prefix[-1]}].copy()
+            spans[members].insert_all(eigen.eigenspaces[prefix[-1]].rows)
+        # The inclusion at the next-to-last position involves the flag
+        # through the last position, which is now fully known.
+        return len(prefix) < 2 or all(spans[members].contains(v) for v in images[prefix[-2]].rows)
 
-    def extend(prefix: list[int], used: list[bool], ech: _Echelon) -> None:
-        k = len(prefix) - 1
-        # The inclusion at index k-1 involves the flag through position k,
-        # which is now fully known.
-        if k >= 1:
-            img = images[prefix[k - 1]]
-            if not all(ech.contains(v) for v in img.rows):
-                return
-        if len(prefix) == count:
-            results.append(tuple(prefix))
-            return
-        for nxt in range(count):
-            if used[nxt]:
-                continue
-            sub = ech.copy()
-            sub.insert_all(spaces[nxt].rows)
-            used[nxt] = True
-            prefix.append(nxt)
-            extend(prefix, used, sub)
-            prefix.pop()
-            used[nxt] = False
+    return _search_orderings(count, admits)
 
-    extend([], [False] * count, _Echelon(field, n))
-    return results
+
+def _admissible_sides(
+    a: Matrix,
+    a_star: Matrix,
+    eig_a: EigenStructure,
+    eig_a_star: EigenStructure,
+    max_orderings: int,
+    *,
+    pruned: bool = True,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The admissible orderings of the A side and of the A* side."""
+    _require_diagonalizable(eig_a, eig_a_star)
+    return (
+        _admissible_side_orderings(eig_a, a_star, max_orderings, pruned=pruned),
+        _admissible_side_orderings(eig_a_star, a, max_orderings, pruned=pruned),
+    )
+
+
+def _ordering_pairs(
+    eig_a: EigenStructure,
+    eig_a_star: EigenStructure,
+    side_a: Sequence[tuple[int, ...]],
+    side_a_star: Sequence[tuple[int, ...]],
+    max_orderings: int,
+) -> list[tuple[EigenOrdering, EigenOrdering]]:
+    """The cartesian product of two side lists, capped and sorted by eigenvalues."""
+    if len(side_a) * len(side_a_star) > max_orderings:
+        raise SearchBudgetExceededError(
+            f"{len(side_a)} x {len(side_a_star)} admissible ordering pairs exceed the cap"
+        )
+    return sorted(
+        ((EigenOrdering(eig_a, pa), EigenOrdering(eig_a_star, pb)) for pa in side_a for pb in side_a_star),
+        key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()),
+    )
 
 
 def find_hessenberg_orderings(
@@ -234,20 +291,8 @@ def find_hessenberg_orderings_of(
     pruned: bool = True,
 ) -> list[tuple[EigenOrdering, EigenOrdering]]:
     """Like :func:`find_hessenberg_orderings`, reusing eigen structures."""
-    _require_diagonalizable(eig_a, eig_a_star)
-    side_a = _admissible_side_orderings(eig_a, a_star, max_orderings, pruned=pruned)
-    side_a_star = _admissible_side_orderings(eig_a_star, a, max_orderings, pruned=pruned)
-    if len(side_a) * len(side_a_star) > max_orderings:
-        raise SearchBudgetExceededError(
-            f"{len(side_a)} x {len(side_a_star)} admissible ordering pairs exceed the cap"
-        )
-    pairs = [
-        (EigenOrdering(eig_a, pa), EigenOrdering(eig_a_star, pb))
-        for pa in side_a
-        for pb in side_a_star
-    ]
-    pairs.sort(key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
-    return pairs
+    sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings, pruned=pruned)
+    return _ordering_pairs(eig_a, eig_a_star, *sides, max_orderings)
 
 
 # -- the flag-intersection lattice ---------------------------------------------
@@ -331,20 +376,11 @@ class SplitDecomposition:
         return tuple(s.dim for s in self.subspaces)
 
 
-def _formula_cells(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> list[SubspaceBasis]:
-    """U_i = (V*_0+...+V*_i) ∩ (V_0+...+V_{d-i}) for 0 <= i <= d."""
-    field = ord_a.eigen.transform.field
-    n = ord_a.eigen.ambient_dim
-    d = ord_a.d
-    flags_a = _prefix_flags(ord_a.eigenspaces, field, n)
-    flags_b = _prefix_flags(ord_a_star.eigenspaces, field, n)
-    return [subspace_intersect(flags_b[i], flags_a[d - i]) for i in range(d + 1)]
-
-
 def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDecomposition:
     """Closed-form split candidate from the two flags.
 
-    Does not verify the split conditions; pair with :func:`verify_split`.
+    U_i = (V*_0+...+V*_i) ∩ (V_0+...+V_{d-i}) for 0 <= i <= d.  Does not
+    verify the split conditions; pair with :func:`verify_split`.
     Uniqueness of split decompositions means any split with respect to
     these orderings must equal this candidate.
     """
@@ -353,8 +389,11 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
         raise DDeltaMismatchError(
             f"eigenspace counts differ: {ord_a.d + 1} vs {ord_a_star.d + 1}"
         )
+    field, n, d = ord_a.eigen.transform.field, ord_a.eigen.ambient_dim, ord_a.d
+    flags_a = _prefix_flags(ord_a.eigenspaces, field, n)
+    flags_b = _prefix_flags(ord_a_star.eigenspaces, field, n)
     return SplitDecomposition(
-        subspaces=tuple(_formula_cells(ord_a, ord_a_star)),
+        subspaces=tuple(subspace_intersect(flags_b[i], flags_a[d - i]) for i in range(d + 1)),
         eigenvalues_a=ord_a.eigenvalues,
         eigenvalues_a_star=ord_a_star.eigenvalues,
     )
@@ -383,26 +422,16 @@ def construct_split(
         raise NotIrreducibleError("split construction requires an irreducible pair")
     if not is_hessenberg_wrt(a, a_star, ord_a, ord_a_star):
         raise NotHessenbergError("pair is not Hessenberg with respect to these orderings")
-    if ord_a.d != ord_a_star.d:
-        raise DDeltaMismatchError(
-            f"eigenspace counts differ: {ord_a.d + 1} vs {ord_a_star.d + 1}"
-        )
-    cells = _formula_cells(ord_a, ord_a_star)
-    n = a.nrows
-    for i, cell in enumerate(cells):
+    split = split_from_flags(ord_a, ord_a_star)
+    for i, cell in enumerate(split.subspaces):
         if cell.is_zero:
             raise NotIrreducibleError(
                 f"lattice cell for index {i} is zero; excluded for irreducible pairs"
             )
-    if not is_decomposition(a.field, n, cells):
+    if not is_decomposition(a.field, a.nrows, split.subspaces):
         raise NotIrreducibleError(
             "antidiagonal cells do not form a direct-sum decomposition of V"
         )
-    split = SplitDecomposition(
-        subspaces=tuple(cells),
-        eigenvalues_a=ord_a.eigenvalues,
-        eigenvalues_a_star=ord_a_star.eigenvalues,
-    )
     if not verify_split(a, a_star, split):
         raise OracleDisagreementError(
             "constructed split failed verification despite Hessenberg re-check; this is a bug"
@@ -581,6 +610,75 @@ def _three_term_side_holds(acting: Matrix, ordering: EigenOrdering) -> bool:
     return True
 
 
+def _three_term_side_orderings(
+    eigen: EigenStructure, acting: Matrix, *, pruned: bool = True
+) -> list[tuple[int, ...]]:
+    """All orderings of one side's eigenspaces satisfying the three-term condition.
+
+    The inclusion at position i depends only on perm[i-1..i+1], so the
+    pruned search checks it as soon as perm[i+1] is placed (the last one
+    once the ordering is complete) and remembers each window's verdict.
+    The unpruned variant scans all (d+1)! orderings and exists as an
+    oracle for the pruned one.  Both list orderings in lexicographic order.
+    """
+    count = len(eigen.eigenvalues)
+    if not pruned:
+        return _scan_orderings(eigen, acting, _three_term_side_holds)
+    images = [apply(acting, s) for s in eigen.eigenspaces]
+
+    @functools.cache
+    def holds(window: tuple) -> bool:  # (perm[i-1] or None, perm[i], perm[i+1] or None)
+        ech = _Echelon(acting.field, acting.ncols)
+        for j in window:
+            if j is not None:
+                ech.insert_all(eigen.eigenspaces[j].rows)
+        return all(ech.contains(v) for v in images[window[1]].rows)
+
+    def admits(prefix: list[int]) -> bool:
+        padded = [None] + prefix
+        if len(prefix) >= 2 and not holds(tuple(padded[-3:])):
+            return False
+        return len(prefix) < count or holds(tuple(padded[-2:]) + (None,))
+
+    return _search_orderings(count, admits)
+
+
+def _tridiagonal_orderings(
+    a: Matrix,
+    a_star: Matrix,
+    eig_a: EigenStructure,
+    eig_a_star: EigenStructure,
+    verdict: IrreducibilityVerdict,
+    max_orderings: int = DEFAULT_MAX_ORDERINGS,
+    sides: Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = None,
+) -> tuple[bool, list[tuple[EigenOrdering, EigenOrdering]]]:
+    """Tridiagonality from the admissible side lists ``sides``, searched if not given.
+
+    The three-term orderings of a side are the admissible ones whose
+    reversal is admissible too; the pruned three-term search recomputes
+    them directly and must agree.
+    """
+    if sides is None:
+        sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
+    tri_sides = []
+    for admissible, eigen, acting, name in zip(sides, (eig_a, eig_a_star), (a_star, a), ("A", "A*")):
+        closed = set(admissible)
+        tri = [p for p in admissible if p[::-1] in closed]
+        if tri != _three_term_side_orderings(eigen, acting):
+            raise OracleDisagreementError(
+                f"reversed-ordering criterion disagrees with the three-term search on the {name} side"
+            )
+        tri_sides.append(tri)
+    if verdict.status is IrreducibilityStatus.UNDETERMINED:
+        raise IrreducibilityUndeterminedError(
+            "tridiagonal detection requires a decided irreducibility verdict"
+        )
+    if verdict.status is IrreducibilityStatus.REDUCIBLE:
+        return False, []
+    witnesses = _ordering_pairs(eig_a, eig_a_star, *tri_sides, max_orderings)
+    return bool(witnesses), witnesses
+
+
 def is_tridiagonal_pair(
     a: Matrix,
     a_star: Matrix,
@@ -595,51 +693,16 @@ def is_tridiagonal_pair(
     three-term condition exactly when it and its reversal both satisfy the
     Hessenberg condition; the pair is tridiagonal when it is irreducible
     and such orderings exist on both sides.  Every per-side verdict is
-    cross-checked against the direct three-term inclusion scan; a
-    disagreement raises :class:`~hesspairs.errors.OracleDisagreementError`.
+    cross-checked against a pruned search of the direct three-term
+    inclusions; a disagreement raises
+    :class:`~hesspairs.errors.OracleDisagreementError`.  This is the path
+    :func:`analyze_pair` takes, run on freshly computed eigen structures.
     """
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
-    _require_diagonalizable(eig_a, eig_a_star)
-
-    def reversal_closed(eigen: EigenStructure, acting: Matrix) -> list[tuple[int, ...]]:
-        admissible = set(_admissible_side_orderings(eigen, acting, max_orderings))
-        return sorted(p for p in admissible if p[::-1] in admissible)
-
-    def three_term_scan(eigen: EigenStructure, acting: Matrix) -> list[tuple[int, ...]]:
-        count = len(eigen.eigenvalues)
-        return sorted(
-            p
-            for p in itertools.permutations(range(count))
-            if _three_term_side_holds(acting, EigenOrdering(eigen, p))
-        )
-
-    side_a = reversal_closed(eig_a, a_star)
-    side_a_star = reversal_closed(eig_a_star, a)
-    if side_a != three_term_scan(eig_a, a_star):
-        raise OracleDisagreementError(
-            "reversed-ordering criterion disagrees with the three-term scan on the A side"
-        )
-    if side_a_star != three_term_scan(eig_a_star, a):
-        raise OracleDisagreementError(
-            "reversed-ordering criterion disagrees with the three-term scan on the A* side"
-        )
-
     if verdict is None:
         verdict = decide_irreducible(a, a_star, seed=seed, eigen_a=eig_a, eigen_a_star=eig_a_star)
-    if verdict.status is IrreducibilityStatus.UNDETERMINED:
-        raise IrreducibilityUndeterminedError(
-            "tridiagonal detection requires a decided irreducibility verdict"
-        )
-    if verdict.status is IrreducibilityStatus.REDUCIBLE:
-        return False, []
-    witnesses = [
-        (EigenOrdering(eig_a, pa), EigenOrdering(eig_a_star, pb))
-        for pa in side_a
-        for pb in side_a_star
-    ]
-    witnesses.sort(key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
-    return bool(witnesses), witnesses
+    return _tridiagonal_orderings(a, a_star, eig_a, eig_a_star, verdict, max_orderings)
 
 
 # -- whole-pair analysis ------------------------------------------------------------
@@ -677,6 +740,15 @@ def analyze_pair(
 ) -> PairAnalysisReport:
     """Run the full analysis pipeline on one pair.
 
+    Each fact is computed once: both eigen structures and both lists of
+    admissible side orderings.  The Hessenberg ordering pairs are their
+    product; each pair's split is the closed-form candidate of
+    :func:`split_from_flags`, verified once; the tridiagonal orderings are
+    the reversal-closed subsets of the same side lists, cross-checked by
+    the pruned three-term search.  A split of an irreducible pair that
+    fails verification raises
+    :class:`~hesspairs.errors.OracleDisagreementError`.
+
     Raises :class:`~hesspairs.errors.EigenvaluesOutsideFieldError` when a
     spectrum does not lie in the ground field and
     :class:`~hesspairs.errors.SearchBudgetExceededError` when the ordering
@@ -696,48 +768,28 @@ def analyze_pair(
             "irreducibility is undetermined and --require-irreducible is in force"
         )
 
-    if not (eig_a.diagonalizable and eig_a_star.diagonalizable):
-        return PairAnalysisReport(
-            field=field,
-            n=n,
-            eigen_a=eig_a,
-            eigen_a_star=eig_a_star,
-            irreducibility=verdict,
-            hessenberg_orderings=(),
-            splits=(),
-            tridiagonal=False,
-            tridiagonal_orderings=(),
-            d_equals_d_star=None,
-        )
-
-    orderings = find_hessenberg_orderings_of(
-        a, a_star, eig_a, eig_a_star, max_orderings=max_orderings
-    )
-    d_eq = eig_a.d == eig_a_star.d
-    splits: list[Optional[SplitDecomposition]] = []
-    for ord_a, ord_a_star in orderings:
-        if not d_eq:
-            splits.append(None)
-            continue
-        cand = split_from_flags(ord_a, ord_a_star)
-        ok = verify_split(a, a_star, cand)
-        if verdict.is_irreducible:
-            constructed = construct_split(a, a_star, ord_a, ord_a_star, verdict)
-            if not ok or constructed != cand:
-                raise OracleDisagreementError(
-                    "constructed split and closed-form candidate disagree; this is a bug"
-                )
-        splits.append(cand if ok else None)
-
-    if verdict.status is IrreducibilityStatus.UNDETERMINED:
-        tridiagonal: Optional[bool] = None
-        tri_orderings: tuple = ()
-    else:
-        tri, tri_list = is_tridiagonal_pair(
-            a, a_star, verdict=verdict, max_orderings=max_orderings, seed=seed
-        )
-        tridiagonal = tri
-        tri_orderings = tuple(tri_list)
+    orderings, splits, tri_orderings = [], [], []
+    tridiagonal: Optional[bool] = False
+    d_eq: Optional[bool] = None
+    if eig_a.diagonalizable and eig_a_star.diagonalizable:
+        sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
+        orderings = _ordering_pairs(eig_a, eig_a_star, *sides, max_orderings)
+        d_eq = eig_a.d == eig_a_star.d
+        for ord_a, ord_a_star in orderings:
+            cand = split_from_flags(ord_a, ord_a_star) if d_eq else None
+            if cand is not None and not verify_split(a, a_star, cand):
+                if verdict.is_irreducible:
+                    raise OracleDisagreementError(
+                        "closed-form split of an irreducible Hessenberg pair failed verification"
+                    )
+                cand = None
+            splits.append(cand)
+        if verdict.status is IrreducibilityStatus.UNDETERMINED:
+            tridiagonal = None
+        else:
+            tridiagonal, tri_orderings = _tridiagonal_orderings(
+                a, a_star, eig_a, eig_a_star, verdict, max_orderings, sides
+            )
 
     return PairAnalysisReport(
         field=field,
@@ -748,6 +800,6 @@ def analyze_pair(
         hessenberg_orderings=tuple(orderings),
         splits=tuple(splits),
         tridiagonal=tridiagonal,
-        tridiagonal_orderings=tri_orderings,
+        tridiagonal_orderings=tuple(tri_orderings),
         d_equals_d_star=d_eq,
     )

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,10 @@ import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ANALYZABLE = sorted(p for p in FIXTURES.glob("pair_*.json"))
+# The CLI subprocesses import the package from this checkout's src/, so
+# the suite runs without installing it.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, stdin=None):
@@ -15,6 +20,7 @@ def run_cli(*args, stdin=None):
         capture_output=True,
         text=True,
         input=stdin,
+        env=ENV,
     )
 
 
@@ -177,6 +183,54 @@ def test_batch_mode_preserves_order():
     assert out[1]["irreducibility"]["status"] == "reducible"
 
 
+def test_batch_failing_line_reports_in_place():
+    # The middle pair has eigenvalues +-i, outside Q: that line alone fails.
+    outside_q = {"field": {"kind": "Q"}, "A": [["0", "-1"], ["1", "0"]], "Astar": [["1", "0"], ["0", "2"]]}
+    lines = [
+        (FIXTURES / "pair_canonical_q.json").read_text().replace("\n", " "),
+        json.dumps(outside_q),
+        (FIXTURES / "pair_identity_reducible.json").read_text().replace("\n", " "),
+    ]
+    r = run_cli("analyze", "-", "--batch", stdin="\n".join(lines) + "\n")
+    assert r.returncode == 3
+    out = [json.loads(line) for line in r.stdout.splitlines()]
+    assert len(out) == 3
+    assert out[0]["tridiagonal"]["is_tridiagonal_pair"] is True
+    assert out[1]["line"] == 2
+    assert out[1]["error"]["type"] == "EigenvaluesOutsideField"
+    assert set(out[1]) == {"error", "line"} and set(out[1]["error"]) == {"type", "message"}
+    assert out[2]["irreducibility"]["status"] == "reducible"
+    # The good lines print exactly what they print on their own.
+    alone = run_cli("analyze", "-", "--batch", stdin=lines[0] + "\n")
+    assert r.stdout.splitlines()[0] == alone.stdout.rstrip("\n")
+    # A parse error is reported in place too, and the exit code is the
+    # largest per-line code.
+    r = run_cli("analyze", "-", "--batch", "--format", "text",
+                stdin="\n".join(["not json", lines[1], lines[2]]) + "\n")
+    assert r.returncode == 3
+    text = r.stdout.splitlines()
+    first, second = json.loads(text[0]), json.loads(text[1])
+    assert (first["line"], first["error"]["type"]) == (1, "ParseError")
+    assert (second["line"], second["error"]["type"]) == (2, "EigenvaluesOutsideField")
+    assert "irreducibility: reducible" in r.stdout
+
+
+def test_analyze_matches_golden_output(capsys):
+    # Exit code and stdout of `analyze` in both formats for every fixture.
+    # The file was recorded before the analysis computed each fact once per
+    # pair; refactors of the pipeline must leave it unchanged.
+    from hesspairs.cli import main
+
+    golden = json.loads((FIXTURES / "analyze_golden.json").read_text())
+    documents = sorted(p.name for p in FIXTURES.glob("*.json") if p.name != "analyze_golden.json")
+    assert sorted(golden) == documents
+    for name in documents:
+        for fmt in ("json", "text"):
+            code = main(["analyze", str(FIXTURES / name), "--format", fmt])
+            stdout = capsys.readouterr().out
+            assert {"exit": code, "stdout": stdout} == golden[name][fmt], (name, fmt)
+
+
 @pytest.mark.parametrize("fixture", [p.name for p in ANALYZABLE])
 def test_oracle_agrees_on_shipped_corpus(fixture):
     r = run_cli("oracle", str(FIXTURES / fixture))
@@ -184,6 +238,13 @@ def test_oracle_agrees_on_shipped_corpus(fixture):
     verdict = json.loads(r.stdout)
     ordering = verdict["ordering_search"]
     assert ordering.get("agrees", True) is True
+    # The pruned three-term search against the unpruned (d+1)! scan, on
+    # both sides; skipped exactly when the ordering search is.
+    tri = verdict["tridiagonal_search"]
+    assert ("skipped" in tri) == ("skipped" in ordering)
+    if "skipped" not in tri:
+        assert tri["agrees"] is True
+        assert len(tri["orderings"]) == 2
     irr = verdict["irreducibility"]
     assert irr.get("agrees", True) is True
 

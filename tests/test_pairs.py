@@ -1,5 +1,8 @@
 import itertools
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,9 @@ from hesspairs.errors import (
     SearchBudgetExceededError,
     SplitInvalidError,
 )
+from hesspairs.pairs import _three_term_side_orderings
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 IRR = IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.BRUTE_FORCE)
 
@@ -155,6 +161,64 @@ def test_pruned_search_equals_brute_force_randomized():
         fast = find_hessenberg_orderings(a, b)
         slow = find_hessenberg_orderings(a, b, pruned=False)
         assert value_seqs(fast) == value_seqs(slow)
+
+
+def test_pruned_three_term_search_equals_brute_force_randomized():
+    rng = random.Random(33)
+    pairs = []
+    # Random diagonalizable pairs, eigenspace counts up to 5 per side.
+    for _ in range(100):
+        field = rng.choice([GF(5), GF(7), GF(11)])
+        n = rng.randint(2, 6)
+        pool = list(range(field.p))
+        a = rand_diagonalizable(field, n, pool, rng, max_distinct=5)
+        b = rand_diagonalizable(field, n, pool, rng, max_distinct=5)
+        pairs.append((a, b))
+    # Random pairs rarely admit some orderings but not all; sl2 pairs and
+    # sparse split-form pairs do, so pruning has real work to do.
+    for field in (GF(7), GF(11)):
+        pairs.extend(sl2_pair(field, d) for d in (2, 3, 4))
+    for seed in range(20):
+        field = rng.choice([GF(5), GF(7), GF(11)])
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(3, 5)))
+        va, vb = rng.sample(range(field.p), len(dims)), rng.sample(range(field.p), len(dims))
+        inst = gen_split_form(field, dims, va, vb, seed=seed, allow_zero_entries=True)
+        pairs.append((inst.a, inst.a_star))
+    partial = 0
+    for a, b in pairs:
+        for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
+            fast = _three_term_side_orderings(eig, acting)
+            assert fast == _three_term_side_orderings(eig, acting, pruned=False)
+            partial += 0 < len(fast) < math.factorial(eig.d + 1)
+    assert partial >= 20
+
+
+def test_analyze_pair_computes_each_fact_once(monkeypatch):
+    # One eigen structure per side and one split verification per
+    # reported ordering pair.
+    from hesspairs import irreducibility, pairs
+    from hesspairs.cli import parse_document
+
+    doc = json.loads((FIXTURES / "pair_split_gf7.json").read_text())
+    _, a, a_star, _ = parse_document(doc)
+    eigen_calls, split_checks = [], []
+
+    def counting_eigen(m):
+        eigen_calls.append(m)
+        return eigen_structure(m)
+
+    def counting_violations(*args):
+        split_checks.append(args)
+        return split_violations(*args)
+
+    monkeypatch.setattr(pairs, "eigen_structure", counting_eigen)
+    monkeypatch.setattr(irreducibility, "eigen_structure", counting_eigen)
+    monkeypatch.setattr(pairs, "split_violations", counting_violations)
+    report = analyze_pair(a, a_star)
+    assert eigen_calls == [a, a_star]
+    assert len(report.hessenberg_orderings) == 1
+    assert len(split_checks) == len(report.hessenberg_orderings)
+    assert report.splits[0] is not None
 
 
 def test_search_budget_enforced():
