@@ -86,6 +86,8 @@ def field_from_json(obj) -> FieldSpec:
     if kind == "GF":
         if "p" not in obj:
             raise DocumentParseError("GF field needs a prime 'p'")
+        if isinstance(obj["p"], (bool, float)):
+            raise DocumentParseError(f"GF modulus must be an integer, not {obj['p']!r}")
         try:
             return GF(int(obj["p"]))
         except (NotPrimeError, ValueError, TypeError) as exc:
@@ -96,6 +98,8 @@ def field_from_json(obj) -> FieldSpec:
 def matrix_from_json(field: FieldSpec, obj, name: str) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise DocumentParseError(f"{name} must be a non-empty list of rows")
+    if any(isinstance(x, bool) for row in obj for x in row):
+        raise DocumentParseError(f"bad entry in {name}: true and false are not scalars")
     try:
         return Matrix.from_rows(field, obj)
     except (ValueError, TypeError, MixedFieldsError) as exc:
@@ -360,8 +364,8 @@ def cmd_generate(args) -> int:
             raise DocumentParseError(str(exc)) from exc
     else:
         field = QQ
-    eigs_a = args.eigs_a.split(",") if args.eigs_a else []
-    eigs_b = args.eigs_a_star.split(",") if args.eigs_a_star else []
+    eigs_a = scalars_from_json(field, args.eigs_a.split(","), "--eigs-a") if args.eigs_a else []
+    eigs_b = scalars_from_json(field, args.eigs_a_star.split(","), "--eigs-a-star") if args.eigs_a_star else []
     if args.kind == SPLIT_FORM:
         dims = _parse_ints(args.dims, "--dims")
         inst = gen_split_form(field, dims, eigs_a, eigs_b, args.seed)

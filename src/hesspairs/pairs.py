@@ -96,6 +96,12 @@ class EigenOrdering:
     def d(self) -> int:
         return self.eigen.d
 
+    @functools.cached_property
+    def flags(self) -> tuple[SubspaceBasis, ...]:
+        """The prefix flags V_0 + ... + V_i, for 0 <= i <= d."""
+        spec = self.eigen.transform.field
+        return tuple(_prefix_flags(self.eigenspaces, spec, self.eigen.ambient_dim))
+
     def reversed(self) -> "EigenOrdering":
         return EigenOrdering(self.eigen, self.perm[::-1])
 
@@ -253,8 +259,10 @@ def _ordering_pairs(
         raise SearchBudgetExceededError(
             f"{len(side_a)} x {len(side_a_star)} admissible ordering pairs exceed the cap"
         )
+    ords_a = [EigenOrdering(eig_a, pa) for pa in side_a]
+    ords_a_star = [EigenOrdering(eig_a_star, pb) for pb in side_a_star]
     return sorted(
-        ((EigenOrdering(eig_a, pa), EigenOrdering(eig_a_star, pb)) for pa in side_a for pb in side_a_star),
+        itertools.product(ords_a, ords_a_star),
         key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()),
     )
 
@@ -328,8 +336,8 @@ def build_intersection_lattice(ord_a: EigenOrdering, ord_a_star: EigenOrdering) 
     d, d_star = ord_a.d, ord_a_star.d
     zero = SubspaceBasis.zero(field, n)
     full = SubspaceBasis.full(field, n)
-    flags_a = [zero] + _prefix_flags(ord_a.eigenspaces, field, n) + [full]
-    flags_b = [zero] + _prefix_flags(ord_a_star.eigenspaces, field, n) + [full]
+    flags_a = [zero, *ord_a.flags, full]
+    flags_b = [zero, *ord_a_star.flags, full]
     cells = {}
     for i in range(-1, d + 2):
         for j in range(-1, d_star + 2):
@@ -389,9 +397,8 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
         raise DDeltaMismatchError(
             f"eigenspace counts differ: {ord_a.d + 1} vs {ord_a_star.d + 1}"
         )
-    field, n, d = ord_a.eigen.transform.field, ord_a.eigen.ambient_dim, ord_a.d
-    flags_a = _prefix_flags(ord_a.eigenspaces, field, n)
-    flags_b = _prefix_flags(ord_a_star.eigenspaces, field, n)
+    d = ord_a.d
+    flags_a, flags_b = ord_a.flags, ord_a_star.flags
     return SplitDecomposition(
         subspaces=tuple(subspace_intersect(flags_b[i], flags_a[d - i]) for i in range(d + 1)),
         eigenvalues_a=ord_a.eigenvalues,
@@ -523,12 +530,12 @@ def recover_hessenberg_from_split(a: Matrix, a_star: Matrix, split: SplitDecompo
         raise SplitInvalidError("a verified split forces diagonalizability; eigen data disagrees")
 
     suffix = _suffix_sums(split.subspaces, field, n)
-    flags_a = _prefix_flags(ord_a.eigenspaces, field, n)
+    flags_a = ord_a.flags
     for i in range(d + 1):
         if suffix[i] != flags_a[d - i]:
             return False
     prefix = _prefix_flags(list(split.subspaces), field, n)
-    flags_b = _prefix_flags(ord_a_star.eigenspaces, field, n)
+    flags_b = ord_a_star.flags
     for i in range(d + 1):
         if prefix[i] != flags_b[i]:
             return False

@@ -5,9 +5,11 @@ is valid over any field including small characteristic.  Eigenvalues are
 found *in the ground field only*:
 
 * over GF(p), by scanning all residues for small p and by extracting the
-  linear part of the polynomial via gcd with x^p - x for large p;
-* over Q, by the rational-root scan of the primitive integer scaling of
-  the characteristic polynomial, with deflation after each found root.
+  linear part of the polynomial via gcd with x^p - x, then equal-degree
+  splitting, for large p;
+* over Q, by the same gcd finder modulo a Mersenne prime that exceeds
+  twice Fujiwara's root bound of the integer scaling of the polynomial,
+  keeping the lifted roots that evaluate to zero exactly.
 
 If the characteristic polynomial does not split into linear factors over
 the field, :func:`eigen_structure` raises
@@ -26,6 +28,7 @@ from typing import Sequence
 from .errors import (
     DuplicateEigenvalueError,
     EigenvaluesOutsideFieldError,
+    HesspairsError,
     LengthMismatchError,
     NotADecompositionError,
     NotSquareError,
@@ -36,6 +39,13 @@ from .linalg import Matrix, SubspaceBasis, _Echelon, apply, kernel, subspace_con
 # Above this modulus the eigenvalue scan switches from trying every
 # residue to gcd-based linear-factor extraction.
 _SCAN_LIMIT = 4096
+
+# Exponents e of the Mersenne primes 2^e - 1: the moduli in which rational
+# roots are found.
+_MERSENNE_EXPONENTS = (
+    3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+    4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
+)
 
 
 class Polynomial:
@@ -341,54 +351,30 @@ def _poly_quotient(a: list[int], b: list[int], p: int) -> list[int]:
     return _poly_trim(out)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
 def _roots_rationals(poly: Polynomial) -> list[Fraction]:
-    """Distinct rational roots, by the rational-root theorem with deflation."""
-    roots: list[Fraction] = []
-    work = poly
-    # Strip powers of x first.
-    stripped = False
-    while not work.is_zero and work.coeffs[0] == 0:
-        work, _ = work.divide_linear(0)
-        stripped = True
-    if stripped:
-        roots.append(Fraction(0))
-    if work.degree < 1:
-        return roots
-    denom_lcm = 1
-    for c in work.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in work.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    a0, an = ints[0], abs(ints[-1])
-    for u in _divisors(a0):
-        for v in _divisors(an):
-            if gcd(u, v) != 1:
-                continue
-            for cand in (Fraction(u, v), Fraction(-u, v)):
-                if work.eval(cand) == 0:
-                    roots.append(cand)
-                    while True:
-                        quo, rem = work.divide_linear(cand)
-                        if rem != 0:
-                            break
-                        work = quo
-    return roots
+    """Distinct rational roots of a monic ``poly``, found modulo a Mersenne prime.
+
+    With L the lcm of the denominators, g(y) = L^n poly(y/L) is monic with
+    integer coefficients, so its rational roots are integers.  Fujiwara's
+    bound puts them in |y| <= 2^(b+1), so modulo a prime p > 2^(b+2) they
+    stay distinct and lift back from (-p/2, p/2); exact evaluation keeps
+    the lifts that are roots.
+    """
+    n = poly.degree
+    lcm = 1
+    for c in poly.coeffs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    g = [int(c * lcm ** (n - i)) for i, c in enumerate(poly.coeffs)]
+    b = max((-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1])), default=0)
+    e = next((e for e in _MERSENNE_EXPONENTS if e > b + 2), None)
+    if e is None:
+        raise HesspairsError(
+            f"characteristic polynomial too large: its rational root bound 2^{b + 1} "
+            f"exceeds the largest supported bound 2^{_MERSENNE_EXPONENTS[-1] - 2}"
+        )
+    p = 2**e - 1
+    lifts = (Fraction(r - p if r > p // 2 else r, lcm) for r in _roots_large_prime(g, p))
+    return [r for r in lifts if poly.eval(r) == 0]
 
 
 def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:

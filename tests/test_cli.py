@@ -79,6 +79,13 @@ def test_parse_error_exit_code():
     bad_modulus = json.dumps({"field": {"kind": "GF", "p": 6}, "A": [["1"]], "Astar": [["1"]]})
     r = run_cli("analyze", "-", stdin=bad_modulus)
     assert r.returncode == 2
+    # Neither a fractional modulus nor JSON booleans may be read as integers.
+    float_modulus = json.dumps({"field": {"kind": "GF", "p": 7.9}, "A": [["1"]], "Astar": [["1"]]})
+    boolean_entries = json.dumps({"field": {"kind": "Q"}, "A": [[True]], "Astar": [[False]]})
+    for doc in (float_modulus, boolean_entries):
+        r = run_cli("analyze", "-", stdin=doc)
+        assert r.returncode == 2, doc
+        assert json.loads(r.stderr)["error"]["type"] == "ParseError"
 
 
 def test_eigenvalues_outside_field_exit_code():
@@ -119,6 +126,16 @@ def test_generate_then_analyze_pipeline():
     assert r.returncode == 0
     report = json.loads(r.stdout)
     assert report["hessenberg"]["is_hessenberg_pair"] is True
+
+
+def test_generate_bad_eigenvalue_is_a_parse_error():
+    r = run_cli(
+        "generate", "split-form", "--field", "Q", "--dims", "1,1",
+        "--eigs-a", "1,x", "--eigs-a-star", "0,1",
+    )
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["type"] == "ParseError"
 
 
 def test_check_split_accepts_truth_block():

@@ -221,6 +221,27 @@ def test_analyze_pair_computes_each_fact_once(monkeypatch):
     assert report.splits[0] is not None
 
 
+def test_analyze_pair_builds_each_flag_once(monkeypatch):
+    # Prefix flags are built once per side ordering, not once per
+    # ordering pair: 2 + 2 orderings give 4 ordering pairs here.
+    from hesspairs import pairs
+    from hesspairs.cli import parse_document
+
+    doc = json.loads((FIXTURES / "pair_canonical_q.json").read_text())
+    _, a, a_star, _ = parse_document(doc)
+    flag_calls = []
+    prefix_flags = pairs._prefix_flags
+
+    def counting_flags(*args):
+        flag_calls.append(args)
+        return prefix_flags(*args)
+
+    monkeypatch.setattr(pairs, "_prefix_flags", counting_flags)
+    report = analyze_pair(a, a_star)
+    assert len(report.hessenberg_orderings) == 4
+    assert len(flag_calls) == 4
+
+
 def test_search_budget_enforced():
     a = Matrix.diagonal(QQ, [0, 1])
     a_star = Matrix.diagonal(QQ, [0, 1])

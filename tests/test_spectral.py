@@ -1,9 +1,12 @@
+import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_matrix
+from conftest import rand_invertible, rand_matrix
 from hesspairs import (
     GF,
     QQ,
@@ -19,10 +22,12 @@ from hesspairs import (
 from hesspairs.errors import (
     DuplicateEigenvalueError,
     EigenvaluesOutsideFieldError,
+    HesspairsError,
     LengthMismatchError,
     NotADecompositionError,
     NotSquareError,
 )
+from hesspairs.spectral import _in_field_roots_with_multiplicity
 
 
 def companion(field, coeffs_low_to_high_monic):
@@ -244,3 +249,95 @@ def test_raising_shape_certifies_diagonalizability():
                 assert by_value[field.coerce(values[b])] == dims[b]
             # The product of (m - t I) over the chain's scalars annihilates V.
             assert Polynomial.from_roots(field, values).eval_matrix(m).is_zero()
+
+
+# -- rational roots --------------------------------------------------------------
+
+
+def _is_rational_square(q: Fraction) -> bool:
+    return q >= 0 and all(math.isqrt(k) ** 2 == k for k in (q.numerator, q.denominator))
+
+
+def _rootless_quadratic(rng):
+    """A monic rational quadratic with no rational root."""
+    while True:
+        b = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+        c = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+        if not _is_rational_square(b * b - 4 * c):
+            return Polynomial(QQ, [c, b, Fraction(1)])
+
+
+def test_rational_roots_planted_with_multiplicity():
+    rng = random.Random(17)
+    fixed = [Polynomial.from_coefficients(QQ, [-2, 0, 1]), Polynomial.from_coefficients(QQ, [1, 0, 1])]
+    for _ in range(60):
+        planted: dict = {}
+        for _ in range(rng.randint(0, 4)):
+            root = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 30))
+            planted[root] = planted.get(root, 0) + rng.randint(1, 3)
+        if rng.random() < 0.3:
+            planted[Fraction(0)] = planted.get(Fraction(0), 0) + rng.randint(1, 2)
+        poly = Polynomial.from_roots(QQ, [r for r, k in planted.items() for _ in range(k)])
+        for _ in range(rng.randint(0, 2)):
+            poly = poly * (rng.choice(fixed) if rng.random() < 0.5 else _rootless_quadratic(rng))
+        if poly.degree < 1:
+            continue
+        assert _in_field_roots_with_multiplicity(poly) == sorted(planted.items())
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(18)
+    for _ in range(60):
+        # Random integer linear factors times a random integer cofactor.
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)]
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.randint(1, 12), rng.randint(-40, 40)
+            coeffs = [a * v + b * u for a, b in zip(coeffs + [0], [0] + coeffs)]
+        expected = []
+        for factor, mult in sympy.Poly(coeffs[::-1], x).factor_list()[1]:
+            if factor.degree() == 1:
+                b, a = factor.all_coeffs()[::-1]
+                expected.append((Fraction(-int(b), int(a)), mult))
+        lead = Fraction(coeffs[-1])
+        poly = Polynomial(QQ, [Fraction(c) / lead for c in coeffs])
+        assert _in_field_roots_with_multiplicity(poly) == sorted(expected), coeffs
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [10007, 10009, 10037, 10039],
+        [999983, 1000003, 1000033],
+        [Fraction(10**6 + k, 7) for k in range(6)],
+        [10**300 + Fraction(1, 3), -(10**300)],
+    ],
+    ids=["4x4-near-1e4", "3x3-near-1e6", "6x6-sevenths", "2x2-300-digits"],
+)
+def test_large_rational_eigenvalues(values):
+    rng = random.Random(19)
+    n = len(values)
+    p = rand_invertible(QQ, n, rng)
+    m = p * Matrix.diagonal(QQ, values) * p.inverse()
+    start = time.perf_counter()
+    eig = eigen_structure(m)
+    # Each case took 4-35 ms on a 2-vCPU VM (CPython 3.11).  The loose bound
+    # catches a root finder whose cost follows the magnitude of the
+    # eigenvalues, as a divisor scan's does, rather than their bit length.
+    assert time.perf_counter() - start < 5
+    assert [v.value for v in eig.eigenvalues] == sorted(Fraction(v) for v in values)
+    assert eig.diagonalizable
+
+
+def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys):
+    from hesspairs.cli import main
+
+    with pytest.raises(HesspairsError, match="root bound"):
+        eigen_structure(Matrix.from_rows(QQ, [["1e40000"]]))
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"field": {"kind": "Q"}, "A": [["1e40000"]], "Astar": [["0"]]}))
+    assert main(["analyze", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "HesspairsError"
