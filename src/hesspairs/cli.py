@@ -95,11 +95,17 @@ def field_from_json(obj) -> FieldSpec:
     raise DocumentParseError(f"unknown field kind {kind!r}")
 
 
+def _reject_booleans(items: list, name: str) -> None:
+    """Refuse JSON true/false in a list of scalars or of rows: as ints they would read as 1/0."""
+    for item in items:
+        if any(isinstance(x, bool) for x in (item if isinstance(item, list) else [item])):
+            raise DocumentParseError(f"bad entry in {name}: true and false are not scalars")
+
+
 def matrix_from_json(field: FieldSpec, obj, name: str) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise DocumentParseError(f"{name} must be a non-empty list of rows")
-    if any(isinstance(x, bool) for row in obj for x in row):
-        raise DocumentParseError(f"bad entry in {name}: true and false are not scalars")
+    _reject_booleans(obj, name)
     try:
         return Matrix.from_rows(field, obj)
     except (ValueError, TypeError, MixedFieldsError) as exc:
@@ -117,6 +123,7 @@ def subspace_to_json(s: SubspaceBasis) -> list:
 def subspace_from_json(field: FieldSpec, n: int, obj, name: str) -> SubspaceBasis:
     if not isinstance(obj, list):
         raise DocumentParseError(f"{name} must be a list of basis rows")
+    _reject_booleans(obj, name)
     try:
         return SubspaceBasis.from_vectors(field, n, obj)
     except (ValueError, TypeError, MixedFieldsError, HesspairsError) as exc:
@@ -126,6 +133,7 @@ def subspace_from_json(field: FieldSpec, n: int, obj, name: str) -> SubspaceBasi
 def scalars_from_json(field: FieldSpec, obj, name: str) -> tuple:
     if not isinstance(obj, list):
         raise DocumentParseError(f"{name} must be a list of scalars")
+    _reject_booleans(obj, name)
     try:
         return tuple(field.element(x) for x in obj)
     except (ValueError, TypeError) as exc:

@@ -1,20 +1,31 @@
 """Deciding whether a pair of transformations has a common invariant subspace.
 
 A pair (A, A*) is *irreducible* when no subspace W with 0 != W != V
-satisfies A W ⊆ W and A* W ⊆ W.  The decision ladder in
-:func:`decide_irreducible`:
+satisfies A W ⊆ W and A* W ⊆ W.  :func:`decide_irreducible` has two
+rungs:
 
 1. any field: if the unital algebra generated by {A, A*} has dimension
    n^2, the pair is irreducible (Burnside sufficiency);
-2. spin probes: the smallest invariant subspace through each standard
-   basis vector and each available eigenbasis vector; any proper nonzero
-   result is a reducibility witness;
-3. GF(p), small ambient: spin every projective point -- a complete
-   decision, since a proper invariant subspace must contain one;
-4. GF(p), large ambient: randomized null-space test (MeatAxe style) with
-   a seeded generator;
-5. rationals, all inconclusive: Undetermined.  Honest tri-state beats a
-   wrong boolean; callers that need irreducibility refuse to proceed.
+2. Norton's criterion (Parker 1984; Holt and Rees 1994) on singular
+   elements X of that algebra, one shared step per X
+   (:func:`_norton_step`).  The spin of a point of ker X is either V or a
+   reducibility witness.  When every point of ker X spins to V, one
+   transposed spin from ker X^T decides: it fills the dual space and the
+   pair is irreducible, or its annihilator is a witness.  ker X is spun
+   point by point when it is a line, and over GF(p) when it has at most
+   ``ENUMERATION_LIMIT`` projective points; otherwise only its basis rows
+   are spun, a probe that can find a witness but cannot conclude.  The
+   elements, in order:
+
+   * M - θI for each eigenvalue θ of A and of A*, by kernel dimension;
+     the kernel is the eigenspace, already computed by the analysis;
+   * X = 0, whose kernel is V: complete over small GF(p), standard-basis
+     probes otherwise;
+   * over GF(p), ``RANDOM_DRAWS`` seeded random combinations of short
+     words in A and A*.
+
+When no element decides the verdict is undetermined.  Honest tri-state
+beats a wrong boolean; callers that need irreducibility refuse to proceed.
 
 Reducible verdicts always carry a witness that can be re-checked with
 :func:`verify_invariant`.
@@ -31,6 +42,7 @@ from typing import Iterator, Optional, Sequence
 from .errors import (
     EigenvaluesOutsideFieldError,
     InfiniteFieldError,
+    OracleDisagreementError,
     SizeMismatchError,
     ZeroVectorError,
 )
@@ -46,10 +58,16 @@ class IrreducibilityStatus(str, Enum):
 
 
 class DecisionMethod(str, Enum):
-    BRUTE_FORCE = "brute-force"
-    MEATAXE = "meataxe"
     ALGEBRA_DIMENSION = "algebra-dimension"
-    SPIN_PROBE = "spin-probe"
+    NORTON = "norton"
+    BRUTE_FORCE = "brute-force"
+
+
+# Over GF(p), a kernel with at most this many projective points is spun
+# point by point; a larger one is only probed through its basis rows.
+ENUMERATION_LIMIT = 5000
+# Seeded random algebra elements tried last, over GF(p) only.
+RANDOM_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -149,91 +167,43 @@ def projective_point_count(field: PrimeField, n: int) -> int:
     return (field.p**n - 1) // (field.p - 1)
 
 
-def _proper(space: SubspaceBasis, n: int) -> bool:
-    return 0 < space.dim < n
-
-
-def _spin_seed_vectors(a: Matrix, a_star: Matrix,
-                       eigen_a: Optional[EigenStructure],
-                       eigen_a_star: Optional[EigenStructure]) -> list[tuple[Raw, ...]]:
-    field, n = a.field, a.nrows
-    seeds: list[tuple[Raw, ...]] = list(Matrix.identity(field, n).entries)
-    for eig in (eigen_a, eigen_a_star):
-        if eig is not None:
-            for space in eig.eigenspaces:
-                seeds.extend(space.rows)
-    seen = set()
-    out = []
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
-
-
-def _random_algebra_element(field: FieldSpec, pool: Sequence[Matrix], rng) -> Matrix:
-    n = pool[0].nrows
-    acc = Matrix.zeros(field, n, n)
-    for m in pool:
-        c = field.rand(rng)
-        if c != field.zero():
-            acc = acc + m.scale(c)
-    return acc
-
-
 def decide_irreducible(
     a: Matrix,
     a_star: Matrix,
     *,
     seed: int = 0,
-    brute_force_limit: int = 5000,
-    meataxe_draws: int = 64,
     eigen_a: Optional[EigenStructure] = None,
     eigen_a_star: Optional[EigenStructure] = None,
 ) -> IrreducibilityVerdict:
-    """Run the decision ladder on the pair (A, A*).
+    """Decide whether the pair (A, A*) is irreducible.
 
-    Deterministic for a fixed seed.  ``eigen_a`` / ``eigen_a_star`` are
-    optional precomputed eigen structures whose eigenvectors enrich the
-    spin probes; when absent they are computed on a best-effort basis.
+    Rung 1 is the algebra dimension; rung 2 runs :func:`_norton_step` on
+    the singular algebra elements of :func:`_singular_elements`, in the
+    order the module docstring gives, until one decides.  Deterministic
+    for a fixed seed, which only steers the random elements over GF(p).  ``eigen_a`` / ``eigen_a_star`` are optional
+    precomputed eigen structures; when absent they are computed on a
+    best-effort basis, and a spectrum outside the field contributes no
+    eigenspace elements.
     """
-    field, n = _check_generators([a, a_star])
-    generators = [a, a_star]
+    _, n = _check_generators([a, a_star])
 
     # (1) Burnside sufficiency: a full matrix algebra leaves no room for
     # a common invariant subspace.
-    dim, _ = algebra_closure(generators)
+    dim, _ = algebra_closure([a, a_star])
     if dim == n * n:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.ALGEBRA_DIMENSION)
 
-    # (2) Spin probes from standard basis and eigenbasis vectors.
-    if eigen_a is None:
-        eigen_a = _try_eigen(a)
-    if eigen_a_star is None:
-        eigen_a_star = _try_eigen(a_star)
-    for vec in _spin_seed_vectors(a, a_star, eigen_a, eigen_a_star):
-        space = spin(vec, generators)
-        if _proper(space, n):
-            return IrreducibilityVerdict(
-                IrreducibilityStatus.REDUCIBLE, DecisionMethod.SPIN_PROBE, witness=space
-            )
-
-    if isinstance(field, PrimeField):
-        if projective_point_count(field, n) <= brute_force_limit:
-            # (3) Complete: every proper invariant subspace contains a
-            # projective point, whose spin stays inside it.
-            for vec in _projective_points(field, n):
-                space = spin(vec, generators)
-                if _proper(space, n):
-                    return IrreducibilityVerdict(
-                        IrreducibilityStatus.REDUCIBLE, DecisionMethod.BRUTE_FORCE, witness=space
-                    )
-            return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.BRUTE_FORCE)
-        # (4) Randomized null-space test.
-        return _meataxe(a, a_star, field, n, seed, meataxe_draws)
-
-    # (5) Over the rationals with everything above inconclusive.
-    return IrreducibilityVerdict(IrreducibilityStatus.UNDETERMINED, DecisionMethod.SPIN_PROBE)
+    # (2) Norton's criterion.  Every kernel spun in full ends the search,
+    # so a kernel seen before was only probed and cannot give anything new.
+    tried = set()
+    for x, ker in _singular_elements(a, a_star, seed, eigen_a, eigen_a_star):
+        if ker.is_zero or ker in tried:
+            continue
+        tried.add(ker)
+        verdict = _norton_step(x, ker, a, a_star)
+        if verdict is not None:
+            return verdict
+    return IrreducibilityVerdict(IrreducibilityStatus.UNDETERMINED, DecisionMethod.NORTON)
 
 
 def _try_eigen(m: Matrix) -> Optional[EigenStructure]:
@@ -243,59 +213,69 @@ def _try_eigen(m: Matrix) -> Optional[EigenStructure]:
         return None
 
 
-def _meataxe(a: Matrix, a_star: Matrix, field: PrimeField, n: int, seed: int, draws: int) -> IrreducibilityVerdict:
-    """Norton-style randomized test over GF(p).
+def _singular_elements(a: Matrix, a_star: Matrix, seed: int,
+                       eigen_a: Optional[EigenStructure],
+                       eigen_a_star: Optional[EigenStructure]) -> Iterator[tuple[Matrix, SubspaceBasis]]:
+    """Algebra elements X with their kernels, in the order rung 2 tries them."""
+    field, n = a.field, a.nrows
+    shifts = []
+    for m, eig in ((a, eigen_a), (a_star, eigen_a_star)):
+        if eig is None:
+            eig = _try_eigen(m)
+        if eig is not None:
+            shifts.extend((m.minus_scalar(theta), space) for theta, space in zip(eig.eigenvalues, eig.eigenspaces))
+    shifts.sort(key=lambda shift: shift[1].dim)
+    yield from shifts
+    yield Matrix.zeros(field, n, n), SubspaceBasis.full(field, n)
+    if isinstance(field, PrimeField):
+        yield from _random_elements(a, a_star, seed)
 
-    For a singular algebra element X: if some kernel vector spins to a
-    proper subspace the pair is reducible; if every kernel vector spins to
-    V, any common invariant subspace U must miss ker X, which forces
-    ker(X^T) inside the annihilator of U -- so one transposed spin from
-    ker(X^T) filling the dual space certifies irreducibility.
-    """
+
+def _random_elements(a: Matrix, a_star: Matrix, seed: int) -> Iterator[tuple[Matrix, SubspaceBasis]]:
+    """RANDOM_DRAWS seeded combinations of short words in A and A*, with kernels."""
+    field, n = a.field, a.nrows
     rng = random.Random(seed)
-    gens = [a, a_star]
-    gens_t = [a.transpose(), a_star.transpose()]
-    pool = [
-        Matrix.identity(field, n),
-        a,
-        a_star,
-        a * a_star,
-        a_star * a,
-        a * a,
-        a_star * a_star,
-    ]
-    kernel_cap = 512
-    for _ in range(draws):
-        x = _random_algebra_element(field, pool, rng)
-        ker = kernel(x)
-        if ker.is_zero or ker.is_full:
-            continue
-        if projective_point_count(field, ker.dim) > kernel_cap:
-            continue
-        proper_found = None
-        for coeffs in _projective_points(field, ker.dim):
-            vec = _combine(field, ker.rows, coeffs)
-            space = spin(vec, gens)
-            if _proper(space, n):
-                proper_found = space
-                break
-        if proper_found is not None:
-            return IrreducibilityVerdict(
-                IrreducibilityStatus.REDUCIBLE, DecisionMethod.MEATAXE, witness=proper_found
-            )
-        ker_t = kernel(x.transpose())
-        w = ker_t.rows[0]
-        dual_space = spin(w, gens_t)
-        if dual_space.dim == n:
-            return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.MEATAXE)
-        witness = kernel(Matrix(field, dual_space.rows, ncols=n))
-        if _proper(witness, n) and verify_invariant(witness, a, a_star):
-            return IrreducibilityVerdict(
-                IrreducibilityStatus.REDUCIBLE, DecisionMethod.MEATAXE, witness=witness
-            )
-        # A dual witness that fails re-verification means the draw was
-        # degenerate; try another element.
-    return IrreducibilityVerdict(IrreducibilityStatus.UNDETERMINED, DecisionMethod.MEATAXE)
+    pool = [Matrix.identity(field, n), a, a_star, a * a_star, a_star * a, a * a, a_star * a_star]
+    for _ in range(RANDOM_DRAWS):
+        x = Matrix.zeros(field, n, n)
+        for m in pool:
+            c = field.rand(rng)
+            if c != field.zero():
+                x = x + m.scale(c)
+        yield x, kernel(x)
+
+
+def _norton_step(x: Matrix, ker: SubspaceBasis, a: Matrix, a_star: Matrix) -> Optional[IrreducibilityVerdict]:
+    """Norton's criterion on one singular element X of the algebra, ker X given.
+
+    A proper invariant subspace U either meets ker X, and then some point
+    of ker X spins to a proper subspace, or it does not: then X maps U
+    onto U, so U lies in im X and ker X^T lies in the annihilator of U,
+    which is invariant under A^T and A*^T.  So once every point of ker X
+    has spun to V, one transposed spin from ker X^T decides.  A kernel
+    with too many points is only probed through its basis rows, and
+    without a witness there the step returns None.
+    """
+    field, n = a.field, a.nrows
+    complete = ker.dim == 1 or (
+        isinstance(field, PrimeField) and projective_point_count(field, ker.dim) <= ENUMERATION_LIMIT
+    )
+    seeds = ker.rows
+    if complete and ker.dim > 1:
+        seeds = (_combine(field, ker.rows, coeffs) for coeffs in _projective_points(field, ker.dim))
+    for vec in seeds:
+        space = spin(vec, [a, a_star])
+        if space.dim < n:
+            return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, DecisionMethod.NORTON, witness=space)
+    if not complete:
+        return None
+    dual = spin(kernel(x.transpose()).rows[0], [a.transpose(), a_star.transpose()])
+    if dual.dim == n:
+        return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.NORTON)
+    witness = kernel(Matrix(field, dual.rows, ncols=n))
+    if not verify_invariant(witness, a, a_star):
+        raise OracleDisagreementError("the annihilator of a proper dual spin is not invariant")
+    return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, DecisionMethod.NORTON, witness=witness)
 
 
 def _combine(field: FieldSpec, rows: Sequence[tuple[Raw, ...]], coeffs: Sequence[Raw]) -> tuple[Raw, ...]:

@@ -173,6 +173,24 @@ def test_check_split_explicit_candidate(tmp_path):
     assert json.loads(r.stdout)["split_valid"] is True
 
 
+def test_check_split_boolean_candidate_is_a_parse_error(tmp_path):
+    # JSON true/false must not be read as 1/0 in a candidate's subspaces
+    # or eigenvalues: such a candidate is refused (exit 2), not checked.
+    doc = json.dumps({"field": {"kind": "Q"}, "A": [["1", "0"], ["0", "0"]], "Astar": [["0", "1"], ["1", "0"]]})
+    good_subspaces = [[["1", "0"]], [["0", "1"]]]
+    candidates = [
+        {"subspaces": [[[True, False]], [[False, True]]], "eigenvalues_a": [True, 0]},
+        {"subspaces": good_subspaces, "eigenvalues_a": [True, 0]},
+        {"subspaces": [[[True, False]], [["0", "1"]]], "eigenvalues_a": ["1", "0"]},
+    ]
+    for i, cand in enumerate(candidates):
+        cand_path = tmp_path / f"cand{i}.json"
+        cand_path.write_text(json.dumps({**cand, "eigenvalues_a_star": ["1", "-1"]}))
+        r = run_cli("check-split", "-", "--candidate", str(cand_path), stdin=doc)
+        assert r.returncode == 2, cand
+        assert json.loads(r.stderr)["error"]["type"] == "ParseError"
+
+
 def test_reports_are_self_validating(tmp_path):
     # A split emitted by analyze must pass check-split as a candidate.
     doc = FIXTURES / "pair_split_gf7.json"

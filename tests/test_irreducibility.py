@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import rand_matrix
+from conftest import rand_diagonalizable, rand_invertible, rand_matrix
 from hesspairs import (
     GF,
     QQ,
@@ -17,10 +18,12 @@ from hesspairs import (
     enumerate_subspaces,
     gen_reducible,
     gen_split_form,
+    kernel,
     spin,
     verify_invariant,
 )
-from hesspairs.errors import SizeMismatchError, ZeroVectorError
+from hesspairs.errors import OracleDisagreementError, SizeMismatchError, ZeroVectorError
+from hesspairs.irreducibility import _norton_step, _random_elements
 
 
 def test_spin_identity_generator():
@@ -140,8 +143,19 @@ def test_ladder_agrees_with_enumeration_oracle(field):
             assert 0 < fast.witness.dim < n
 
 
-def test_meataxe_path_agrees_with_enumeration():
-    # Force the randomized path by disabling the projective brute force.
+def _first_random_element_verdict(a, b, seed):
+    """The first verdict of the Norton step on the seeded random elements alone."""
+    for x, ker in _random_elements(a, b, seed):
+        if not ker.is_zero:
+            verdict = _norton_step(x, ker, a, b)
+            if verdict is not None:
+                return verdict
+    return None
+
+
+def test_norton_step_on_random_elements_agrees_with_enumeration():
+    # The random elements come last in decide_irreducible, after elements
+    # that decide every pair this small; drive the step on them directly.
     rng = random.Random(22)
     field = GF(5)
     checked_reducible = checked_irreducible = 0
@@ -149,10 +163,10 @@ def test_meataxe_path_agrees_with_enumeration():
         n = rng.randint(2, 3)
         a = rand_matrix(field, n, rng)
         b = rand_matrix(field, n, rng)
-        fast = decide_irreducible(a, b, seed=seed, brute_force_limit=0)
+        fast = _first_random_element_verdict(a, b, seed)
         slow = decide_irreducible_by_enumeration(a, b)
-        if fast.status is IrreducibilityStatus.UNDETERMINED:
-            continue  # the randomized test may fail to decide; never wrong
+        if fast is None:
+            continue  # no draw was singular; never wrong
         assert fast.status == slow.status
         if fast.status is IrreducibilityStatus.REDUCIBLE:
             checked_reducible += 1
@@ -162,15 +176,167 @@ def test_meataxe_path_agrees_with_enumeration():
     assert checked_reducible and checked_irreducible
 
 
+def _block_diagonal(field, blocks):
+    n = sum(blk.nrows for blk in blocks)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for blk in blocks:
+        for i, row in enumerate(blk.entries):
+            rows[offset + i][offset:offset + blk.nrows] = row
+        offset += blk.nrows
+    return Matrix.from_rows(field, rows)
+
+
+def _three_cubic_field_blocks():
+    """A reducible GF(3) pair that only the random algebra elements decide.
+
+    V = GF(3)^9 is three copies of GF(27) = GF(3)[C], C the companion
+    matrix of x^3 - x + 1; A acts as C on each, A* as a different element
+    of GF(27) on each, and a random change of basis hides the blocks.
+    Neither side has an eigenvalue in GF(3), V has more projective points
+    than are spun one by one, and a random element of the algebra is
+    singular on a block with probability 1/27.
+    """
+    field = GF(3)
+    c = Matrix.from_rows(field, [[0, 0, 2], [1, 0, 1], [0, 1, 0]])
+    i3 = Matrix.identity(field, 3)
+    a = _block_diagonal(field, [c, c, c])
+    a_star = _block_diagonal(field, [c * c, c * c + c, c * c + i3])
+    p = rand_invertible(field, 9, random.Random(5))
+    return p * a * p.inverse(), p * a_star * p.inverse()
+
+
 def test_decision_is_deterministic_for_fixed_seed():
     rng = random.Random(23)
     field = GF(7)
-    for seed in (0, 1):
-        a = rand_matrix(field, 3, rng)
-        b = rand_matrix(field, 3, rng)
-        first = decide_irreducible(a, b, seed=seed, brute_force_limit=0)
-        second = decide_irreducible(a, b, seed=seed, brute_force_limit=0)
-        assert first == second
+    pairs = [(rand_matrix(field, 3, rng), rand_matrix(field, 3, rng)) for _ in range(2)]
+    pairs.append(_three_cubic_field_blocks())
+    for a, b in pairs:
+        for seed in (0, 1):
+            assert list(_random_elements(a, b, seed)) == list(_random_elements(a, b, seed))
+            first = decide_irreducible(a, b, seed=seed)
+            second = decide_irreducible(a, b, seed=seed)
+            assert first == second
+    # On the block pair every verdict comes from a random element.
+    a, b = pairs[-1]
+    n = a.nrows
+    assert _norton_step(Matrix.zeros(a.field, n, n), SubspaceBasis.full(a.field, n), a, b) is None
+    for seed in range(4):
+        verdict = decide_irreducible(a, b, seed=seed)
+        assert verdict == _first_random_element_verdict(a, b, seed)
+        assert verdict.status is IrreducibilityStatus.REDUCIBLE
+        assert verdict.method is DecisionMethod.NORTON
+        assert verify_invariant(verdict.witness, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_norton_rung_agrees_with_enumeration_randomized(p):
+    # 100 pairs per field.  Half are dense; in the other half A is
+    # diagonalizable with a repeated eigenvalue, so the eigenspace
+    # elements, tried first, do the work.  n stays where enumerating
+    # every subspace is cheap.
+    field = GF(p)
+    max_n = 5 if p <= 3 else 4
+    rng = random.Random(31 + p)
+    counts = Counter()
+    for i in range(100):
+        n = rng.randint(1, max_n)
+        if i % 2:
+            a, b = rand_matrix(field, n, rng), rand_matrix(field, n, rng)
+        else:
+            values = list(range(p))
+            a = rand_diagonalizable(field, n, values, rng, max_distinct=max(1, min(p, n - 1)))
+            b = rand_diagonalizable(field, n, values, rng, max_distinct=min(p, n))
+        fast = decide_irreducible(a, b, seed=i)
+        slow = decide_irreducible_by_enumeration(a, b)
+        assert fast.status == slow.status
+        if fast.status is IrreducibilityStatus.REDUCIBLE:
+            assert 0 < fast.witness.dim < n
+            assert verify_invariant(fast.witness, a, b)
+        counts[fast.status, fast.method] += 1
+    assert counts[IrreducibilityStatus.REDUCIBLE, DecisionMethod.NORTON] >= 20
+    assert counts[IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.ALGEBRA_DIMENSION] >= 20
+
+
+def _cubic_extension_pair(field, cubic, values):
+    """A = diag(s I_3, t I_3), A* = [[0, I_3], [C, 0]], C the companion of ``cubic``.
+
+    A*^2 = diag(C, C), so the algebra holds GF(p^3) = GF(p)[C] as scalars,
+    and over it the pair is (diag(s, t), swap), which is irreducible.  The
+    algebra has dimension 12 < 36, and every eigenspace is 3-dimensional.
+    """
+    c0, c1, c2 = cubic  # x^3 + c2 x^2 + c1 x + c0
+    comp = [[0, 0, -c0], [1, 0, -c1], [0, 1, -c2]]
+    rows = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        rows[i][i + 3] = 1
+        rows[i + 3][:3] = comp[i]
+    s, t = values
+    return Matrix.diagonal(field, [s] * 3 + [t] * 3), Matrix.from_rows(field, rows)
+
+
+def test_norton_decides_a_pair_over_a_cubic_extension():
+    # The closure is short of n^2, no eigenspace is a line, and V is far
+    # too large to enumerate.  The eigenspaces of A have (23^3 - 1)/22 =
+    # 553 projective points each; spinning all of them and one dual spin
+    # decide the pair.
+    p = 23
+    cubic = (3, 1, 0)  # x^3 + x + 3
+    assert all((x**3 + x + 3) % p for x in range(p))
+    a, b = _cubic_extension_pair(GF(p), cubic, (2, 5))
+    assert algebra_closure([a, b])[0] == 12
+    verdict = decide_irreducible(a, b)
+    assert verdict.status is IrreducibilityStatus.IRREDUCIBLE
+    assert verdict.method is DecisionMethod.NORTON
+
+
+def test_cubic_extension_pair_is_irreducible_by_enumeration():
+    # The same construction over GF(2), small enough for the oracle.
+    field = GF(2)
+    a, b = _cubic_extension_pair(field, (1, 1, 0), (0, 1))  # x^3 + x + 1
+    assert algebra_closure([a, b])[0] == 12
+    assert decide_irreducible_by_enumeration(a, b).status is IrreducibilityStatus.IRREDUCIBLE
+    assert decide_irreducible(a, b) == IrreducibilityVerdict(
+        IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.NORTON
+    )
+
+
+def test_norton_step_spins_every_point_of_a_small_kernel():
+    # ker A = span{e1, e2}.  Both basis rows spin to V, but A* fixes
+    # e1 + e2, so that line is invariant; the dual spin from ker A^T fills
+    # the dual space, so stopping at the rows would call the pair irreducible.
+    field = GF(5)
+    a = Matrix.diagonal(field, [0, 0, 1])
+    b = Matrix.from_rows(field, [[1, 0, 1], [0, 1, 2], [1, -1, 0]])
+    ker = kernel(a)
+    assert all(spin(row, [a, b]).is_full for row in ker.rows)
+    verdict = _norton_step(a, ker, a, b)
+    assert verdict.status is IrreducibilityStatus.REDUCIBLE
+    assert verdict.witness == SubspaceBasis.from_vectors(field, 3, [[1, 1, 0]])
+    assert decide_irreducible_by_enumeration(a, b).status is IrreducibilityStatus.REDUCIBLE
+
+
+def test_norton_dual_spin_witness():
+    # A e1 = A e2 = e1 and A* = diag(1, 2) keep span{e1}.  ker A is the
+    # line through (1, -1), which A* moves off it, so the kernel spins to
+    # V; the dual spin from ker A^T = span{e2} stays a line, and its
+    # annihilator is the witness.
+    a = Matrix.from_rows(QQ, [[1, 1], [0, 0]])
+    b = Matrix.diagonal(QQ, [1, 2])
+    verdict = _norton_step(a, kernel(a), a, b)
+    assert verdict.status is IrreducibilityStatus.REDUCIBLE
+    assert verdict.method is DecisionMethod.NORTON
+    assert verdict.witness == SubspaceBasis.from_vectors(QQ, 2, [[1, 0]])
+
+
+def test_norton_dual_witness_failing_check_is_a_disagreement(monkeypatch):
+    from hesspairs import irreducibility
+
+    a = Matrix.from_rows(QQ, [[1, 1], [0, 0]])
+    b = Matrix.diagonal(QQ, [1, 2])
+    monkeypatch.setattr(irreducibility, "verify_invariant", lambda *args: False)
+    with pytest.raises(OracleDisagreementError):
+        _norton_step(a, kernel(a), a, b)
 
 
 def test_undetermined_over_rationals():
@@ -207,10 +373,10 @@ def test_generated_irreducible_instances_have_full_algebra():
 
 def test_verdict_dataclass_validation():
     with pytest.raises(ValueError):
-        IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, DecisionMethod.SPIN_PROBE)
+        IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, DecisionMethod.NORTON)
     with pytest.raises(ValueError):
         IrreducibilityVerdict(
             IrreducibilityStatus.IRREDUCIBLE,
-            DecisionMethod.SPIN_PROBE,
+            DecisionMethod.NORTON,
             witness=SubspaceBasis.zero(QQ, 2),
         )

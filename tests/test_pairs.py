@@ -414,12 +414,12 @@ def test_construct_split_rejects_reducible_and_undetermined():
     ord_b = ordering_for(a_star, [0, 1, 2])
     red = IrreducibilityVerdict(
         IrreducibilityStatus.REDUCIBLE,
-        DecisionMethod.SPIN_PROBE,
+        DecisionMethod.NORTON,
         witness=SubspaceBasis.from_vectors(QQ, 3, [[1, 0, 0]]),
     )
     with pytest.raises(NotIrreducibleError):
         construct_split(a, a_star, ord_a, ord_b, red)
-    und = IrreducibilityVerdict(IrreducibilityStatus.UNDETERMINED, DecisionMethod.SPIN_PROBE)
+    und = IrreducibilityVerdict(IrreducibilityStatus.UNDETERMINED, DecisionMethod.NORTON)
     with pytest.raises(IrreducibilityUndeterminedError):
         construct_split(a, a_star, ord_a, ord_b, und)
 
