@@ -5,7 +5,11 @@ satisfies A W ⊆ W and A* W ⊆ W.  :func:`decide_irreducible` has two
 rungs:
 
 1. any field: if the unital algebra generated by {A, A*} has dimension
-   n^2, the pair is irreducible (Burnside sufficiency);
+   n^2, the pair is irreducible (Burnside sufficiency).  The primitive
+   idempotents E_i of a diagonalizable side are polynomials in it, so
+   the algebra 𝒜 is the direct sum of its blocks E_i 𝒜 E_j; written in
+   an eigenbasis of that side, each block is closed in an echelon of
+   width m_i·m_j instead of one of width n^2;
 2. Norton's criterion (Parker 1984; Holt and Rees 1994) on singular
    elements X of that algebra, one shared step per X
    (:func:`_norton_step`).  The spin of a point of ker X is either V or a
@@ -125,29 +129,75 @@ def spin(v: Sequence[Raw], generators: Sequence[Matrix]) -> SubspaceBasis:
 def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ...]]:
     """Dimension and spanning set of the unital algebra generated by the matrices.
 
-    Closes span{I} under left multiplication by the generators, which
-    reaches every word; the dimension is at most n^2.
+    The coordinates are split into blocks: the groups of equal entries of
+    a diagonal first generator, whose projections E_I are polynomials in
+    it and so lie in the algebra 𝒜; a non-diagonal first generator is one
+    block.  Then 𝒜 is the direct sum of the blocks E_I 𝒜 E_J.  For each
+    column block J, span{I_J} is closed under left multiplication by the
+    generators' blocks G_IK, which reaches every word, in one echelon of
+    width |I|·|J| per row block I.  The dimension is at most n^2; the
+    spanning set holds n×n matrices, each block embedded.
     """
     field, n = _check_generators(generators)
-    ech = _Echelon(field, n * n)
+    blocks = _coordinate_blocks(generators[0])
+    # movers[k]: the blocks G_IK, with their row block I, that act on block
+    # K; zero blocks and scalar diagonal blocks give nothing new.
+    movers: list[list[tuple[int, Matrix]]] = [[] for _ in blocks]
+    for g in generators:
+        for i, rows in enumerate(blocks):
+            for k, cols in enumerate(blocks):
+                blk = Matrix(field, tuple(tuple(g.entries[r][c] for c in cols) for r in rows))
+                scalar = i == k and blk == Matrix.scalar(field, len(rows), blk.entries[0][0])
+                if not (scalar or blk.is_zero()):
+                    movers[k].append((i, blk))
     basis: list[Matrix] = []
-    queue: list[Matrix] = []
-    ident = Matrix.identity(field, n)
-    flat = tuple(x for row in ident.entries for x in row)
-    ech.insert(flat)
-    basis.append(ident)
-    queue.append(ident)
-    full = n * n
-    while queue and ech.dim < full:
-        m = queue.pop()
-        for g in generators:
-            prod = g * m
-            if ech.insert(tuple(x for row in prod.entries for x in row)):
-                basis.append(prod)
-                queue.append(prod)
-                if ech.dim == full:
-                    break
-    return ech.dim, tuple(basis)
+    for j, cols in enumerate(blocks):
+        echs = [_Echelon(field, len(rows) * len(cols)) for rows in blocks]
+        ident = Matrix.identity(field, len(cols))
+        echs[j].insert(_flatten(ident))
+        basis.append(_embed(n, cols, cols, ident))
+        queue = [(j, ident)]
+        room = n * len(cols) - 1
+        while queue and room:
+            k, m = queue.pop()
+            for i, g in movers[k]:
+                ech = echs[i]
+                if ech.dim == ech.width:
+                    continue
+                prod = g * m
+                if ech.insert(_flatten(prod)):
+                    basis.append(_embed(n, blocks[i], cols, prod))
+                    queue.append((i, prod))
+                    room -= 1
+                    if not room:
+                        break
+    return len(basis), tuple(basis)
+
+
+def _coordinate_blocks(m: Matrix) -> list[tuple[int, ...]]:
+    """Coordinates grouped by equal diagonal entry of a diagonal ``m``; one block otherwise."""
+    zero = m.field.zero()
+    if any(x != zero for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j):
+        return [tuple(range(m.nrows))]
+    groups: dict[Raw, list[int]] = {}
+    for i, row in enumerate(m.entries):
+        groups.setdefault(row[i], []).append(i)
+    return [tuple(g) for g in groups.values()]
+
+
+def _flatten(m: Matrix) -> tuple[Raw, ...]:
+    return tuple(x for row in m.entries for x in row)
+
+
+def _embed(n: int, rows: Sequence[int], cols: Sequence[int], blk: Matrix) -> Matrix:
+    """The n×n matrix that is ``blk`` on rows × cols and zero elsewhere."""
+    field = blk.field
+    grid = [[field.zero()] * n for _ in range(n)]
+    for r, entries in zip(rows, blk.entries):
+        out = grid[r]
+        for c, x in zip(cols, entries):
+            out[c] = x
+    return Matrix(field, tuple(tuple(row) for row in grid))
 
 
 def verify_invariant(w: SubspaceBasis, a: Matrix, a_star: Matrix) -> bool:
@@ -177,26 +227,28 @@ def decide_irreducible(
 ) -> IrreducibilityVerdict:
     """Decide whether the pair (A, A*) is irreducible.
 
-    Rung 1 is the algebra dimension; rung 2 runs :func:`_norton_step` on
+    Rung 1 is the algebra dimension, closed in an eigenbasis of one side
+    (:func:`_eigenbasis_generators`); rung 2 runs :func:`_norton_step` on
     the singular algebra elements of :func:`_singular_elements`, in the
     order the module docstring gives, until one decides.  Deterministic
-    for a fixed seed, which only steers the random elements over GF(p).  ``eigen_a`` / ``eigen_a_star`` are optional
-    precomputed eigen structures; when absent they are computed on a
-    best-effort basis, and a spectrum outside the field contributes no
-    eigenspace elements.
+    for a fixed seed, which only steers the random elements over GF(p).
+    ``eigen_a`` / ``eigen_a_star`` are optional precomputed eigen
+    structures; when absent they are computed here, and a spectrum
+    outside the field gives neither an eigenbasis nor eigenspace elements.
     """
     _, n = _check_generators([a, a_star])
+    eigs = [_try_eigen(m) if eig is None else eig for m, eig in ((a, eigen_a), (a_star, eigen_a_star))]
 
     # (1) Burnside sufficiency: a full matrix algebra leaves no room for
     # a common invariant subspace.
-    dim, _ = algebra_closure([a, a_star])
+    dim, _ = algebra_closure(_eigenbasis_generators(a, a_star, *eigs))
     if dim == n * n:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.ALGEBRA_DIMENSION)
 
     # (2) Norton's criterion.  Every kernel spun in full ends the search,
     # so a kernel seen before was only probed and cannot give anything new.
     tried = set()
-    for x, ker in _singular_elements(a, a_star, seed, eigen_a, eigen_a_star):
+    for x, ker in _singular_elements(a, a_star, seed, *eigs):
         if ker.is_zero or ker in tried:
             continue
         tried.add(ker)
@@ -213,6 +265,26 @@ def _try_eigen(m: Matrix) -> Optional[EigenStructure]:
         return None
 
 
+def _eigenbasis_generators(a: Matrix, a_star: Matrix,
+                           eigen_a: Optional[EigenStructure],
+                           eigen_a_star: Optional[EigenStructure]) -> list[Matrix]:
+    """Generators [D, P^-1 M' P] of a conjugate of the algebra of {A, A*}.
+
+    P holds an eigenbasis of the diagonalizable side with the smaller
+    sum of cubed eigenspace dimensions, D = P^-1 M P is diagonal and M'
+    is the other side, so :func:`algebra_closure` works block by block.
+    Without a diagonalizable side the generators are [A, A*].
+    """
+    sides = [(eig, other) for eig, other in ((eigen_a, a_star), (eigen_a_star, a))
+             if eig is not None and eig.diagonalizable]
+    if not sides:
+        return [a, a_star]
+    eig, other = min(sides, key=lambda side: sum(m**3 for m in side[0].dims))
+    p = Matrix(a.field, tuple(v for space in eig.eigenspaces for v in space.rows)).transpose()
+    values = [t for t, space in zip(eig.eigenvalues, eig.eigenspaces) for _ in space.rows]
+    return [Matrix.diagonal(a.field, values), p.inverse() * other * p]
+
+
 def _singular_elements(a: Matrix, a_star: Matrix, seed: int,
                        eigen_a: Optional[EigenStructure],
                        eigen_a_star: Optional[EigenStructure]) -> Iterator[tuple[Matrix, SubspaceBasis]]:
@@ -220,8 +292,6 @@ def _singular_elements(a: Matrix, a_star: Matrix, seed: int,
     field, n = a.field, a.nrows
     shifts = []
     for m, eig in ((a, eigen_a), (a_star, eigen_a_star)):
-        if eig is None:
-            eig = _try_eigen(m)
         if eig is not None:
             shifts.extend((m.minus_scalar(theta), space) for theta, space in zip(eig.eigenvalues, eig.eigenspaces))
     shifts.sort(key=lambda shift: shift[1].dim)

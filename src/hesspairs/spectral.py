@@ -266,12 +266,25 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return _poly_trim(a)
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """a·b modulo ``mod`` over GF(p), for coefficients in [0, p).
+
+    Each product coefficient is summed in full and reduced once; modulo a
+    Mersenne prime p = 2^e - 1 by folding, since 2^e ≡ 1.
+    """
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = (out[i + j] + x * y) % p
+                    out[i + j] += x * y
+    if p & (p + 1) == 0:
+        e = p.bit_length()
+        for k, c in enumerate(out):
+            while c > p:
+                c = (c & p) + (c >> e)
+            out[k] = 0 if c == p else c
+    else:
+        out = [c % p for c in out]
     return _poly_mod(out, mod, p)
 
 

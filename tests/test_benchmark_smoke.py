@@ -1,6 +1,6 @@
 """The benchmark runs end to end and its checks pass.
 
-One traced run of the smallest workload with no time budget: it fails when
+One traced pass of each workload with no time budget: it fails when
 a function the trace wraps is renamed, when a traced pass never reaches a
 layer the metrics read, or when the corpus no longer builds or checks out.
 It writes only under the git-ignored ``perfbench/out/``.
@@ -11,12 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_benchmark_traced_smoke_run():
+@pytest.mark.parametrize("workload", ["tri-scan", "wide-gfp", "rational"])
+def test_benchmark_traced_smoke_run(workload):
     r = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "tri-scan", "--seconds", "0", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0", "--trace", "1"],
         capture_output=True,
         text=True,
         cwd=ROOT,

@@ -13,6 +13,7 @@ from hesspairs import (
     Matrix,
     SubspaceBasis,
     algebra_closure,
+    conjugate,
     decide_irreducible,
     decide_irreducible_by_enumeration,
     enumerate_subspaces,
@@ -23,7 +24,13 @@ from hesspairs import (
     verify_invariant,
 )
 from hesspairs.errors import OracleDisagreementError, SizeMismatchError, ZeroVectorError
-from hesspairs.irreducibility import _norton_step, _random_elements
+from hesspairs.irreducibility import (
+    _coordinate_blocks,
+    _eigenbasis_generators,
+    _norton_step,
+    _random_elements,
+    _try_eigen,
+)
 
 
 def test_spin_identity_generator():
@@ -69,6 +76,115 @@ def test_algebra_closure_identity_only():
 def test_algebra_closure_projector():
     dim, _ = algebra_closure([Matrix.diagonal(QQ, [0, 1])])
     assert dim == 2
+
+
+def _unimodular(field, n, rng):
+    """L·U with unit triangular factors and entries in {-1, 0, 1}: det 1, short entries."""
+    def unit(lower):
+        return Matrix.from_rows(field, [[1 if i == j else rng.randint(-1, 1) if (i > j) == lower else 0
+                                         for j in range(n)] for i in range(n)])
+
+    return unit(True) * unit(False)
+
+
+def _random_side(field, n, rng):
+    """An n×n matrix with small entries: dense, diagonalizable, or with a Jordan block.
+
+    Dense ones often have eigenvalues outside the field.
+    """
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    values = [rng.randint(-3, 3) for _ in range(n)]
+    rows = [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    if kind == 2 and n > 1:
+        rows[1][1] = values[0]
+        rows[0][1] = 1  # J_2(values[0]): not diagonalizable
+    p = _unimodular(field, n, rng)
+    return p * Matrix.from_rows(field, rows) * p.inverse()
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), GF(101), QQ], ids=repr)
+def test_eigenbasis_closure_matches_one_block_closure_randomized(field):
+    # The block closure in an eigenbasis against the one-block closure of
+    # the same pair conjugated to a non-diagonal first generator.
+    rng = random.Random(f"closure:{field!r}")
+    sides = Counter()
+    blocked = 0
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        a, b = _random_side(field, n, rng), _random_side(field, n, rng)
+        eigs = [_try_eigen(a), _try_eigen(b)]
+        for eig in eigs:
+            sides["outside" if eig is None else "diagonalizable" if eig.diagonalizable else "defective"] += 1
+        gens = _eigenbasis_generators(a, b, *eigs)
+        blocked += len(_coordinate_blocks(gens[0])) > 1
+        while True:
+            p = _unimodular(field, n, rng)
+            oracle = [p.inverse() * a * p, p.inverse() * b * p]
+            if len(_coordinate_blocks(oracle[0])) == 1:
+                break
+        assert algebra_closure(gens)[0] == algebra_closure(oracle)[0]
+    assert min(sides.values()) >= 5 and len(sides) == 3, sides
+    assert blocked >= 15, blocked
+
+
+def test_block_closure_echelons_stay_as_narrow_as_the_eigenspaces(monkeypatch):
+    # A conjugated split-form pair has no diagonal side, so only the change
+    # to an eigenbasis keeps the closure off one echelon of width n^2 = 81.
+    from hesspairs import irreducibility
+
+    dims = (1, 2, 3, 2, 1)
+    inst = conjugate(gen_split_form(GF(101), dims, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10), seed=3), seed=4)
+    widths = []
+    inside = []
+
+    class RecordingEchelon(irreducibility._Echelon):
+        def __init__(self, field, width):
+            super().__init__(field, width)
+            if inside:
+                widths.append(width)
+
+    real_closure = irreducibility.algebra_closure
+
+    def closure(generators):
+        inside.append(True)
+        try:
+            return real_closure(generators)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(irreducibility, "_Echelon", RecordingEchelon)
+    monkeypatch.setattr(irreducibility, "algebra_closure", closure)
+    verdict = decide_irreducible(inst.a, inst.a_star)
+    assert verdict.status is IrreducibilityStatus.IRREDUCIBLE
+    assert verdict.method is DecisionMethod.ALGEBRA_DIMENSION
+    assert widths and max(widths) <= max(dims) * max(dims)
+
+
+def test_block_closure_basis_spans_the_one_block_algebra():
+    # The equal entries of D are not contiguous.  B keeps span{e1, e3},
+    # D's eigenspace for 1, so the algebra is proper.
+    field = GF(7)
+    d = Matrix.diagonal(field, [1, 2, 1, 3, 2])
+    rng = random.Random(11)
+    rows = [[field.rand(rng) for _ in range(5)] for _ in range(5)]
+    for i in (1, 3, 4):
+        rows[i][0] = rows[i][2] = 0
+    rows[1][3] = 1
+    b = Matrix.from_rows(field, rows)
+    assert _coordinate_blocks(d) == [(0, 2), (1, 4), (3,)]
+    assert _coordinate_blocks(b) == [(0, 1, 2, 3, 4)]
+
+    def flat_rank(mats):
+        return Matrix(field, tuple(tuple(x for row in m.entries for x in row) for m in mats)).rank()
+
+    dim, basis = algebra_closure([d, b])
+    one_dim, one_basis = algebra_closure([b, d])
+    assert dim == one_dim < 25
+    assert len(basis) == dim and all(m.nrows == m.ncols == 5 for m in basis)
+    assert flat_rank(basis) == dim
+    assert flat_rank(basis + one_basis) == dim
 
 
 def test_algebra_closure_irreducible_pair_is_full():

@@ -27,7 +27,7 @@ from hesspairs.errors import (
     NotADecompositionError,
     NotSquareError,
 )
-from hesspairs.spectral import _in_field_roots_with_multiplicity
+from hesspairs.spectral import _in_field_roots_with_multiplicity, _poly_mod, _poly_mul_mod
 
 
 def companion(field, coeffs_low_to_high_monic):
@@ -341,3 +341,21 @@ def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "HesspairsError"
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1, 10007])
+def test_poly_mul_mod_matches_termwise_reduction(p):
+    # Mersenne moduli take the folding reduction, 10007 the plain one.
+    # [1, 1]·[p - 1, 1] has x-coefficient exactly p, which must read 0.
+    rng = random.Random(p)
+    cases = [([1, 1], [p - 1, 1], [0, 0, 0, 1])]
+    for _ in range(30):
+        a, b, mod = ([rng.randrange(p) for _ in range(rng.randint(1, 6))] for _ in range(3))
+        cases.append((a, b, mod + [rng.randrange(1, p)]))
+    for a, b, mod in cases:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        assert _poly_mul_mod(a, b, mod, p) == _poly_mod(out, mod, p)
+    assert _poly_mul_mod(*cases[0], p) == [p - 1, 0, 1]
