@@ -31,20 +31,32 @@ from .errors import (
 Raw = Union[Fraction, int]
 
 _MAX_PRIME = 2**31  # machine-word primes only
+_WITNESSES = (2, 3, 5, 7)
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3 215 031 751 > _MAX_PRIME.
+
+    Bases 2, 3, 5 and 7 have no common strong pseudoprime below that bound.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -273,6 +273,8 @@ def _eigenbasis_generators(a: Matrix, a_star: Matrix,
     P holds an eigenbasis of the diagonalizable side with the smaller
     sum of cubed eigenspace dimensions, D = P^-1 M P is diagonal and M'
     is the other side, so :func:`algebra_closure` works block by block.
+    P^-1 M' P is that side's shared
+    :meth:`~hesspairs.spectral.EigenStructure.eigenbasis_conjugate`.
     Without a diagonalizable side the generators are [A, A*].
     """
     sides = [(eig, other) for eig, other in ((eigen_a, a_star), (eigen_a_star, a))
@@ -280,9 +282,8 @@ def _eigenbasis_generators(a: Matrix, a_star: Matrix,
     if not sides:
         return [a, a_star]
     eig, other = min(sides, key=lambda side: sum(m**3 for m in side[0].dims))
-    p = Matrix(a.field, tuple(v for space in eig.eigenspaces for v in space.rows)).transpose()
     values = [t for t, space in zip(eig.eigenvalues, eig.eigenspaces) for _ in space.rows]
-    return [Matrix.diagonal(a.field, values), p.inverse() * other * p]
+    return [Matrix.diagonal(a.field, values), eig.eigenbasis_conjugate(other)]
 
 
 def _singular_elements(a: Matrix, a_star: Matrix, seed: int,

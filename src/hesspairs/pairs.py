@@ -13,13 +13,18 @@ constructs and verifies split decompositions, and detects tridiagonal
 pairs via the reversed-ordering characterization: the three-term
 orderings of a side are the admissible orderings whose reversal is also
 admissible.  Every tridiagonal verdict is cross-checked against a pruned
-search of the direct three-term inclusions; the unpruned (d+1)! scans
-are kept as oracles (``pruned=False``) for ``hesspairs oracle`` and the
-tests.
+search of the direct three-term inclusions.
 
-:func:`analyze_pair` computes each eigen structure and each side's
-admissible orderings once and derives the ordering pairs, splits and
-tridiagonal orderings from them.
+Both pruned searches read one block pattern per side: written in an
+eigenbasis of A, A* has block (j, i) zero exactly when A* V_i has no
+V_j-component, so each inclusion is a test on sets of eigenspace
+indices.  The unpruned (d+1)! scans check the inclusions with echelons
+instead and are kept as oracles (``pruned=False``) for
+``hesspairs oracle`` and the tests.
+
+:func:`analyze_pair` computes each eigen structure, each side's
+eigenbasis conjugate and each side's admissible orderings once and
+derives the ordering pairs, splits and tridiagonal orderings from them.
 
 Everything is exact and deterministic: orderings are reported in
 lexicographic order of their eigenvalue sequences, and all subspaces are
@@ -194,6 +199,24 @@ def _scan_orderings(eigen: EigenStructure, acting: Matrix, side_holds) -> list[t
     ]
 
 
+def _block_support(eigen: EigenStructure, acting: Matrix) -> list[set[int]]:
+    """support[i]: the j whose block (j, i) of P^-1 · acting · P is nonzero.
+
+    P's columns are the eigenspace bases in order (the shared
+    :meth:`~hesspairs.spectral.EigenStructure.eigenbasis_conjugate`).  V
+    is the direct sum of the V_j, so acting V_i ⊆ Σ_{j∈S} V_j exactly when
+    support[i] ⊆ S.
+    """
+    owner = [j for j, m in enumerate(eigen.dims) for _ in range(m)]
+    zero = acting.field.zero()
+    support = [set() for _ in eigen.eigenspaces]
+    for r, row in enumerate(eigen.eigenbasis_conjugate(acting).entries):
+        for c, x in enumerate(row):
+            if x != zero:
+                support[owner[c]].add(owner[r])
+    return support
+
+
 def _admissible_side_orderings(
     eigen: EigenStructure,
     acting: Matrix,
@@ -203,9 +226,12 @@ def _admissible_side_orderings(
 ) -> list[tuple[int, ...]]:
     """All orderings of one side's eigenspaces satisfying its inclusion chain.
 
-    The pruned search kills every extension of a prefix whose last-settled
-    inclusion already fails; the unpruned variant checks each complete
-    ordering independently and exists as an oracle for the pruned one.
+    The pruned search reads the inclusions off the side's block pattern
+    (:func:`_block_support`): acting V_perm[i] ⊆ V_perm[0] + ... +
+    V_perm[i+1] exactly when support[perm[i]] ⊆ {perm[0], ..., perm[i+1]}.
+    It kills every extension of a prefix whose last-settled inclusion
+    already fails.  The unpruned variant checks each complete ordering
+    independently with echelons and exists as an oracle for the pruned one.
     """
     count = len(eigen.eigenvalues)
     if factorial(count) > max_orderings:
@@ -214,20 +240,10 @@ def _admissible_side_orderings(
         )
     if not pruned:
         return _scan_orderings(eigen, acting, _side_condition_holds)
-    images = [apply(acting, s) for s in eigen.eigenspaces]
-    # The span of a prefix depends only on its members.
-    spans = {frozenset(): _Echelon(acting.field, acting.ncols)}
-
-    def admits(prefix: list[int]) -> bool:
-        members = frozenset(prefix)
-        if members not in spans:
-            spans[members] = spans[members - {prefix[-1]}].copy()
-            spans[members].insert_all(eigen.eigenspaces[prefix[-1]].rows)
-        # The inclusion at the next-to-last position involves the flag
-        # through the last position, which is now fully known.
-        return len(prefix) < 2 or all(spans[members].contains(v) for v in images[prefix[-2]].rows)
-
-    return _search_orderings(count, admits)
+    support = _block_support(eigen, acting)
+    # The inclusion at the next-to-last position involves the prefix
+    # through the last position, which is now fully known.
+    return _search_orderings(count, lambda prefix: len(prefix) < 2 or support[prefix[-2]].issubset(prefix))
 
 
 def _admissible_sides(
@@ -622,30 +638,23 @@ def _three_term_side_orderings(
 ) -> list[tuple[int, ...]]:
     """All orderings of one side's eigenspaces satisfying the three-term condition.
 
-    The inclusion at position i depends only on perm[i-1..i+1], so the
-    pruned search checks it as soon as perm[i+1] is placed (the last one
-    once the ordering is complete) and remembers each window's verdict.
-    The unpruned variant scans all (d+1)! orderings and exists as an
-    oracle for the pruned one.  Both list orderings in lexicographic order.
+    The pruned search reads the inclusions off the side's block pattern
+    (:func:`_block_support`): acting V_perm[i] ⊆ V_perm[i-1] + V_perm[i] +
+    V_perm[i+1] exactly when support[perm[i]] lies in that window.  It
+    checks position i as soon as perm[i+1] is placed (the last one once
+    the ordering is complete).  The unpruned variant scans all (d+1)!
+    orderings with echelons and exists as an oracle for the pruned one.
+    Both list orderings in lexicographic order.
     """
     count = len(eigen.eigenvalues)
     if not pruned:
         return _scan_orderings(eigen, acting, _three_term_side_holds)
-    images = [apply(acting, s) for s in eigen.eigenspaces]
-
-    @functools.cache
-    def holds(window: tuple) -> bool:  # (perm[i-1] or None, perm[i], perm[i+1] or None)
-        ech = _Echelon(acting.field, acting.ncols)
-        for j in window:
-            if j is not None:
-                ech.insert_all(eigen.eigenspaces[j].rows)
-        return all(ech.contains(v) for v in images[window[1]].rows)
+    support = _block_support(eigen, acting)
 
     def admits(prefix: list[int]) -> bool:
-        padded = [None] + prefix
-        if len(prefix) >= 2 and not holds(tuple(padded[-3:])):
+        if len(prefix) >= 2 and not support[prefix[-2]].issubset(prefix[-3:]):
             return False
-        return len(prefix) < count or holds(tuple(padded[-2:]) + (None,))
+        return len(prefix) < count or support[prefix[-1]].issubset(prefix[-2:])
 
     return _search_orderings(count, admits)
 
@@ -747,13 +756,14 @@ def analyze_pair(
 ) -> PairAnalysisReport:
     """Run the full analysis pipeline on one pair.
 
-    Each fact is computed once: both eigen structures and both lists of
-    admissible side orderings.  The Hessenberg ordering pairs are their
-    product; each pair's split is the closed-form candidate of
-    :func:`split_from_flags`, verified once; the tridiagonal orderings are
-    the reversal-closed subsets of the same side lists, cross-checked by
-    the pruned three-term search.  A split of an irreducible pair that
-    fails verification raises
+    Each fact is computed once: both eigen structures, each side's
+    eigenbasis conjugate (shared by the algebra closure and both block
+    pattern searches) and both lists of admissible side orderings.  The
+    Hessenberg ordering pairs are their product; each pair's split is the
+    closed-form candidate of :func:`split_from_flags`, verified once; the
+    tridiagonal orderings are the reversal-closed subsets of the same side
+    lists, cross-checked by the pruned three-term search.  A split of an
+    irreducible pair that fails verification raises
     :class:`~hesspairs.errors.OracleDisagreementError`.
 
     Raises :class:`~hesspairs.errors.EigenvaluesOutsideFieldError` when a

@@ -20,7 +20,7 @@ analysis is meaningless without the full spectrum.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -31,6 +31,7 @@ from .errors import (
     HesspairsError,
     LengthMismatchError,
     NotADecompositionError,
+    NotDiagonalizableError,
     NotSquareError,
 )
 from .fields import FieldElement, FieldSpec, PrimeField, Raw, Rationals
@@ -430,6 +431,8 @@ class EigenStructure:
     eigenvalues: tuple[FieldElement, ...]
     eigenspaces: tuple[SubspaceBasis, ...]
     diagonalizable: bool
+    # (M', P^-1 M' P) for every M' conjugated so far; see eigenbasis_conjugate.
+    _conjugates: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -443,6 +446,24 @@ class EigenStructure:
     @property
     def ambient_dim(self) -> int:
         return self.transform.nrows
+
+    def eigenbasis_conjugate(self, other: Matrix) -> Matrix:
+        """P^-1 · other · P, where P's columns are the eigenspace bases in order.
+
+        Block (j, i) of the result is the V_j-component of ``other`` on V_i.
+        Formed once per matrix and kept on this structure, so the ordering
+        searches and the algebra closure share it.  Requires a
+        diagonalizable transform, for which P is invertible.
+        """
+        for m, conj in self._conjugates:
+            if m == other:
+                return conj
+        if not self.diagonalizable:
+            raise NotDiagonalizableError("an eigenbasis needs a diagonalizable transform")
+        p = Matrix(other.field, tuple(v for space in self.eigenspaces for v in space.rows)).transpose()
+        conj = p.inverse() * other * p
+        self._conjugates.append((other, conj))
+        return conj
 
 
 def eigen_structure(m: Matrix) -> EigenStructure:

@@ -59,6 +59,23 @@ def test_non_prime_modulus_rejected():
             GF(bad)
 
 
+def test_is_prime_agrees_with_sieve():
+    from hesspairs.fields import _is_prime
+
+    # The sieve of Eratosthenes is trial division done in bulk.
+    limit = 200_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for f in range(2, int(limit**0.5) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(range(f * f, limit, f))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # 25 326 001 = 2251 · 11251 is a strong pseudoprime to bases 2, 3 and 5.
+    assert not _is_prime(25_326_001)
+    with pytest.raises(NotPrimeError):
+        GF(25_326_001)
+    assert _is_prime(2**31 - 1) and GF(2**31 - 1).p == 2**31 - 1
+
+
 @pytest.mark.parametrize("spec", [QQ, GF(2), GF(5), GF(97)])
 def test_field_axioms_randomized(spec):
     rng = random.Random(7)

@@ -47,7 +47,13 @@ from hesspairs.errors import (
     SearchBudgetExceededError,
     SplitInvalidError,
 )
-from hesspairs.pairs import _three_term_side_orderings
+from hesspairs.pairs import (
+    DEFAULT_MAX_ORDERINGS,
+    _admissible_side_orderings,
+    _scan_orderings,
+    _side_condition_holds,
+    _three_term_side_orderings,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -193,6 +199,59 @@ def test_pruned_three_term_search_equals_brute_force_randomized():
     assert partial >= 20
 
 
+def _unimodular(field, n, rng):
+    """An integer matrix of determinant 1: a product of elementary row operations."""
+    m = Matrix.identity(field, n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        grid = [list(row) for row in Matrix.identity(field, n).entries]
+        grid[i][j] = field.coerce(rng.choice([-2, -1, 1, 2]))
+        m = Matrix(field, tuple(tuple(r) for r in grid)) * m
+    return m
+
+
+def test_block_pattern_search_equals_echelon_scan_randomized():
+    # The pruned admissible search reads each side's block pattern; the
+    # oracle scans every ordering with echelons.  Sides that admit some but
+    # not all orderings come from sl2 and sparse split-form pairs.
+    rng = random.Random(34)
+    pairs = []
+    for _ in range(60):
+        field = rng.choice([GF(5), GF(7), GF(11)])
+        n = rng.randint(2, 6)
+        pool = list(range(field.p))
+        a = rand_diagonalizable(field, n, pool, rng, max_distinct=5)
+        b = rand_diagonalizable(field, n, pool, rng, max_distinct=5)
+        pairs.append((a, b))
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        pairs.append(tuple(rand_diagonalizable(QQ, n, list(range(-3, 4)), rng) for _ in range(2)))
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        pair = []
+        for _ in range(2):
+            p = _unimodular(QQ, n, rng)
+            diag = Matrix.diagonal(QQ, [rng.randint(-3, 3) for _ in range(n)])
+            pair.append(p * diag * p.inverse())
+        pairs.append(tuple(pair))
+    for field in (GF(7), GF(11), QQ):
+        pairs.extend(sl2_pair(field, d) for d in (2, 3, 4))
+    for seed in range(30):
+        field = rng.choice([GF(5), GF(7), GF(11), QQ])
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(3, 5)))
+        values = range(-5, 6) if field is QQ else range(field.p)
+        va, vb = rng.sample(values, len(dims)), rng.sample(values, len(dims))
+        inst = gen_split_form(field, dims, va, vb, seed=seed, allow_zero_entries=True)
+        pairs.append((inst.a, inst.a_star))
+    partial = 0
+    for a, b in pairs:
+        for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
+            fast = _admissible_side_orderings(eig, acting, DEFAULT_MAX_ORDERINGS)
+            assert fast == _scan_orderings(eig, acting, _side_condition_holds)
+            partial += 0 < len(fast) < math.factorial(eig.d + 1)
+    assert partial >= 20
+
+
 def test_analyze_pair_computes_each_fact_once(monkeypatch):
     # One eigen structure per side and one split verification per
     # reported ordering pair.
@@ -219,6 +278,46 @@ def test_analyze_pair_computes_each_fact_once(monkeypatch):
     assert len(report.hessenberg_orderings) == 1
     assert len(split_checks) == len(report.hessenberg_orderings)
     assert report.splits[0] is not None
+
+
+@pytest.mark.parametrize(
+    "fixture", ["pair_split_gf7.json", "pair_canonical_q.json", "pair_split_q_dims23.json"]
+)
+def test_analyze_pair_conjugates_once_per_side(monkeypatch, fixture):
+    # Both sides are diagonalizable: one eigenbasis conjugate P^-1 M' P is
+    # formed per side, the algebra closure reuses one of them, and the
+    # pruned ordering searches never fall back to echelon checks.
+    from hesspairs import irreducibility, pairs
+    from hesspairs.cli import parse_document
+
+    doc = json.loads((FIXTURES / fixture).read_text())
+    _, a, a_star, _ = parse_document(doc)
+    inverted, closed = [], []
+    inverse, closure = Matrix.inverse, irreducibility.algebra_closure
+
+    def counting_inverse(m):
+        inverted.append(m)
+        return inverse(m)
+
+    def recording_closure(generators):
+        closed.append(generators)
+        return closure(generators)
+
+    def refuse(*args):
+        raise AssertionError("an echelon check ran on the pruned path")
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    monkeypatch.setattr(irreducibility, "algebra_closure", recording_closure)
+    monkeypatch.setattr(pairs, "_side_condition_holds", refuse)
+    monkeypatch.setattr(pairs, "_three_term_side_holds", refuse)
+    report = analyze_pair(a, a_star)
+    assert report.eigen_a.diagonalizable and report.eigen_a_star.diagonalizable
+    assert report.tridiagonal is not None
+    assert len(inverted) == 2
+    # Both conjugates are kept on the eigen structures: fetching them forms nothing new.
+    conjugates = [report.eigen_a.eigenbasis_conjugate(a_star), report.eigen_a_star.eigenbasis_conjugate(a)]
+    assert len(inverted) == 2
+    assert len(closed) == 1 and any(closed[0][1] is c for c in conjugates)
 
 
 def test_analyze_pair_builds_each_flag_once(monkeypatch):
