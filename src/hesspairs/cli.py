@@ -58,9 +58,13 @@ from .pairs import (
     EigenOrdering,
     PairAnalysisReport,
     SplitDecomposition,
+    _admissible_sides,
+    _ordering_pairs,
+    _scan_orderings,
+    _side_condition_holds,
+    _three_term_side_holds,
     _three_term_side_orderings,
     analyze_pair,
-    find_hessenberg_orderings_of,
     split_from_flags,
     split_violations,
 )
@@ -396,9 +400,13 @@ def cmd_generate(args) -> int:
 
 
 def _candidate_from_json(field: FieldSpec, n: int, obj) -> SplitDecomposition:
+    if not isinstance(obj, dict):
+        raise DocumentParseError("split candidate must be a JSON object")
     for key in ("subspaces", "eigenvalues_a", "eigenvalues_a_star"):
         if key not in obj:
             raise DocumentParseError(f"split candidate lacks {key!r}")
+    if not isinstance(obj["subspaces"], list):
+        raise DocumentParseError("split candidate subspaces must be a list of subspaces")
     subs = tuple(
         subspace_from_json(field, n, rows, f"subspaces[{i}]")
         for i, rows in enumerate(obj["subspaces"])
@@ -473,24 +481,19 @@ def cmd_oracle(args) -> int:
     eig_a_star = eigen_structure(a_star)
     result: dict = {"ordering_search": None, "tridiagonal_search": None, "irreducibility": None}
     if eig_a.diagonalizable and eig_a_star.diagonalizable:
-        fast = find_hessenberg_orderings_of(
-            a, a_star, eig_a, eig_a_star, max_orderings=args.max_orderings
-        )
-        slow = find_hessenberg_orderings_of(
-            a, a_star, eig_a, eig_a_star, max_orderings=args.max_orderings, pruned=False
-        )
-        key = lambda pair: (pair[0].perm, pair[1].perm)  # noqa: E731
-        agrees = sorted(fast, key=key) == sorted(slow, key=key)
-        result["ordering_search"] = {"agrees": agrees, "pairs": len(fast)}
+        # What analyze reports, against the echelon scans of all orderings.
+        sides = _admissible_sides(a, a_star, eig_a, eig_a_star, args.max_orderings)
+        pairs = _ordering_pairs(eig_a, eig_a_star, *sides, args.max_orderings)
+        per_side = ((eig_a, a_star), (eig_a_star, a))
+        agrees = list(sides) == [_scan_orderings(eig, m, _side_condition_holds) for eig, m in per_side]
+        result["ordering_search"] = {"agrees": agrees, "pairs": len(pairs)}
         if not agrees:
-            raise OracleDisagreementError("pruned ordering search disagrees with brute force")
-        sides = ((eig_a, a_star), (eig_a_star, a))
-        fast_t = [_three_term_side_orderings(eig, acting) for eig, acting in sides]
-        slow_t = [_three_term_side_orderings(eig, acting, pruned=False) for eig, acting in sides]
-        agrees = fast_t == slow_t
-        result["tridiagonal_search"] = {"agrees": agrees, "orderings": [len(side) for side in fast_t]}
+            raise OracleDisagreementError("block-pattern ordering search disagrees with the echelon scan")
+        tri = [_three_term_side_orderings(side) for side in sides]
+        agrees = tri == [_scan_orderings(eig, m, _three_term_side_holds) for eig, m in per_side]
+        result["tridiagonal_search"] = {"agrees": agrees, "orderings": [len(side) for side in tri]}
         if not agrees:
-            raise OracleDisagreementError("pruned three-term search disagrees with brute force")
+            raise OracleDisagreementError("reversal closure disagrees with the echelon three-term scan")
     else:
         result["ordering_search"] = {"skipped": "pair is not diagonalizable"}
         result["tridiagonal_search"] = {"skipped": "pair is not diagonalizable"}

@@ -32,8 +32,10 @@ from .fields import FieldElement, FieldSpec
 from .irreducibility import decide_irreducible
 from .linalg import Matrix, SubspaceBasis, apply
 from .pairs import (
+    DEFAULT_MAX_ORDERINGS,
     EigenOrdering,
     SplitDecomposition,
+    _admissible_sides,
     _three_term_side_holds,
     _tridiagonal_orderings,
     split_from_flags,
@@ -242,7 +244,8 @@ def gen_tridiagonal_form(
         verdict = decide_irreducible(a, a_star, seed=seed + attempt, eigen_a=eig_a, eigen_a_star=eig_b)
         if not verdict.is_irreducible:
             continue
-        ok, witnesses = _tridiagonal_orderings(a, a_star, eig_a, eig_b, verdict)
+        sides = _admissible_sides(a, a_star, eig_a, eig_b, DEFAULT_MAX_ORDERINGS)
+        ok, witnesses = _tridiagonal_orderings(eig_a, eig_b, sides, verdict)
         if not ok:
             continue
         wanted = (tuple(v.value for v in va), tuple(v.value for v in vb))

@@ -40,14 +40,6 @@ class _Echelon:
         self.rows: list[list[Raw]] = []
         self.pivots: list[int] = []
 
-    def copy(self) -> "_Echelon":
-        dup = _Echelon.__new__(_Echelon)
-        dup.field = self.field
-        dup.width = self.width
-        dup.rows = [row[:] for row in self.rows]
-        dup.pivots = self.pivots[:]
-        return dup
-
     def residual(self, vec: Sequence[Raw]) -> list[Raw]:
         """Reduce ``vec`` against the current rows; returns the remainder."""
         F = self.field

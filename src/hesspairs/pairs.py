@@ -12,15 +12,15 @@ orderings, builds the two-parameter lattice of flag intersections,
 constructs and verifies split decompositions, and detects tridiagonal
 pairs via the reversed-ordering characterization: the three-term
 orderings of a side are the admissible orderings whose reversal is also
-admissible.  Every tridiagonal verdict is cross-checked against a pruned
-search of the direct three-term inclusions.
+admissible.
 
-Both pruned searches read one block pattern per side: written in an
+The admissible search reads one block pattern per side: written in an
 eigenbasis of A, A* has block (j, i) zero exactly when A* V_i has no
 V_j-component, so each inclusion is a test on sets of eigenspace
-indices.  The unpruned (d+1)! scans check the inclusions with echelons
-instead and are kept as oracles (``pruned=False``) for
-``hesspairs oracle`` and the tests.
+indices.  The (d+1)! scans ``_scan_orderings(eigen, acting,
+_side_condition_holds)`` and ``_scan_orderings(eigen, acting,
+_three_term_side_holds)`` check the inclusions with echelons instead and
+are kept as oracles for ``hesspairs oracle`` and the tests.
 
 :func:`analyze_pair` computes each eigen structure, each side's
 eigenbasis conjugate and each side's admissible orderings once and
@@ -166,31 +166,10 @@ def is_hessenberg_wrt(
     return _side_condition_holds(a_star, ord_a) and _side_condition_holds(a, ord_a_star)
 
 
-def _search_orderings(count: int, admits) -> list[tuple[int, ...]]:
-    """Orderings of range(count) all of whose prefixes pass ``admits``.
-
-    A depth-first search that never extends a failing prefix; orderings
-    come out in lexicographic order.
-    """
-    results: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        if not admits(prefix):
-            return
-        if len(prefix) == count:
-            results.append(tuple(prefix))
-        for nxt in range(count):
-            if nxt not in prefix:
-                extend(prefix + [nxt])
-
-    extend([])
-    return results
-
-
 def _scan_orderings(eigen: EigenStructure, acting: Matrix, side_holds) -> list[tuple[int, ...]]:
     """The orderings for which ``side_holds(acting, ordering)``, each checked on its own.
 
-    The unpruned oracle for the pruned searches: (d+1)! checks.
+    The echelon oracle for the block-pattern search: (d+1)! checks.
     """
     return [
         p
@@ -218,32 +197,37 @@ def _block_support(eigen: EigenStructure, acting: Matrix) -> list[set[int]]:
 
 
 def _admissible_side_orderings(
-    eigen: EigenStructure,
-    acting: Matrix,
-    max_orderings: int,
-    *,
-    pruned: bool = True,
+    eigen: EigenStructure, acting: Matrix, max_orderings: int
 ) -> list[tuple[int, ...]]:
     """All orderings of one side's eigenspaces satisfying its inclusion chain.
 
-    The pruned search reads the inclusions off the side's block pattern
+    The inclusions are read off the side's block pattern
     (:func:`_block_support`): acting V_perm[i] ⊆ V_perm[0] + ... +
     V_perm[i+1] exactly when support[perm[i]] ⊆ {perm[0], ..., perm[i+1]}.
-    It kills every extension of a prefix whose last-settled inclusion
-    already fails.  The unpruned variant checks each complete ordering
-    independently with echelons and exists as an oracle for the pruned one.
+    A depth-first search that never extends a prefix whose last-settled
+    inclusion already fails; orderings come out in lexicographic order.
     """
     count = len(eigen.eigenvalues)
     if factorial(count) > max_orderings:
         raise SearchBudgetExceededError(
             f"({count})! orderings exceed the cap of {max_orderings}"
         )
-    if not pruned:
-        return _scan_orderings(eigen, acting, _side_condition_holds)
     support = _block_support(eigen, acting)
-    # The inclusion at the next-to-last position involves the prefix
-    # through the last position, which is now fully known.
-    return _search_orderings(count, lambda prefix: len(prefix) < 2 or support[prefix[-2]].issubset(prefix))
+    results: list[tuple[int, ...]] = []
+
+    def extend(prefix: list[int]) -> None:
+        # The inclusion at the next-to-last position involves the prefix
+        # through the last position, which is now fully known.
+        if len(prefix) >= 2 and not support[prefix[-2]].issubset(prefix):
+            return
+        if len(prefix) == count:
+            results.append(tuple(prefix))
+        for nxt in range(count):
+            if nxt not in prefix:
+                extend(prefix + [nxt])
+
+    extend([])
+    return results
 
 
 def _admissible_sides(
@@ -252,14 +236,12 @@ def _admissible_sides(
     eig_a: EigenStructure,
     eig_a_star: EigenStructure,
     max_orderings: int,
-    *,
-    pruned: bool = True,
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The admissible orderings of the A side and of the A* side."""
     _require_diagonalizable(eig_a, eig_a_star)
     return (
-        _admissible_side_orderings(eig_a, a_star, max_orderings, pruned=pruned),
-        _admissible_side_orderings(eig_a_star, a, max_orderings, pruned=pruned),
+        _admissible_side_orderings(eig_a, a_star, max_orderings),
+        _admissible_side_orderings(eig_a_star, a, max_orderings),
     )
 
 
@@ -288,7 +270,6 @@ def find_hessenberg_orderings(
     a_star: Matrix,
     *,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
-    pruned: bool = True,
 ) -> list[tuple[EigenOrdering, EigenOrdering]]:
     """Every ordering pair with respect to which (A, A*) is Hessenberg.
 
@@ -300,9 +281,7 @@ def find_hessenberg_orderings(
     """
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
-    return find_hessenberg_orderings_of(
-        a, a_star, eig_a, eig_a_star, max_orderings=max_orderings, pruned=pruned
-    )
+    return find_hessenberg_orderings_of(a, a_star, eig_a, eig_a_star, max_orderings=max_orderings)
 
 
 def find_hessenberg_orderings_of(
@@ -312,10 +291,9 @@ def find_hessenberg_orderings_of(
     eig_a_star: EigenStructure,
     *,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
-    pruned: bool = True,
 ) -> list[tuple[EigenOrdering, EigenOrdering]]:
     """Like :func:`find_hessenberg_orderings`, reusing eigen structures."""
-    sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings, pruned=pruned)
+    sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
     return _ordering_pairs(eig_a, eig_a_star, *sides, max_orderings)
 
 
@@ -633,64 +611,37 @@ def _three_term_side_holds(acting: Matrix, ordering: EigenOrdering) -> bool:
     return True
 
 
-def _three_term_side_orderings(
-    eigen: EigenStructure, acting: Matrix, *, pruned: bool = True
-) -> list[tuple[int, ...]]:
-    """All orderings of one side's eigenspaces satisfying the three-term condition.
+def _three_term_side_orderings(admissible: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The three-term orderings of a side, given its admissible orderings.
 
-    The pruned search reads the inclusions off the side's block pattern
-    (:func:`_block_support`): acting V_perm[i] ⊆ V_perm[i-1] + V_perm[i] +
-    V_perm[i+1] exactly when support[perm[i]] lies in that window.  It
-    checks position i as soon as perm[i+1] is placed (the last one once
-    the ordering is complete).  The unpruned variant scans all (d+1)!
-    orderings with echelons and exists as an oracle for the pruned one.
-    Both list orderings in lexicographic order.
+    An ordering satisfies acting V_i ⊆ V_{i-1} + V_i + V_{i+1} for all i
+    exactly when it and its reversal both satisfy the inclusion chain, so
+    these are the admissible orderings whose reversal is admissible too,
+    kept in lexicographic order.
     """
-    count = len(eigen.eigenvalues)
-    if not pruned:
-        return _scan_orderings(eigen, acting, _three_term_side_holds)
-    support = _block_support(eigen, acting)
-
-    def admits(prefix: list[int]) -> bool:
-        if len(prefix) >= 2 and not support[prefix[-2]].issubset(prefix[-3:]):
-            return False
-        return len(prefix) < count or support[prefix[-1]].issubset(prefix[-2:])
-
-    return _search_orderings(count, admits)
+    closed = set(admissible)
+    return [p for p in admissible if p[::-1] in closed]
 
 
 def _tridiagonal_orderings(
-    a: Matrix,
-    a_star: Matrix,
     eig_a: EigenStructure,
     eig_a_star: EigenStructure,
+    sides: tuple[list[tuple[int, ...]], list[tuple[int, ...]]],
     verdict: IrreducibilityVerdict,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
-    sides: Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = None,
 ) -> tuple[bool, list[tuple[EigenOrdering, EigenOrdering]]]:
-    """Tridiagonality from the admissible side lists ``sides``, searched if not given.
+    """Tridiagonality from the admissible side lists ``sides``.
 
-    The three-term orderings of a side are the admissible ones whose
-    reversal is admissible too; the pruned three-term search recomputes
-    them directly and must agree.
+    The witnesses are the products of the two sides' three-term orderings
+    (:func:`_three_term_side_orderings`); a reducible pair has none.
     """
-    if sides is None:
-        sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
-    tri_sides = []
-    for admissible, eigen, acting, name in zip(sides, (eig_a, eig_a_star), (a_star, a), ("A", "A*")):
-        closed = set(admissible)
-        tri = [p for p in admissible if p[::-1] in closed]
-        if tri != _three_term_side_orderings(eigen, acting):
-            raise OracleDisagreementError(
-                f"reversed-ordering criterion disagrees with the three-term search on the {name} side"
-            )
-        tri_sides.append(tri)
     if verdict.status is IrreducibilityStatus.UNDETERMINED:
         raise IrreducibilityUndeterminedError(
             "tridiagonal detection requires a decided irreducibility verdict"
         )
     if verdict.status is IrreducibilityStatus.REDUCIBLE:
         return False, []
+    tri_sides = [_three_term_side_orderings(side) for side in sides]
     witnesses = _ordering_pairs(eig_a, eig_a_star, *tri_sides, max_orderings)
     return bool(witnesses), witnesses
 
@@ -708,17 +659,16 @@ def is_tridiagonal_pair(
     Uses the reversal characterization: an ordering satisfies the
     three-term condition exactly when it and its reversal both satisfy the
     Hessenberg condition; the pair is tridiagonal when it is irreducible
-    and such orderings exist on both sides.  Every per-side verdict is
-    cross-checked against a pruned search of the direct three-term
-    inclusions; a disagreement raises
-    :class:`~hesspairs.errors.OracleDisagreementError`.  This is the path
-    :func:`analyze_pair` takes, run on freshly computed eigen structures.
+    and such orderings exist on both sides.  This is the path
+    :func:`analyze_pair` takes, run on freshly computed eigen structures
+    and admissible side orderings.
     """
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
     if verdict is None:
         verdict = decide_irreducible(a, a_star, seed=seed, eigen_a=eig_a, eigen_a_star=eig_a_star)
-    return _tridiagonal_orderings(a, a_star, eig_a, eig_a_star, verdict, max_orderings)
+    sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
+    return _tridiagonal_orderings(eig_a, eig_a_star, sides, verdict, max_orderings)
 
 
 # -- whole-pair analysis ------------------------------------------------------------
@@ -757,12 +707,13 @@ def analyze_pair(
     """Run the full analysis pipeline on one pair.
 
     Each fact is computed once: both eigen structures, each side's
-    eigenbasis conjugate (shared by the algebra closure and both block
-    pattern searches) and both lists of admissible side orderings.  The
+    eigenbasis conjugate (shared by the algebra closure and the side's
+    block pattern) and both lists of admissible side orderings.  The
     Hessenberg ordering pairs are their product; each pair's split is the
-    closed-form candidate of :func:`split_from_flags`, verified once; the
-    tridiagonal orderings are the reversal-closed subsets of the same side
-    lists, cross-checked by the pruned three-term search.  A split of an
+    closed-form candidate of :func:`split_from_flags`, verified once with
+    echelons, independently of the block patterns; the tridiagonal
+    orderings are the reversal-closed subsets of the same side lists, so
+    each witness is one of those ordering pairs.  A split of an
     irreducible pair that fails verification raises
     :class:`~hesspairs.errors.OracleDisagreementError`.
 
@@ -805,7 +756,7 @@ def analyze_pair(
             tridiagonal = None
         else:
             tridiagonal, tri_orderings = _tridiagonal_orderings(
-                a, a_star, eig_a, eig_a_star, verdict, max_orderings, sides
+                eig_a, eig_a_star, sides, verdict, max_orderings
             )
 
     return PairAnalysisReport(

@@ -191,6 +191,32 @@ def test_check_split_boolean_candidate_is_a_parse_error(tmp_path):
         assert json.loads(r.stderr)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "candidate, truth_flag",
+    [
+        (None, None),
+        (["subspaces", "eigenvalues_a", "eigenvalues_a_star"], None),
+        ({"subspaces": 5, "eigenvalues_a": ["0", "1", "2"], "eigenvalues_a_star": ["3", "4", "5"]}, None),
+        (None, 5),
+    ],
+    ids=["null", "list", "subspaces-int", "truth-flag-int"],
+)
+def test_check_split_malformed_candidate_is_a_parse_error(tmp_path, candidate, truth_flag):
+    # A candidate of the wrong JSON shape is refused (exit 2, JSON error on
+    # stderr), from --candidate or from the truth block alike.
+    doc = json.loads((FIXTURES / "pair_split_gf7.json").read_text())
+    args = ["check-split", "-"]
+    if truth_flag is None:
+        cand_path = tmp_path / "cand.json"
+        cand_path.write_text(json.dumps(candidate))
+        args += ["--candidate", str(cand_path)]
+    else:
+        doc["truth"]["flag"] = truth_flag
+    r = run_cli(*args, stdin=json.dumps(doc))
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["error"]["type"] == "ParseError"
+
+
 def test_reports_are_self_validating(tmp_path):
     # A split emitted by analyze must pass check-split as a candidate.
     doc = FIXTURES / "pair_split_gf7.json"
@@ -273,7 +299,7 @@ def test_oracle_agrees_on_shipped_corpus(fixture):
     verdict = json.loads(r.stdout)
     ordering = verdict["ordering_search"]
     assert ordering.get("agrees", True) is True
-    # The pruned three-term search against the unpruned (d+1)! scan, on
+    # The reversal closure against the echelon (d+1)! three-term scan, on
     # both sides; skipped exactly when the ordering search is.
     tri = verdict["tridiagonal_search"]
     assert ("skipped" in tri) == ("skipped" in ordering)
@@ -282,6 +308,26 @@ def test_oracle_agrees_on_shipped_corpus(fixture):
         assert len(tri["orderings"]) == 2
     irr = verdict["irreducibility"]
     assert irr.get("agrees", True) is True
+
+
+def test_oracle_catches_a_block_pattern_fault(monkeypatch, capsys):
+    # Dropping one nonzero off-diagonal block from a side's pattern admits
+    # orderings the echelon scan refuses; the oracle must exit 5.
+    from hesspairs import pairs
+    from hesspairs.cli import main
+
+    block_support = pairs._block_support
+
+    def faulty_support(eigen, acting):
+        support = block_support(eigen, acting)
+        i = next(i for i, s in enumerate(support) if s - {i})
+        support[i].remove(min(support[i] - {i}))
+        return support
+
+    monkeypatch.setattr(pairs, "_block_support", faulty_support)
+    code = main(["oracle", str(FIXTURES / "pair_tridiagonal_gf11.json")])
+    assert code == 5
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "OracleDisagreement"
 
 
 def test_analyze_deterministic_byte_identical():

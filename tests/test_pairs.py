@@ -50,8 +50,10 @@ from hesspairs.errors import (
 from hesspairs.pairs import (
     DEFAULT_MAX_ORDERINGS,
     _admissible_side_orderings,
+    _ordering_pairs,
     _scan_orderings,
     _side_condition_holds,
+    _three_term_side_holds,
     _three_term_side_orderings,
 )
 
@@ -70,6 +72,13 @@ def swap_pair():
     a = Matrix.diagonal(QQ, [0, 1, 2])
     a_star = Matrix.from_rows(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     return a, a_star
+
+
+def echelon_scan_pairs(a, a_star):
+    """The Hessenberg ordering pairs by the echelon oracle: every ordering of each side checked."""
+    ea, eb = eigen_structure(a), eigen_structure(a_star)
+    sides = (_scan_orderings(ea, a_star, _side_condition_holds), _scan_orderings(eb, a, _side_condition_holds))
+    return _ordering_pairs(ea, eb, *sides, DEFAULT_MAX_ORDERINGS)
 
 
 def value_seqs(pairs):
@@ -114,7 +123,7 @@ def test_swap_pair_not_hessenberg_for_natural_order():
 def test_swap_pair_admissible_orderings_match_brute_force():
     a, a_star = swap_pair()
     fast = find_hessenberg_orderings(a, a_star)
-    slow = find_hessenberg_orderings(a, a_star, pruned=False)
+    slow = echelon_scan_pairs(a, a_star)
     assert value_seqs(fast) == value_seqs(slow)
     # The A-side admits exactly the orders where A* maps the leading
     # eigenspace into the first two: e2's eigenvalue first, or the swapped
@@ -165,11 +174,13 @@ def test_pruned_search_equals_brute_force_randomized():
         a = rand_diagonalizable(field, n, list(range(7)), rng, max_distinct=4)
         b = rand_diagonalizable(field, n, list(range(7)), rng, max_distinct=4)
         fast = find_hessenberg_orderings(a, b)
-        slow = find_hessenberg_orderings(a, b, pruned=False)
+        slow = echelon_scan_pairs(a, b)
         assert value_seqs(fast) == value_seqs(slow)
 
 
 def test_pruned_three_term_search_equals_brute_force_randomized():
+    # The reversal closure of the admissible orderings, which analyze
+    # reports, against the echelon scan of the three-term inclusions.
     rng = random.Random(33)
     pairs = []
     # Random diagonalizable pairs, eigenspace counts up to 5 per side.
@@ -181,7 +192,7 @@ def test_pruned_three_term_search_equals_brute_force_randomized():
         b = rand_diagonalizable(field, n, pool, rng, max_distinct=5)
         pairs.append((a, b))
     # Random pairs rarely admit some orderings but not all; sl2 pairs and
-    # sparse split-form pairs do, so pruning has real work to do.
+    # sparse split-form pairs do, so the reversal closure has real work to do.
     for field in (GF(7), GF(11)):
         pairs.extend(sl2_pair(field, d) for d in (2, 3, 4))
     for seed in range(20):
@@ -193,8 +204,8 @@ def test_pruned_three_term_search_equals_brute_force_randomized():
     partial = 0
     for a, b in pairs:
         for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
-            fast = _three_term_side_orderings(eig, acting)
-            assert fast == _three_term_side_orderings(eig, acting, pruned=False)
+            fast = _three_term_side_orderings(_admissible_side_orderings(eig, acting, DEFAULT_MAX_ORDERINGS))
+            assert fast == _scan_orderings(eig, acting, _three_term_side_holds)
             partial += 0 < len(fast) < math.factorial(eig.d + 1)
     assert partial >= 20
 
@@ -211,7 +222,7 @@ def _unimodular(field, n, rng):
 
 
 def test_block_pattern_search_equals_echelon_scan_randomized():
-    # The pruned admissible search reads each side's block pattern; the
+    # The admissible search reads each side's block pattern; the
     # oracle scans every ordering with echelons.  Sides that admit some but
     # not all orderings come from sl2 and sparse split-form pairs.
     rng = random.Random(34)
@@ -285,15 +296,16 @@ def test_analyze_pair_computes_each_fact_once(monkeypatch):
 )
 def test_analyze_pair_conjugates_once_per_side(monkeypatch, fixture):
     # Both sides are diagonalizable: one eigenbasis conjugate P^-1 M' P is
-    # formed per side, the algebra closure reuses one of them, and the
-    # pruned ordering searches never fall back to echelon checks.
+    # formed per side, the algebra closure reuses one of them, each side's
+    # block pattern is read once, and the ordering search never falls back
+    # to echelon checks.
     from hesspairs import irreducibility, pairs
     from hesspairs.cli import parse_document
 
     doc = json.loads((FIXTURES / fixture).read_text())
     _, a, a_star, _ = parse_document(doc)
-    inverted, closed = [], []
-    inverse, closure = Matrix.inverse, irreducibility.algebra_closure
+    inverted, closed, patterns = [], [], []
+    inverse, closure, block_support = Matrix.inverse, irreducibility.algebra_closure, pairs._block_support
 
     def counting_inverse(m):
         inverted.append(m)
@@ -303,17 +315,23 @@ def test_analyze_pair_conjugates_once_per_side(monkeypatch, fixture):
         closed.append(generators)
         return closure(generators)
 
+    def counting_support(eigen, acting):
+        patterns.append(eigen)
+        return block_support(eigen, acting)
+
     def refuse(*args):
-        raise AssertionError("an echelon check ran on the pruned path")
+        raise AssertionError("an echelon check ran on the block-pattern path")
 
     monkeypatch.setattr(Matrix, "inverse", counting_inverse)
     monkeypatch.setattr(irreducibility, "algebra_closure", recording_closure)
+    monkeypatch.setattr(pairs, "_block_support", counting_support)
     monkeypatch.setattr(pairs, "_side_condition_holds", refuse)
     monkeypatch.setattr(pairs, "_three_term_side_holds", refuse)
     report = analyze_pair(a, a_star)
     assert report.eigen_a.diagonalizable and report.eigen_a_star.diagonalizable
     assert report.tridiagonal is not None
     assert len(inverted) == 2
+    assert len(patterns) == 2 and patterns[0] is report.eigen_a and patterns[1] is report.eigen_a_star
     # Both conjugates are kept on the eigen structures: fetching them forms nothing new.
     conjugates = [report.eigen_a.eigenbasis_conjugate(a_star), report.eigen_a_star.eigenbasis_conjugate(a)]
     assert len(inverted) == 2
