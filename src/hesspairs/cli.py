@@ -22,6 +22,7 @@ and the exit code is the largest per-line code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -523,7 +524,9 @@ def cmd_oracle(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="hesspairs",
         description="Exact analysis of Hessenberg/tridiagonal pairs and split decompositions.",
@@ -572,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # dispatch maps known errors to exit codes

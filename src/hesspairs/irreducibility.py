@@ -9,7 +9,10 @@ rungs:
    idempotents E_i of a diagonalizable side are polynomials in it, so
    the algebra 𝒜 is the direct sum of its blocks E_i 𝒜 E_j; written in
    an eigenbasis of that side, each block is closed in an echelon of
-   width m_i·m_j instead of one of width n^2;
+   width m_i·m_j instead of one of width n^2.  The column of blocks
+   𝒜E_j of the smallest eigenspace is closed first: when it has
+   dimension n·m_j and one transposed spin from a coordinate vector of
+   that eigenspace fills K^n, 𝒜 = M_n and no other block is closed;
 2. Norton's criterion (Parker 1984; Holt and Rees 1994) on singular
    elements X of that algebra, one shared step per X
    (:func:`_norton_step`).  The spin of a point of ker X is either V or a
@@ -137,6 +140,14 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
     generators' blocks G_IK, which reaches every word, in one echelon of
     width |I|·|J| per row block I.  The dimension is at most n^2; the
     spanning set holds n×n matrices, each block embedded.
+
+    The smallest column block J is closed first.  When 𝒜E_J has its
+    largest dimension n·|J| and, for one s ∈ J, e_s spins to K^n under the
+    transposed generators, the algebra is all of M_n and the n^2 matrix
+    units are returned without closing the other blocks: 𝒜E_J holds every
+    E_rs, so 𝒜 holds E_rs·X = e_r(e_s^T X) for each X ∈ 𝒜, and the rows
+    e_s^T X fill K^n.  Otherwise every block is closed and the dimension is
+    exact.
     """
     field, n = _check_generators(generators)
     blocks = _coordinate_blocks(generators[0])
@@ -150,12 +161,14 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
                 scalar = i == k and blk == Matrix.scalar(field, len(rows), blk.entries[0][0])
                 if not (scalar or blk.is_zero()):
                     movers[k].append((i, blk))
-    basis: list[Matrix] = []
-    for j, cols in enumerate(blocks):
+
+    def close(j: int) -> list[Matrix]:
+        """A basis of 𝒜E_J for the column block J = blocks[j], each block embedded."""
+        cols = blocks[j]
         echs = [_Echelon(field, len(rows) * len(cols)) for rows in blocks]
         ident = Matrix.identity(field, len(cols))
         echs[j].insert(_flatten(ident))
-        basis.append(_embed(n, cols, cols, ident))
+        out = [_embed(n, cols, cols, ident)]
         queue = [(j, ident)]
         room = n * len(cols) - 1
         while queue and room:
@@ -166,12 +179,28 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
                     continue
                 prod = g * m
                 if ech.insert(_flatten(prod)):
-                    basis.append(_embed(n, blocks[i], cols, prod))
+                    out.append(_embed(n, blocks[i], cols, prod))
                     queue.append((i, prod))
                     room -= 1
                     if not room:
                         break
+        return out
+
+    first = min(range(len(blocks)), key=lambda j: len(blocks[j]))
+    first_basis = close(first)
+    if len(blocks) > 1 and len(first_basis) == n * len(blocks[first]):
+        s = blocks[first][0]
+        if spin([int(c == s) for c in range(n)], [g.transpose() for g in generators]).dim == n:
+            return n * n, _matrix_units(field, n)
+    basis = [m for j in range(len(blocks)) for m in (first_basis if j == first else close(j))]
     return len(basis), tuple(basis)
+
+
+def _matrix_units(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
+    """E_rs for r, s < n in row-major order; the matrices share their row tuples."""
+    unit = Matrix.identity(field, n).entries
+    zero = Matrix.zeros(field, n, n).entries
+    return tuple(Matrix(field, zero[:r] + (unit[s],) + zero[r + 1:]) for r in range(n) for s in range(n))
 
 
 def _coordinate_blocks(m: Matrix) -> list[tuple[int, ...]]:
@@ -228,7 +257,9 @@ def decide_irreducible(
     """Decide whether the pair (A, A*) is irreducible.
 
     Rung 1 is the algebra dimension, closed in an eigenbasis of one side
-    (:func:`_eigenbasis_generators`); rung 2 runs :func:`_norton_step` on
+    (:func:`_eigenbasis_generators`); on an irreducible pair it usually
+    stops after the smallest eigenspace's column of blocks and one dual
+    spin (:func:`algebra_closure`).  Rung 2 runs :func:`_norton_step` on
     the singular algebra elements of :func:`_singular_elements`, in the
     order the module docstring gives, until one decides.  Deterministic
     for a fixed seed, which only steers the random elements over GF(p).

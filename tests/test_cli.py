@@ -292,6 +292,32 @@ def test_analyze_matches_golden_output(capsys):
             assert {"exit": code, "stdout": stdout} == golden[name][fmt], (name, fmt)
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # In-process callers run main once per document; the parser is built
+    # on the first call and reused.
+    import argparse
+
+    from hesspairs import cli
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "hesspairs":
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for fmt in ("json", "text"):
+            assert cli.main(["analyze", str(FIXTURES / "pair_canonical_q.json"), "--format", fmt]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert "irreducibility: irreducible" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("fixture", [p.name for p in ANALYZABLE])
 def test_oracle_agrees_on_shipped_corpus(fixture):
     r = run_cli("oracle", str(FIXTURES / fixture))

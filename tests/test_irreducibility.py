@@ -105,12 +105,25 @@ def _random_side(field, n, rng):
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), GF(101), QQ], ids=repr)
-def test_eigenbasis_closure_matches_one_block_closure_randomized(field):
+def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypatch):
     # The block closure in an eigenbasis against the one-block closure of
-    # the same pair conjugated to a non-diagonal first generator.
+    # the same pair conjugated to a non-diagonal first generator.  Pairs
+    # with more than one block either take the full-algebra shortcut (the
+    # dual spin from the smallest block fills K^n) or close every block.
+    from hesspairs import irreducibility
+
     rng = random.Random(f"closure:{field!r}")
     sides = Counter()
     blocked = 0
+    paths = Counter()
+    dual_spins = []
+
+    def recording_spin(v, generators):
+        space = spin(v, generators)
+        dual_spins.append(space.is_full)
+        return space
+
+    monkeypatch.setattr(irreducibility, "spin", recording_spin)
     for _ in range(50):
         n = rng.randint(1, 6)
         a, b = _random_side(field, n, rng), _random_side(field, n, rng)
@@ -118,15 +131,23 @@ def test_eigenbasis_closure_matches_one_block_closure_randomized(field):
         for eig in eigs:
             sides["outside" if eig is None else "diagonalizable" if eig.diagonalizable else "defective"] += 1
         gens = _eigenbasis_generators(a, b, *eigs)
-        blocked += len(_coordinate_blocks(gens[0])) > 1
+        multi = len(_coordinate_blocks(gens[0])) > 1
+        blocked += multi
         while True:
             p = _unimodular(field, n, rng)
             oracle = [p.inverse() * a * p, p.inverse() * b * p]
             if len(_coordinate_blocks(oracle[0])) == 1:
                 break
+        dual_spins.clear()
         assert algebra_closure(gens)[0] == algebra_closure(oracle)[0]
+        # Only the first closure has more than one block and can spin.
+        assert multi or dual_spins == []
+        if multi:
+            paths["shortcut" if dual_spins == [True] else "fallback"] += 1
     assert min(sides.values()) >= 5 and len(sides) == 3, sides
     assert blocked >= 15, blocked
+    # Measured: 5-30 shortcuts and 4-17 fallbacks per field.
+    assert paths["shortcut"] >= 5 and paths["fallback"] >= 4, paths
 
 
 def test_block_closure_echelons_stay_as_narrow_as_the_eigenspaces(monkeypatch):
@@ -185,6 +206,55 @@ def test_block_closure_basis_spans_the_one_block_algebra():
     assert len(basis) == dim and all(m.nrows == m.ncols == 5 for m in basis)
     assert flat_rank(basis) == dim
     assert flat_rank(basis + one_basis) == dim
+
+
+def test_full_column_block_without_a_full_dual_spin_is_not_the_full_algebra():
+    # B keeps span{e0, e1}, so the algebra is block upper triangular:
+    # K[B_00] (2) + its column block over e2 (2) + the corner (1).  Its
+    # smallest column block 𝒜E_{2} is full, 3 = n·|J|, but the row
+    # e2^T 𝒜 = (0, 0, *) is not, so the closure must not stop at n^2.
+    field = QQ
+    d = Matrix.diagonal(field, [1, 1, 2])
+    b = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6], [0, 0, 7]])
+    assert _coordinate_blocks(d) == [(0, 1), (2,)]
+    assert spin([0, 0, 1], [d, b]).is_full
+    assert spin([0, 0, 1], [d.transpose(), b.transpose()]).dim == 1
+    assert algebra_closure([d, b])[0] == algebra_closure([b, d])[0] == 5
+
+
+def test_full_algebra_is_proved_from_the_smallest_column_block(monkeypatch):
+    # The eigenbasis generators of an irreducible conjugated split-form
+    # pair: closing the column block of a 1-dimensional eigenspace inserts
+    # n·1 = 9 flattened blocks, and one dual spin finishes the proof.
+    # Closing every block would insert n^2 = 81.
+    from hesspairs import irreducibility
+
+    dims = (1, 2, 3, 2, 1)
+    inst = conjugate(gen_split_form(GF(101), dims, (1, 2, 3, 4, 5), (6, 7, 8, 9, 10), seed=3), seed=4)
+    gens = _eigenbasis_generators(inst.a, inst.a_star, _try_eigen(inst.a), _try_eigen(inst.a_star))
+    inserted, spinning = [], []
+
+    class CountingEchelon(irreducibility._Echelon):
+        def insert(self, vec):
+            grew = super().insert(vec)
+            if grew and not spinning:
+                inserted.append(self.width)
+            return grew
+
+    def flagged_spin(v, generators):
+        spinning.append(True)
+        try:
+            return spin(v, generators)
+        finally:
+            spinning.pop()
+
+    monkeypatch.setattr(irreducibility, "_Echelon", CountingEchelon)
+    monkeypatch.setattr(irreducibility, "spin", flagged_spin)
+    dim, basis = algebra_closure(gens)
+    assert dim == len(basis) == 81
+    assert len(set(basis)) == 81 and all(m.nrows == m.ncols == 9 for m in basis)
+    assert min(len(block) for block in _coordinate_blocks(gens[0])) == 1
+    assert len(inserted) == 9
 
 
 def test_algebra_closure_irreducible_pair_is_full():
