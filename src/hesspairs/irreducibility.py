@@ -381,15 +381,7 @@ def _norton_step(x: Matrix, ker: SubspaceBasis, a: Matrix, a_star: Matrix) -> Op
 
 
 def _combine(field: FieldSpec, rows: Sequence[tuple[Raw, ...]], coeffs: Sequence[Raw]) -> tuple[Raw, ...]:
-    n = len(rows[0])
-    zero = field.zero()
-    out = [zero] * n
-    for c, row in zip(coeffs, rows):
-        if c != zero:
-            for j, x in enumerate(row):
-                if x != zero:
-                    out[j] = field.add(out[j], field.mul(c, x))
-    return tuple(out)
+    return tuple(field.dot(coeffs, col) for col in zip(*rows))
 
 
 # -- exhaustive oracle ---------------------------------------------------------

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   subspaces is plain structural equality.
 
 Internally every entry is a raw value (``Fraction`` or int residue); the
-owning :class:`~hesspairs.fields.FieldSpec` performs the arithmetic.
+owning :class:`~hesspairs.fields.FieldSpec` performs the arithmetic.  Matrix
+products are rows of :meth:`~hesspairs.fields.FieldSpec.dot`, and every
+echelon row reduction is one :meth:`~hesspairs.fields.FieldSpec.sub_scaled`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, NotSquareError
-from .fields import FieldElement, FieldSpec, Raw
+from .fields import FieldSpec, Raw
 
 Vector = tuple[Raw, ...]
 
@@ -48,10 +50,7 @@ class _Echelon:
         for row, piv in zip(self.rows, self.pivots):
             c = out[piv]
             if c != zero:
-                for j in range(piv, self.width):
-                    rj = row[j]
-                    if rj != zero:
-                        out[j] = F.sub(out[j], F.mul(c, rj))
+                out[piv:] = F.sub_scaled(out[piv:], c, row[piv:])
         return out
 
     def contains(self, vec: Sequence[Raw]) -> bool:
@@ -70,13 +69,11 @@ class _Echelon:
             inv = F.inv(red[piv])
             red = [F.mul(inv, x) if x != zero else zero for x in red]
         # Clear the new pivot column from the existing rows.
+        tail = red[piv:]
         for row in self.rows:
             c = row[piv]
             if c != zero:
-                for j in range(piv, self.width):
-                    rj = red[j]
-                    if rj != zero:
-                        row[j] = F.sub(row[j], F.mul(c, rj))
+                row[piv:] = F.sub_scaled(row[piv:], c, tail)
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.rows.insert(at, red)
@@ -178,19 +175,8 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         F = self.field
-        zero = F.zero()
         cols = tuple(zip(*other.entries)) if other.entries else ()
-        out = []
-        for row in self.entries:
-            new = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
-                        acc = F.add(acc, F.mul(a, b))
-                new.append(acc)
-            out.append(tuple(new))
-        return Matrix(F, tuple(out), ncols=other.ncols)
+        return Matrix(F, tuple(tuple(F.dot(row, col) for col in cols) for row in self.entries), ncols=other.ncols)
 
     def scale(self, value) -> "Matrix":
         F = self.field
@@ -217,15 +203,7 @@ class Matrix:
         if len(vec) != self.ncols:
             raise AmbientMismatchError("vector length does not match column count")
         F = self.field
-        zero = F.zero()
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, b in zip(row, vec):
-                if a != zero and b != zero:
-                    acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple([F.dot(row, vec) for row in self.entries])
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.entries)) if self.entries else (), ncols=self.nrows)
@@ -256,9 +234,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.entries[i][j])
 
     def is_zero(self) -> bool:
         zero = self.field.zero()
@@ -336,9 +311,6 @@ class SubspaceBasis:
         ech.rows = [list(r) for r in self.rows]
         ech.pivots = [next(j for j, x in enumerate(r) if x != self.field.zero()) for r in self.rows]
         return ech
-
-    def basis_elements(self) -> tuple[tuple[FieldElement, ...], ...]:
-        return tuple(tuple(FieldElement(self.field, x) for x in row) for row in self.rows)
 
     def __eq__(self, other) -> bool:
         return (

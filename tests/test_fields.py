@@ -147,3 +147,30 @@ def test_subtraction_wraps():
 
     assert field_sub(GF(5).element(1), GF(5).element(3)) == GF(5).element(3)
     assert field_sub(QQ.element("1/2"), QQ.element("1/3")) == QQ.element("1/6")
+
+
+@pytest.mark.parametrize("spec", [GF(2), GF(3), GF(101), GF(2**31 - 1), QQ])
+def test_dot_and_sub_scaled_match_termwise(spec):
+    rng = random.Random(23)
+
+    def vec(k):
+        # About a third of the entries are zero, so the zero skips are exercised.
+        return [spec.zero() if rng.random() < 0.35 else spec.rand(rng) for _ in range(k)]
+
+    def fold(xs, ys):
+        acc = spec.zero()
+        for x, y in zip(xs, ys):
+            acc = spec.add(acc, spec.mul(x, y))
+        return acc
+
+    cases = [([], []), ([], vec(3)), (vec(3), [])]
+    cases += [(vec(k), vec(k)) for k in range(1, 9) for _ in range(5)]
+    # Unequal lengths: zip truncation lets the shorter input set the length.
+    cases += [(vec(rng.randint(1, 8)), vec(rng.randint(1, 8))) for _ in range(40)]
+    for xs, ys in cases:
+        c = spec.rand(rng)
+        dot, scaled = spec.dot(xs, ys), spec.sub_scaled(xs, c, ys)
+        assert dot == fold(xs, ys)
+        assert scaled == [spec.sub(x, spec.mul(c, y)) for x, y in zip(xs, ys)]
+        if spec == QQ:
+            assert isinstance(dot, Fraction) and all(isinstance(v, Fraction) for v in scaled)

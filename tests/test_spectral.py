@@ -27,6 +27,7 @@ from hesspairs.errors import (
     NotADecompositionError,
     NotSquareError,
 )
+from hesspairs import spectral
 from hesspairs.spectral import _in_field_roots_with_multiplicity, _poly_mod, _poly_mul_mod
 
 
@@ -359,3 +360,28 @@ def test_poly_mul_mod_matches_termwise_reduction(p):
                 out[i + j] = (out[i + j] + x * y) % p
         assert _poly_mul_mod(a, b, mod, p) == _poly_mod(out, mod, p)
     assert _poly_mul_mod(*cases[0], p) == [p - 1, 0, 1]
+
+
+@pytest.mark.parametrize("p", [509, 521, 1009, 4093])
+def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
+    # The two GF(p) root finders meet at _SCAN_LIMIT; near it both must find
+    # the same planted roots, through zero roots, repeated roots and an
+    # irreducible quadratic factor.
+    field = GF(p)
+    rng = random.Random(p)
+    non_square = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+    quadratic = Polynomial(field, [p - non_square, 0, 1])
+    for _ in range(12):
+        planted = {rng.randrange(p) for _ in range(rng.randint(1, 6))}
+        if rng.random() < 0.3:
+            planted.add(0)
+        planted = sorted(planted)
+        roots = [r for r in planted for _ in range(rng.randint(1, 3))]
+        poly = Polynomial.from_roots(field, roots)
+        if rng.random() < 0.5:
+            poly = poly * quadratic
+        found = []
+        for limit in (p, p - 1):
+            monkeypatch.setattr(spectral, "_SCAN_LIMIT", limit)
+            found.append(spectral._roots_prime_field(poly, field))
+        assert found[0] == found[1] == planted
