@@ -1,12 +1,13 @@
 """Characteristic polynomials, exact in-field eigenvalues and eigenspaces.
 
-The characteristic polynomial is computed division-free (Berkowitz), so it
-is valid over any field including small characteristic.  Eigenvalues are
-found *in the ground field only*:
+The characteristic polynomial is computed over GF(p) through upper
+Hessenberg form, and over Q by the division-free Berkowitz method, under
+which the entries grow less.  Eigenvalues are found *in the ground field
+only*:
 
-* over GF(p), by scanning all residues for small p and by extracting the
-  linear part of the polynomial via gcd with x^p - x, then equal-degree
-  splitting, for large p;
+* over GF(p), by scanning all residues for small p and, for large p, by
+  extracting the linear part of the square-free part of the polynomial
+  via gcd with x^p - x, then equal-degree splitting;
 * over Q, by the same gcd finder modulo a Mersenne prime that exceeds
   twice Fujiwara's root bound of the integer scaling of the polynomial,
   keeping the lifted roots that evaluate to zero exactly.
@@ -23,6 +24,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -37,12 +39,11 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, PrimeField, Raw, Rationals
 from .linalg import Matrix, SubspaceBasis, _Echelon, apply, kernel, subspace_contains
 
-# Above this modulus the eigenvalue scan switches from trying every
-# residue to gcd-based linear-factor extraction.  The scan costs about p·n
-# Horner steps and the gcd finder about n²·log p products, so the crossover
-# grows with the degree n: near p = 300 at n = 4 and near p = 1000 at
-# n = 16 (CPython 3.11, 2-vCPU VM).
-_SCAN_LIMIT = 512
+# A polynomial of degree n over GF(p) has its roots found by trying every
+# residue when p <= _SCAN_FACTOR·n, and by gcd-based linear-factor
+# extraction above.  The scan costs about p·n Horner steps and the gcd
+# finder about n²·log p products, so the crossover grows with the degree.
+_SCAN_FACTOR = 64
 
 # Exponents e of the Mersenne primes 2^e - 1: the moduli in which rational
 # roots are found.
@@ -172,12 +173,21 @@ class Polynomial:
 
 
 def char_poly(m: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - m), by the Berkowitz method.
+    """Monic characteristic polynomial det(xI - m).
 
-    Division-free, hence correct over any field including GF(2) and GF(3).
+    Over GF(p) through upper Hessenberg form, in O(n³); over Q by the
+    division-free Berkowitz method, in O(n⁴) products of entries that grow
+    less than the Hessenberg reduction's.
     """
     if not m.is_square:
         raise NotSquareError("characteristic polynomial of a non-square matrix")
+    if isinstance(m.field, PrimeField):
+        return _char_poly_hessenberg(m)
+    return _char_poly_berkowitz(m)
+
+
+def _char_poly_berkowitz(m: Matrix) -> Polynomial:
+    """det(xI - m) by the Berkowitz method; division-free, so valid over any field."""
     F = m.field
     n = m.nrows
     one = F.one()
@@ -204,13 +214,61 @@ def char_poly(m: Matrix) -> Polynomial:
     return Polynomial(F, p)
 
 
+def _char_poly_hessenberg(m: Matrix) -> Polynomial:
+    """det(xI - m) over GF(p) (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 2.2.9).
+
+    m is reduced to an upper Hessenberg H = Q⁻¹mQ by elimination below the
+    subdiagonal, column by column; a zero subdiagonal entry is replaced by
+    swapping in a lower row with a nonzero one, and the matching column.
+    The characteristic polynomials P_k of H's leading k x k blocks then
+    follow the recurrence
+    P_{k+1} = (x - h_kk)·P_k - Σ_{i<k} h_ik·h_{i+1,i}···h_{k,k-1}·P_i.
+    """
+    F = m.field
+    p = F.p
+    h = [list(row) for row in m.entries]
+    n = len(h)
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][k - 1], -1, p)
+        pivot_row = h[k][k - 1:]
+        # Rows: row_i -= u_i·row_k clears h[i][k-1] for i > k.  Columns:
+        # column_k += Σ u_i·column_i completes the similarity.
+        us = [h[i][k - 1] * inv % p for i in range(k + 1, n)]
+        for i, u in enumerate(us, k + 1):
+            if u:
+                h[i][k - 1:] = F.sub_scaled(h[i][k - 1:], u, pivot_row)
+        for row in h:
+            row[k] = (row[k] + sum(map(mul, us, row[k + 1:]))) % p
+    polys = [[1]]
+    for k in range(n):
+        # P_i has i + 1 coefficients, so each sub_scaled updates acc[:i + 1].
+        acc = [0, *polys[k]]
+        acc[:k + 1] = F.sub_scaled(acc, h[k][k], polys[k])
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            acc[:i + 1] = F.sub_scaled(acc, h[i][k] * t % p, polys[i])
+        polys.append(acc)
+    return Polynomial(F, polys[n])
+
+
 # -- root finding ------------------------------------------------------------
 
 
 def _roots_prime_field(poly: Polynomial, spec: PrimeField) -> list[int]:
     """Distinct roots of ``poly`` in GF(p)."""
     p = spec.p
-    if p <= _SCAN_LIMIT:
+    if p <= _SCAN_FACTOR * poly.degree:
         return [c for c in range(p) if poly.eval(c) == 0]
     return sorted(_roots_large_prime(list(poly.coeffs), p))
 
@@ -223,15 +281,15 @@ def _poly_trim(c: list[int]) -> list[int]:
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     a = a[:]
+    db = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        f = a[-1] * inv_lead % p
+    while len(a) > db:
+        f = a.pop() * inv_lead % p
         if f:
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-        a.pop()
+            s = len(a) - db
+            a[s:] = [(x - f * y) % p for x, y in zip(a[s:], b)]
     return _poly_trim(a)
+
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
     """a·b modulo ``mod`` over GF(p), for coefficients in [0, p).
@@ -239,12 +297,9 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
     Each product coefficient is summed in full and reduced once; modulo a
     Mersenne prime p = 2^e - 1 by folding, since 2^e ≡ 1.
     """
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+    # Zero-padded to the product's length, so a[k::-1] lines up with b.
+    a = a + [0] * (len(b) - 1)
+    out = [sum(map(mul, a[k::-1], b)) for k in range(len(a))]
     if p & (p + 1) == 0:
         e = p.bit_length()
         for k, c in enumerate(out):
@@ -256,15 +311,24 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
     return _poly_mod(out, mod, p)
 
 
-def _poly_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+def _poly_pow_linear(a: int, e: int, mod: list[int], p: int) -> list[int]:
+    """(x + a)^e modulo a monic ``mod`` over GF(p).
+
+    Left to right, so only the squarings are full products: a step by the
+    linear base is a shift and one reduction step.
+    """
+    d = len(mod) - 1
     result = [1]
-    base = _poly_mod(base[:], mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod(base, base, mod, p)
+    for i, bit in enumerate(bin(e)[2:]):
+        if i:
+            result = _poly_mul_mod(result, result, mod, p)
+        if bit == "1":
+            # (x + a)·result, then x^d ≡ x^d - mod once if the degree reached d.
+            result = [(a * c + s) % p for c, s in zip([*result, 0], [0, *result])]
+            if len(result) > d:
+                lead = result.pop()
+                result = [(c - lead * r) % p for c, r in zip(result, mod)]
+            _poly_trim(result)
     return result
 
 
@@ -291,7 +355,13 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
         roots.append(0)
     if len(f) <= 1:
         return roots
-    xp = _poly_pow_mod([0, 1], p, f, p)
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    # f / gcd(f, f') has the same roots, each once, unless p <= deg f: then
+    # f' can vanish on a factor (x - r)^p and the quotient would lose r.
+    if p >= len(f):
+        f = _poly_quotient(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)
+    xp = _poly_pow_linear(0, p, f, p)
     sub = xp + [0] * max(0, 2 - len(xp))
     sub[1] = (sub[1] - 1) % p
     g = _poly_gcd(f, _poly_trim(sub), p)
@@ -307,7 +377,7 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
             continue
         while True:
             a = rng.randrange(p)
-            probe = _poly_pow_mod([a, 1], (p - 1) // 2, h, p)
+            probe = _poly_pow_linear(a, (p - 1) // 2, h, p)
             probe = _poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(probe + [0] * (1 - len(probe)))])
             w = _poly_gcd(h, probe, p)
             if 0 < len(w) - 1 < d:
@@ -324,11 +394,10 @@ def _poly_quotient(a: list[int], b: list[int], p: int) -> list[int]:
     out = [0] * (len(a) - db)
     inv_lead = pow(b[-1], -1, p)
     for shift in range(len(a) - len(b), -1, -1):
-        f = a[shift + db] * inv_lead % p
+        f = a.pop() * inv_lead % p
         out[shift] = f
         if f:
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
+            a[shift:] = [(x - f * y) % p for x, y in zip(a[shift:], b)]
     return _poly_trim(out)
 
 

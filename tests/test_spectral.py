@@ -81,6 +81,25 @@ def test_char_poly_matches_root_products():
         assert char_poly(m) == Polynomial.from_roots(QQ, values)
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_hessenberg_char_poly_matches_berkowitz(p):
+    # Over GF(p) char_poly reduces to Hessenberg form; the division-free
+    # Berkowitz method, which char_poly keeps for Q, is the oracle.  Sparse
+    # matrices meet zero subdiagonal entries, so the reduction has to swap
+    # a lower row in or find the whole column below the diagonal zero.
+    field = GF(p)
+    rng = random.Random(p)
+    for n in range(8):
+        for density in (1.0, 0.5, 0.25):
+            for _ in range(6):
+                grid = [[field.rand(rng) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+                if n >= 3:
+                    # Column 0 needs a swap: its subdiagonal entry is zero, the one below is not.
+                    grid[1][0], grid[2][0] = 0, rng.randrange(1, p)
+                m = Matrix(field, tuple(map(tuple, grid)), ncols=n)
+                assert char_poly(m) == spectral._char_poly_berkowitz(m), grid
+
+
 def test_eigen_structure_diagonal():
     eig = eigen_structure(Matrix.diagonal(QQ, [0, 1, 2]))
     assert [v.value for v in eig.eigenvalues] == [0, 1, 2]
@@ -364,9 +383,10 @@ def test_poly_mul_mod_matches_termwise_reduction(p):
 
 @pytest.mark.parametrize("p", [509, 521, 1009, 4093])
 def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
-    # The two GF(p) root finders meet at _SCAN_LIMIT; near it both must find
-    # the same planted roots, through zero roots, repeated roots and an
-    # irreducible quadratic factor.
+    # The two GF(p) root finders meet at p = _SCAN_FACTOR·deg; near it both
+    # must find the same planted roots, through zero roots, repeated roots
+    # and an irreducible quadratic factor.  A factor of p forces the scan
+    # and 0 the gcd finder.
     field = GF(p)
     rng = random.Random(p)
     non_square = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
@@ -381,7 +401,73 @@ def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
         if rng.random() < 0.5:
             poly = poly * quadratic
         found = []
-        for limit in (p, p - 1):
-            monkeypatch.setattr(spectral, "_SCAN_LIMIT", limit)
+        for factor in (p, 0):
+            monkeypatch.setattr(spectral, "_SCAN_FACTOR", factor)
             found.append(spectral._roots_prime_field(poly, field))
         assert found[0] == found[1] == planted
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009, 2**31 - 1])
+def test_square_free_gcd_finder_matches_scan(p):
+    # p > deg: the gcd finder works on f / gcd(f, f'), and must find every
+    # planted root, repeated or zero, that the residue scan finds.
+    field = GF(p)
+    rng = random.Random(p)
+    for _ in range(15):
+        planted = {rng.randrange(p) for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.4:
+            planted.add(0)
+        planted = sorted(planted)
+        roots = [r for r in planted for _ in range(rng.randint(1, 3))]
+        poly = Polynomial.from_roots(field, roots)
+        if poly.degree >= p:
+            continue
+        assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == planted
+        if p < 2000:
+            assert [c for c in range(p) if poly.eval(c) == 0] == planted
+
+
+@pytest.mark.parametrize(
+    "p, roots",
+    [
+        (7, [1] * 7 + [2]),  # f' = (x - 1)^7 shares the whole factor (x - 1)^7
+        (7, [3] * 7),  # f = x^7 - 3^7, f' = 0
+        (3, [0, 1, 1, 1, 2, 2, 2, 2]),
+        (5, [4] * 5 + [1, 1, 3] + [2] * 10),
+        (5, [1, 2, 2, 3, 3, 3, 4]),
+    ],
+)
+def test_gcd_finder_keeps_roots_when_p_le_degree(p, roots):
+    # p <= deg: a multiplicity divisible by p hides its root from f', so the
+    # square-free step is skipped and every root must still be found.
+    poly = Polynomial.from_roots(GF(p), roots)
+    assert poly.degree >= p
+    assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == sorted(set(roots))
+
+
+def test_x_to_the_p_squares_modulo_the_square_free_part(monkeypatch):
+    # A degree-12 polynomial with 4 distinct roots over GF(2^31 - 1): x^p is
+    # raised modulo the quartic square-free part, and with the linear base
+    # only the squarings are full products, one per bit of p after the
+    # leading one.
+    p = 2**31 - 1
+    rng = random.Random(31)
+    planted = sorted(rng.sample(range(1, p), 4))
+    poly = Polynomial.from_roots(GF(p), [r for r in planted for _ in range(3)])
+    assert poly.degree == 12
+    products: list = []
+    exponent = [None]
+    pow_linear, mul_mod = spectral._poly_pow_linear, spectral._poly_mul_mod
+
+    def counted_pow(a, e, mod, q):
+        exponent[0] = e
+        return pow_linear(a, e, mod, q)
+
+    def counted_mul(a, b, mod, q):
+        products.append((exponent[0], len(mod) - 1))
+        return mul_mod(a, b, mod, q)
+
+    monkeypatch.setattr(spectral, "_poly_pow_linear", counted_pow)
+    monkeypatch.setattr(spectral, "_poly_mul_mod", counted_mul)
+    assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == planted
+    assert [deg for e, deg in products if e == p] == [4] * (p.bit_length() - 1) == [4] * 30
