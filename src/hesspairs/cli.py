@@ -10,10 +10,11 @@ is deliberately small and language-neutral:
      "truth": {...}}            # optional, emitted by `generate`
 
 Scalars are text: "n" or "n/d" over Q, residues over GF(p).  Output is
-byte-identical for identical (input, flags, seed).
+byte-identical for identical input and flags.  Only ``generate`` takes a
+seed; ``analyze --seed`` and ``oracle --seed`` are accepted and ignored.
 
-Exit codes: 0 success; 1 failed check or refused analysis; 2 parse error;
-3 eigenvalues outside the field; 4 ordering-search budget exceeded;
+Exit codes: 0 success; 1 failed check or refused analysis; 2 parse or read
+error; 3 eigenvalues outside the field; 4 ordering-search budget exceeded;
 5 an oracle disagreed with a fast path (always a bug).  In ``analyze
 --batch`` a failing line prints {"error": {...}, "line": k} in its place
 and the exit code is the largest per-line code.
@@ -272,8 +273,11 @@ def report_to_text(report: PairAnalysisReport) -> str:
 def _read_text(path: Optional[str]) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_json(text: str):
@@ -325,7 +329,6 @@ def _analyze_document(args, text: str) -> PairAnalysisReport:
         a,
         a_star,
         max_orderings=args.max_orderings,
-        seed=args.seed,
         require_irreducible=args.require_irreducible,
     )
 
@@ -499,7 +502,7 @@ def cmd_oracle(args) -> int:
         result["ordering_search"] = {"skipped": "pair is not diagonalizable"}
         result["tridiagonal_search"] = {"skipped": "pair is not diagonalizable"}
     if field.is_finite and _count_subspaces(field.order(), a.nrows) <= args.subspace_limit:
-        fast_v = decide_irreducible(a, a_star, seed=args.seed, eigen_a=eig_a, eigen_a_star=eig_a_star)
+        fast_v = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
         slow_v = decide_irreducible_by_enumeration(a, a_star)
         agrees = (fast_v.status == slow_v.status) and fast_v.status in (
             IrreducibilityStatus.IRREDUCIBLE,
@@ -537,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("document", nargs="?", default=None, help="path to document, '-' for stdin")
     an.add_argument("--batch", action="store_true", help="treat input as one JSON document per line")
     an.add_argument("--max-orderings", type=int, default=DEFAULT_MAX_ORDERINGS)
-    an.add_argument("--seed", type=int, default=0)
+    an.add_argument("--seed", type=int, default=0, help="ignored: the verdict depends on the pair alone")
     an.add_argument("--format", choices=["json", "text"], default="json")
     an.add_argument(
         "--require-irreducible",
@@ -566,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="compare fast paths against brute-force oracles")
     orc.add_argument("document", nargs="?", default=None)
-    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--seed", type=int, default=0, help="ignored: the verdict depends on the pair alone")
     orc.add_argument("--max-orderings", type=int, default=DEFAULT_MAX_ORDERINGS)
     orc.add_argument("--subspace-limit", type=int, default=20000)
     orc.set_defaults(fn=cmd_oracle)

@@ -207,7 +207,7 @@ def gen_tridiagonal_form(
     d = len(dims) - 1
     target_a = tuple(v.value for v in va)
     target_b = tuple(v.value for v in vb)
-    for attempt in range(max_attempts):
+    for _ in range(max_attempts):
         blocks_a = {}
         blocks_b = {}
         for g in range(d):
@@ -226,29 +226,24 @@ def gen_tridiagonal_form(
         eig_b = eigen_structure(a_star)
         if not (eig_a.diagonalizable and eig_b.diagonalizable):
             continue
-        if tuple(sorted((v.value for v in eig_a.eigenvalues), key=field.sort_key)) != tuple(
-            sorted(target_a, key=field.sort_key)
-        ):
+        try:
+            ord_a = EigenOrdering.from_eigenvalues(eig_a, target_a)
+            ord_b = EigenOrdering.from_eigenvalues(eig_b, target_b)
+        except ValueError:  # a spectrum other than the requested one
             continue
-        if tuple(sorted((v.value for v in eig_b.eigenvalues), key=field.sort_key)) != tuple(
-            sorted(target_b, key=field.sort_key)
-        ):
-            continue
-        ord_a = EigenOrdering.from_eigenvalues(eig_a, target_a)
-        ord_b = EigenOrdering.from_eigenvalues(eig_b, target_b)
         # Cheap necessary conditions before the full certification.
         if not _three_term_side_holds(a_star, ord_a):
             continue
         if not _three_term_side_holds(a, ord_b):
             continue
-        verdict = decide_irreducible(a, a_star, seed=seed + attempt, eigen_a=eig_a, eigen_a_star=eig_b)
+        verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_b)
         if not verdict.is_irreducible:
             continue
         sides = _admissible_sides(a, a_star, eig_a, eig_b, DEFAULT_MAX_ORDERINGS)
         ok, witnesses = _tridiagonal_orderings(eig_a, eig_b, sides, verdict)
         if not ok:
             continue
-        wanted = (tuple(v.value for v in va), tuple(v.value for v in vb))
+        wanted = (target_a, target_b)
         if not any(
             (tuple(v.value for v in wa.eigenvalues), tuple(v.value for v in wb.eigenvalues)) == wanted
             for wa, wb in witnesses
@@ -351,21 +346,22 @@ def conjugate(
     field = inst.a.field
     n = inst.a.nrows
     if conjugator is not None:
-        if conjugator.rank() != n:
-            raise SingularConjugatorError("supplied conjugator is singular")
         p = conjugator
+        p_inv = _inverse(p) if p.nrows == n else None
+        if p_inv is None:
+            raise SingularConjugatorError("supplied conjugator is singular")
     else:
         rng = random.Random(seed)
         for _ in range(max_attempts):
             grid = [[field.rand(rng) for _ in range(n)] for _ in range(n)]
             p = Matrix(field, tuple(tuple(r) for r in grid), ncols=n)
-            if p.rank() == n:
+            p_inv = _inverse(p)
+            if p_inv is not None:
                 break
         else:
             raise SingularConjugatorError(
                 f"no invertible conjugator found in {max_attempts} draws"
             )
-    p_inv = p.inverse()
     truth = inst.truth
     new_truth = InstanceTruth(
         kind=CONJUGATED,
@@ -383,3 +379,11 @@ def conjugate(
         a_star=p * inst.a_star * p_inv,
         truth=new_truth,
     )
+
+
+def _inverse(p: Matrix) -> Optional[Matrix]:
+    """P^-1, or None when P is singular or not square."""
+    try:
+        return p.inverse()
+    except ValueError:
+        return None

@@ -28,8 +28,8 @@ rungs:
      the kernel is the eigenspace, already computed by the analysis;
    * X = 0, whose kernel is V: complete over small GF(p), standard-basis
      probes otherwise;
-   * over GF(p), ``RANDOM_DRAWS`` seeded random combinations of short
-     words in A and A*.
+   * over GF(p), ``RANDOM_DRAWS`` random combinations of short words in
+     A and A*, drawn from one fixed stream.
 
 When no element decides the verdict is undetermined.  Honest tri-state
 beats a wrong boolean; callers that need irreducibility refuse to proceed.
@@ -73,7 +73,7 @@ class DecisionMethod(str, Enum):
 # Over GF(p), a kernel with at most this many projective points is spun
 # point by point; a larger one is only probed through its basis rows.
 ENUMERATION_LIMIT = 5000
-# Seeded random algebra elements tried last, over GF(p) only.
+# Random algebra elements tried last, over GF(p) only.
 RANDOM_DRAWS = 64
 
 
@@ -250,7 +250,6 @@ def decide_irreducible(
     a: Matrix,
     a_star: Matrix,
     *,
-    seed: int = 0,
     eigen_a: Optional[EigenStructure] = None,
     eigen_a_star: Optional[EigenStructure] = None,
 ) -> IrreducibilityVerdict:
@@ -261,11 +260,11 @@ def decide_irreducible(
     stops after the smallest eigenspace's column of blocks and one dual
     spin (:func:`algebra_closure`).  Rung 2 runs :func:`_norton_step` on
     the singular algebra elements of :func:`_singular_elements`, in the
-    order the module docstring gives, until one decides.  Deterministic
-    for a fixed seed, which only steers the random elements over GF(p).
-    ``eigen_a`` / ``eigen_a_star`` are optional precomputed eigen
-    structures; when absent they are computed here, and a spectrum
-    outside the field gives neither an eigenbasis nor eigenspace elements.
+    order the module docstring gives, until one decides.  The verdict
+    depends on the pair alone.  ``eigen_a`` / ``eigen_a_star`` are
+    optional precomputed eigen structures; when absent they are computed
+    here, and a spectrum outside the field gives neither an eigenbasis
+    nor eigenspace elements.
     """
     _, n = _check_generators([a, a_star])
     eigs = [_try_eigen(m) if eig is None else eig for m, eig in ((a, eigen_a), (a_star, eigen_a_star))]
@@ -279,7 +278,7 @@ def decide_irreducible(
     # (2) Norton's criterion.  Every kernel spun in full ends the search,
     # so a kernel seen before was only probed and cannot give anything new.
     tried = set()
-    for x, ker in _singular_elements(a, a_star, seed, *eigs):
+    for x, ker in _singular_elements(a, a_star, *eigs):
         if ker.is_zero or ker in tried:
             continue
         tried.add(ker)
@@ -317,7 +316,7 @@ def _eigenbasis_generators(a: Matrix, a_star: Matrix,
     return [Matrix.diagonal(a.field, values), eig.eigenbasis_conjugate(other)]
 
 
-def _singular_elements(a: Matrix, a_star: Matrix, seed: int,
+def _singular_elements(a: Matrix, a_star: Matrix,
                        eigen_a: Optional[EigenStructure],
                        eigen_a_star: Optional[EigenStructure]) -> Iterator[tuple[Matrix, SubspaceBasis]]:
     """Algebra elements X with their kernels, in the order rung 2 tries them."""
@@ -330,13 +329,14 @@ def _singular_elements(a: Matrix, a_star: Matrix, seed: int,
     yield from shifts
     yield Matrix.zeros(field, n, n), SubspaceBasis.full(field, n)
     if isinstance(field, PrimeField):
-        yield from _random_elements(a, a_star, seed)
+        yield from _random_elements(a, a_star)
 
 
-def _random_elements(a: Matrix, a_star: Matrix, seed: int) -> Iterator[tuple[Matrix, SubspaceBasis]]:
-    """RANDOM_DRAWS seeded combinations of short words in A and A*, with kernels."""
+def _random_elements(a: Matrix, a_star: Matrix) -> Iterator[tuple[Matrix, SubspaceBasis]]:
+    """RANDOM_DRAWS combinations of short words in A and A*, with kernels."""
     field, n = a.field, a.nrows
-    rng = random.Random(seed)
+    # One fixed stream, so that the verdict is a function of the pair alone.
+    rng = random.Random(0)
     pool = [Matrix.identity(field, n), a, a_star, a * a_star, a_star * a, a * a, a_star * a_star]
     for _ in range(RANDOM_DRAWS):
         x = Matrix.zeros(field, n, n)

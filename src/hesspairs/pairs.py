@@ -424,14 +424,9 @@ def construct_split(
     if not is_hessenberg_wrt(a, a_star, ord_a, ord_a_star):
         raise NotHessenbergError("pair is not Hessenberg with respect to these orderings")
     split = split_from_flags(ord_a, ord_a_star)
-    for i, cell in enumerate(split.subspaces):
-        if cell.is_zero:
-            raise NotIrreducibleError(
-                f"lattice cell for index {i} is zero; excluded for irreducible pairs"
-            )
     if not is_decomposition(a.field, a.nrows, split.subspaces):
         raise NotIrreducibleError(
-            "antidiagonal cells do not form a direct-sum decomposition of V"
+            "antidiagonal cells are not nonzero summands of a direct-sum decomposition of V"
         )
     if not verify_split(a, a_star, split):
         raise OracleDisagreementError(
@@ -652,7 +647,6 @@ def is_tridiagonal_pair(
     *,
     verdict: Optional[IrreducibilityVerdict] = None,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
-    seed: int = 0,
 ) -> tuple[bool, list[tuple[EigenOrdering, EigenOrdering]]]:
     """Decide tridiagonality and return every witnessing ordering pair.
 
@@ -666,7 +660,7 @@ def is_tridiagonal_pair(
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
     if verdict is None:
-        verdict = decide_irreducible(a, a_star, seed=seed, eigen_a=eig_a, eigen_a_star=eig_a_star)
+        verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
     sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
     return _tridiagonal_orderings(eig_a, eig_a_star, sides, verdict, max_orderings)
 
@@ -701,7 +695,6 @@ def analyze_pair(
     a_star: Matrix,
     *,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
-    seed: int = 0,
     require_irreducible: bool = False,
 ) -> PairAnalysisReport:
     """Run the full analysis pipeline on one pair.
@@ -730,7 +723,7 @@ def analyze_pair(
     a.field.check_same(a_star.field)
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
-    verdict = decide_irreducible(a, a_star, seed=seed, eigen_a=eig_a, eigen_a_star=eig_a_star)
+    verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
     if require_irreducible and verdict.status is IrreducibilityStatus.UNDETERMINED:
         raise IrreducibilityUndeterminedError(
             "irreducibility is undetermined and --require-irreducible is in force"

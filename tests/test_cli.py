@@ -88,6 +88,54 @@ def test_parse_error_exit_code():
         assert json.loads(r.stderr)["error"]["type"] == "ParseError"
 
 
+def _unreadable_path(tmp_path, kind):
+    if kind == "missing":
+        return str(tmp_path / "missing.json")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+@pytest.mark.parametrize("command", ["analyze", "check-split", "oracle"])
+def test_unreadable_file_is_a_parse_error(tmp_path, capsys, command, kind):
+    # A path that cannot be read as UTF-8 text gives exit 2 and one JSON
+    # error line on stderr, like a document that cannot be parsed.
+    from hesspairs.cli import main
+
+    path = _unreadable_path(tmp_path, kind)
+    if command == "check-split":
+        argv = ["check-split", str(FIXTURES / "pair_split_gf7.json"), "--candidate", path]
+    else:
+        argv = [command, path]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
+def test_analyze_seed_flag_changes_nothing(tmp_path, capsys):
+    # A conjugated GF(101) sum that no implemented proof decides; the seed
+    # once chose rung 2's random elements, and seed 3 found a witness.
+    from hesspairs.cli import main
+
+    assert main([
+        "generate", "reducible-sum", "--field", "GF", "--p", "101", "--inner-dims", "3,3;3,3",
+        "--eigs-a", "1,2", "--eigs-a-star", "10,11", "--seed", "0", "--conjugate",
+    ]) == 0
+    doc = tmp_path / "sum.json"
+    doc.write_text(capsys.readouterr().out)
+    outputs = []
+    for extra in ([], ["--seed", "3"], ["--seed", "1"]):
+        assert main(["analyze", str(doc), *extra]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0] == outputs[2]
+    assert json.loads(outputs[0].out)["irreducibility"]["status"] == "undetermined"
+
+
 def test_eigenvalues_outside_field_exit_code():
     r = run_cli("analyze", str(FIXTURES / "error_outside_field_gf3.json"))
     assert r.returncode == 3

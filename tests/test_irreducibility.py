@@ -13,12 +13,14 @@ from hesspairs import (
     Matrix,
     SubspaceBasis,
     algebra_closure,
+    analyze_pair,
     conjugate,
     decide_irreducible,
     decide_irreducible_by_enumeration,
     enumerate_subspaces,
     gen_reducible,
     gen_split_form,
+    is_tridiagonal_pair,
     kernel,
     spin,
     verify_invariant,
@@ -329,9 +331,9 @@ def test_ladder_agrees_with_enumeration_oracle(field):
             assert 0 < fast.witness.dim < n
 
 
-def _first_random_element_verdict(a, b, seed):
-    """The first verdict of the Norton step on the seeded random elements alone."""
-    for x, ker in _random_elements(a, b, seed):
+def _first_random_element_verdict(a, b):
+    """The first verdict of the Norton step on the random elements alone."""
+    for x, ker in _random_elements(a, b):
         if not ker.is_zero:
             verdict = _norton_step(x, ker, a, b)
             if verdict is not None:
@@ -345,11 +347,11 @@ def test_norton_step_on_random_elements_agrees_with_enumeration():
     rng = random.Random(22)
     field = GF(5)
     checked_reducible = checked_irreducible = 0
-    for seed in range(30):
+    for _ in range(30):
         n = rng.randint(2, 3)
         a = rand_matrix(field, n, rng)
         b = rand_matrix(field, n, rng)
-        fast = _first_random_element_verdict(a, b, seed)
+        fast = _first_random_element_verdict(a, b)
         slow = decide_irreducible_by_enumeration(a, b)
         if fast is None:
             continue  # no draw was singular; never wrong
@@ -398,21 +400,27 @@ def test_decision_is_deterministic_for_fixed_seed():
     pairs = [(rand_matrix(field, 3, rng), rand_matrix(field, 3, rng)) for _ in range(2)]
     pairs.append(_three_cubic_field_blocks())
     for a, b in pairs:
-        for seed in (0, 1):
-            assert list(_random_elements(a, b, seed)) == list(_random_elements(a, b, seed))
-            first = decide_irreducible(a, b, seed=seed)
-            second = decide_irreducible(a, b, seed=seed)
-            assert first == second
+        assert list(_random_elements(a, b)) == list(_random_elements(a, b))
+        first = decide_irreducible(a, b)
+        second = decide_irreducible(a, b)
+        assert first == second
     # On the block pair every verdict comes from a random element.
     a, b = pairs[-1]
     n = a.nrows
     assert _norton_step(Matrix.zeros(a.field, n, n), SubspaceBasis.full(a.field, n), a, b) is None
-    for seed in range(4):
-        verdict = decide_irreducible(a, b, seed=seed)
-        assert verdict == _first_random_element_verdict(a, b, seed)
-        assert verdict.status is IrreducibilityStatus.REDUCIBLE
-        assert verdict.method is DecisionMethod.NORTON
-        assert verify_invariant(verdict.witness, a, b)
+    verdict = decide_irreducible(a, b)
+    assert verdict == _first_random_element_verdict(a, b)
+    assert verdict.status is IrreducibilityStatus.REDUCIBLE
+    assert verdict.method is DecisionMethod.NORTON
+    assert verify_invariant(verdict.witness, a, b)
+
+
+@pytest.mark.parametrize("analysis", [decide_irreducible, analyze_pair, is_tridiagonal_pair])
+def test_analysis_takes_no_seed(analysis):
+    # A verdict is a function of the pair; only the generators take seeds.
+    a, b = _three_cubic_field_blocks()
+    with pytest.raises(TypeError):
+        analysis(a, b, seed=0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -433,7 +441,7 @@ def test_norton_rung_agrees_with_enumeration_randomized(p):
             values = list(range(p))
             a = rand_diagonalizable(field, n, values, rng, max_distinct=max(1, min(p, n - 1)))
             b = rand_diagonalizable(field, n, values, rng, max_distinct=min(p, n))
-        fast = decide_irreducible(a, b, seed=i)
+        fast = decide_irreducible(a, b)
         slow = decide_irreducible_by_enumeration(a, b)
         assert fast.status == slow.status
         if fast.status is IrreducibilityStatus.REDUCIBLE:

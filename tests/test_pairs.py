@@ -29,6 +29,7 @@ from hesspairs import (
     find_hessenberg_orderings_of,
     gen_reducible,
     gen_split_form,
+    gen_tridiagonal_form,
     is_hessenberg_wrt,
     is_tridiagonal_pair,
     recover_hessenberg_from_split,
@@ -784,6 +785,85 @@ def test_sl2_ladder_pair_is_tridiagonal(field, d):
     for ord_a, ord_b in witnesses:
         split = split_from_flags(ord_a, ord_b)
         assert verify_split(a, a_star, split)
+
+
+def _tridiagonal_witness_facts(a, a_star):
+    """Analyze the pair and check two facts on every tridiagonal witness.
+
+    By Ito, Tanabe and Terwilliger (2001), for a tridiagonal pair and a
+    witness ordering pair: the split dimensions are symmetric and
+    unimodal, and for d >= 3 the ratio
+    (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i), 2 <= i <= d-1,
+    takes one value on both eigenvalue sequences.  Neither fact is read
+    off the block patterns the ordering search uses.  Returns the report
+    and the set of ratios seen, computed in the field.
+    """
+    report = analyze_pair(a, a_star)
+    field = a.field
+    ratios = set()
+    for ord_a, ord_b in report.tridiagonal_orderings:
+        dims = split_from_flags(ord_a, ord_b).dims
+        assert dims == dims[::-1], dims
+        assert all(dims[i - 1] <= dims[i] for i in range(1, len(dims) // 2 + 1)), dims
+        for ordering in (ord_a, ord_b):
+            theta = [v.value for v in ordering.eigenvalues]
+            ratios.update(
+                field.div(field.sub(theta[i - 2], theta[i + 1]), field.sub(theta[i - 1], theta[i]))
+                for i in range(2, len(theta) - 1)
+            )
+    assert len(ratios) <= 1, ratios
+    return report, ratios
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2**31 - 1)], ids=["Q", "GF101", "GF2^31-1"])
+def test_sl2_witnesses_have_symmetric_dims_and_one_recurrence_ratio(field, d):
+    # Weights d, d-2, ..., -d on both sides: every ratio is 6/2 = 3.
+    report, ratios = _tridiagonal_witness_facts(*sl2_pair(field, d))
+    assert report.tridiagonal is True
+    assert len(report.tridiagonal_orderings) == 4
+    assert ratios == {field.coerce(3)}
+
+
+def test_tridiagonal_fixture_and_generated_witnesses_satisfy_the_facts():
+    doc = json.loads((FIXTURES / "pair_tridiagonal_gf11.json").read_text())
+    field = GF(doc["field"]["p"])
+    pairs = [(Matrix.from_rows(field, doc["A"]), Matrix.from_rows(field, doc["Astar"]))]
+    for field, dims, values in [
+        (GF(11), (1, 1, 1), (0, 1, 2)),
+        (GF(7), (1, 1), (3, 5)),
+        (GF(101), (1, 1, 1), (4, 9, 70)),
+        (GF(5), (1, 2, 1), (0, 1, 2)),
+    ]:
+        for seed in range(2):
+            inst = gen_tridiagonal_form(field, dims, values, values, seed=seed)
+            pairs.append((inst.a, inst.a_star))
+    for a, a_star in pairs:
+        report, _ = _tridiagonal_witness_facts(a, a_star)
+        assert report.tridiagonal is True
+        assert report.tridiagonal_orderings
+
+
+def test_generic_split_form_with_d_at_least_3_has_no_witness():
+    # Random spectra: the ratio condition fails, so an irreducible
+    # Hessenberg pair of this shape reports no tridiagonal witness.
+    rng = random.Random(13)
+    cases = [
+        (GF(101), (1, 1, 1, 1)),
+        (GF(101), (1, 2, 2, 1)),
+        (GF(2**31 - 1), (1, 1, 1, 1, 1)),
+        (QQ, (1, 1, 1, 1)),
+        (QQ, (1, 2, 1, 1)),
+    ]
+    for k, (field, dims) in enumerate(cases):
+        pool = range(field.p) if field.is_finite else range(-50, 51)
+        va, vb = (rng.sample(pool, len(dims)) for _ in range(2))
+        inst = gen_split_form(field, dims, va, vb, seed=k)
+        report, _ = _tridiagonal_witness_facts(inst.a, inst.a_star)
+        assert report.irreducibility.is_irreducible
+        assert report.is_hessenberg_pair
+        assert report.tridiagonal is False
+        assert report.tridiagonal_orderings == ()
 
 
 def test_generic_split_form_is_not_tridiagonal():
