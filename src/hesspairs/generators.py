@@ -200,25 +200,29 @@ def gen_tridiagonal_form(
     eigenvalue orderings.  Acceptance is rare for larger d -- the extra
     inclusions are genuine polynomial constraints -- so the attempt budget
     is generous and :class:`~hesspairs.errors.GenerationBudgetError`
-    reports exhaustion.
+    reports exhaustion.  The same error refuses, before any draw, block
+    dims that no tridiagonal pair has: its shape is symmetric and
+    unimodal (Ito, Tanabe and Terwilliger 2001).
     """
     dims, va, vb = _validate(field, dims, eigenvalues_a, eigenvalues_a_star)
-    rng = random.Random(seed)
     d = len(dims) - 1
+    if dims != dims[::-1]:
+        raise GenerationBudgetError(f"no tridiagonal pair has block dims {dims}: the shape is not symmetric")
+    if any(dims[i - 1] > dims[i] for i in range(1, d // 2 + 1)):
+        raise GenerationBudgetError(f"no tridiagonal pair has block dims {dims}: the shape is not unimodal")
+    rng = random.Random(seed)
     target_a = tuple(v.value for v in va)
     target_b = tuple(v.value for v in vb)
     for _ in range(max_attempts):
         blocks_a = {}
         blocks_b = {}
         for g in range(d):
-            if rng.random() < 0.5:
-                blocks_a[(g + 1, g)] = _sample_block(field, dims[g + 1], dims[g], rng, nonzero=True, constant=None)
-            else:
-                blocks_a[(g, g + 1)] = _sample_block(field, dims[g], dims[g + 1], rng, nonzero=True, constant=None)
-            if rng.random() < 0.5:
-                blocks_b[(g, g + 1)] = _sample_block(field, dims[g], dims[g + 1], rng, nonzero=True, constant=None)
-            else:
-                blocks_b[(g + 1, g)] = _sample_block(field, dims[g + 1], dims[g], rng, nonzero=True, constant=None)
+            # Block (g + s, g + 1 - s): s = 1 below the diagonal, 0 above;
+            # A prefers below and A* above, each with probability 1/2.
+            for blocks, preferred in ((blocks_a, 1), (blocks_b, 0)):
+                s = preferred if rng.random() < 0.5 else 1 - preferred
+                i, j = g + s, g + 1 - s
+                blocks[(i, j)] = _sample_block(field, dims[i], dims[j], rng, nonzero=True, constant=None)
         a = _assemble(field, dims, [va[d - i].value for i in range(d + 1)], blocks_a)
         a_star = _assemble(field, dims, [vb[i].value for i in range(d + 1)], blocks_b)
         # Re-verify diagonalizability and the spectrum instead of arguing it.

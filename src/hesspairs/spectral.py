@@ -5,12 +5,12 @@ Hessenberg form, and over Q by the division-free Berkowitz method, under
 which the entries grow less.  Eigenvalues are found *in the ground field
 only*:
 
-* over GF(p), by scanning all residues for small p and, for large p, by
-  extracting the linear part of the square-free part of the polynomial
-  via gcd with x^p - x, then equal-degree splitting;
+* over GF(p), by scanning all residues when p <= 64·deg and, for larger
+  p, by extracting the linear part of the square-free part of the
+  polynomial via gcd with x^p - x, then equal-degree splitting;
 * over Q, by the same gcd finder modulo a Mersenne prime that exceeds
-  twice Fujiwara's root bound of the integer scaling of the polynomial,
-  keeping the lifted roots that evaluate to zero exactly.
+  twice Fujiwara's root bound of the integer scaling of the polynomial;
+  the exact multiplicity count keeps the lifts that are roots.
 
 If the characteristic polynomial does not split into linear factors over
 the field, :func:`eigen_structure` raises
@@ -101,15 +101,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self.field.check_same(other.field)
-        F = self.field
-        zero = F.zero()
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return Polynomial(F, [F.add(x, y) for x, y in zip(a, b)])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self.field.check_same(other.field)
@@ -279,16 +270,27 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
+def _poly_monic(a: list[int], p: int) -> list[int]:
+    """``a`` scaled to lead coefficient 1 over GF(p); zero stays zero."""
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of ``a`` by a nonzero ``b`` over GF(p), both trimmed.
+
+    The lead of ``b`` is inverted once per call, so ``b`` need not be monic.
+    """
+    r = a[:]
     db = len(b) - 1
+    q = [0] * max(0, len(a) - db)
     inv_lead = pow(b[-1], -1, p)
-    while len(a) > db:
-        f = a.pop() * inv_lead % p
+    for shift in range(len(a) - len(b), -1, -1):
+        f = r.pop() * inv_lead % p
+        q[shift] = f
         if f:
-            s = len(a) - db
-            a[s:] = [(x - f * y) % p for x, y in zip(a[s:], b)]
-    return _poly_trim(a)
+            r[shift:] = [(x - f * y) % p for x, y in zip(r[shift:], b)]
+    return _poly_trim(q), _poly_trim(r)
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
@@ -308,7 +310,7 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
             out[k] = 0 if c == p else c
     else:
         out = [c % p for c in out]
-    return _poly_mod(out, mod, p)
+    return _poly_divmod(out, mod, p)[1]
 
 
 def _poly_pow_linear(a: int, e: int, mod: list[int], p: int) -> list[int]:
@@ -317,54 +319,42 @@ def _poly_pow_linear(a: int, e: int, mod: list[int], p: int) -> list[int]:
     Left to right, so only the squarings are full products: a step by the
     linear base is a shift and one reduction step.
     """
-    d = len(mod) - 1
     result = [1]
     for i, bit in enumerate(bin(e)[2:]):
         if i:
             result = _poly_mul_mod(result, result, mod, p)
         if bit == "1":
-            # (x + a)·result, then x^d ≡ x^d - mod once if the degree reached d.
-            result = [(a * c + s) % p for c, s in zip([*result, 0], [0, *result])]
-            if len(result) > d:
-                lead = result.pop()
-                result = [(c - lead * r) % p for c, r in zip(result, mod)]
-            _poly_trim(result)
+            shifted = [(a * c + s) % p for c, s in zip([*result, 0], [0, *result])]
+            result = _poly_divmod(shifted, mod, p)[1]
     return result
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p); zero when both inputs are zero."""
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
-        a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _poly_monic(a, p)
 
 
 def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p) via gcd with x^p - x and equal-degree splitting."""
     f = _poly_trim([c % p for c in coeffs])
-    roots: list[int] = []
-    # Strip x^k so f has a nonzero constant term.
-    k = 0
-    while f and f[0] == 0:
-        f = f[1:]
-        k += 1
-    if k:
-        roots.append(0)
+    # 0 is a root when f[0] == 0; f / x^k, for x^k the largest power
+    # dividing f, has the other roots and a nonzero constant term.
+    k = next((i for i, c in enumerate(f) if c), 0)
+    roots = [0] if k else []
+    f = _poly_monic(f[k:], p)
     if len(f) <= 1:
         return roots
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
     # f / gcd(f, f') has the same roots, each once, unless p <= deg f: then
     # f' can vanish on a factor (x - r)^p and the quotient would lose r.
     if p >= len(f):
-        f = _poly_quotient(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)
+        f = _poly_divmod(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)[0]
     xp = _poly_pow_linear(0, p, f, p)
-    sub = xp + [0] * max(0, 2 - len(xp))
-    sub[1] = (sub[1] - 1) % p
-    g = _poly_gcd(f, _poly_trim(sub), p)
+    xp += [0] * (2 - len(xp))
+    xp[1] = (xp[1] - 1) % p
+    g = _poly_gcd(f, xp, p)
     rng = random.Random(0x5EED)
     stack = [g]
     while stack:
@@ -377,38 +367,26 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
             continue
         while True:
             a = rng.randrange(p)
-            probe = _poly_pow_linear(a, (p - 1) // 2, h, p)
-            probe = _poly_trim([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(probe + [0] * (1 - len(probe)))])
+            probe = _poly_pow_linear(a, (p - 1) // 2, h, p) or [0]
+            probe[0] = (probe[0] - 1) % p
             w = _poly_gcd(h, probe, p)
             if 0 < len(w) - 1 < d:
                 stack.append(w)
-                quo = _poly_quotient(h, w, p)
-                stack.append(quo)
+                stack.append(_poly_divmod(h, w, p)[0])
                 break
     return roots
 
 
-def _poly_quotient(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    db = len(b) - 1
-    out = [0] * (len(a) - db)
-    inv_lead = pow(b[-1], -1, p)
-    for shift in range(len(a) - len(b), -1, -1):
-        f = a.pop() * inv_lead % p
-        out[shift] = f
-        if f:
-            a[shift:] = [(x - f * y) % p for x, y in zip(a[shift:], b)]
-    return _poly_trim(out)
-
-
 def _roots_rationals(poly: Polynomial) -> list[Fraction]:
-    """Distinct rational roots of a monic ``poly``, found modulo a Mersenne prime.
+    """Candidate rational roots of a monic ``poly``, found modulo a Mersenne prime.
 
     With L the lcm of the denominators, g(y) = L^n poly(y/L) is monic with
     integer coefficients, so its rational roots are integers.  Fujiwara's
     bound puts them in |y| <= 2^(b+1), so modulo a prime p > 2^(b+2) they
-    stay distinct and lift back from (-p/2, p/2); exact evaluation keeps
-    the lifts that are roots.
+    stay distinct and lift back from (-p/2, p/2).  Every rational root is
+    among the returned lifts; the exact multiplicity count in
+    :func:`_in_field_roots_with_multiplicity` drops the lifts that are not
+    roots.
     """
     n = poly.degree
     lcm = 1
@@ -423,12 +401,15 @@ def _roots_rationals(poly: Polynomial) -> list[Fraction]:
             f"exceeds the largest supported bound 2^{_MERSENNE_EXPONENTS[-1] - 2}"
         )
     p = 2**e - 1
-    lifts = (Fraction(r - p if r > p // 2 else r, lcm) for r in _roots_large_prime(g, p))
-    return [r for r in lifts if poly.eval(r) == 0]
+    return [Fraction(r - p if r > p // 2 else r, lcm) for r in _roots_large_prime(g, p)]
 
 
 def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
-    """All (root, multiplicity) pairs with the root in the ground field."""
+    """All (root, multiplicity) pairs with the root in the ground field.
+
+    The multiplicity count is the one exact root test: a candidate that
+    divides ``poly`` zero times is dropped.
+    """
     spec = poly.field
     if isinstance(spec, PrimeField):
         found = _roots_prime_field(poly, spec)

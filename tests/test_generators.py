@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import ordering_for
+from hesspairs import generators
 from hesspairs import (
     GF,
     QQ,
@@ -208,11 +209,41 @@ def test_tridiagonal_form_d2_certified():
         assert verify_split(inst.a, inst.a_star, inst.split())
 
 
-def test_tridiagonal_form_budget_exhaustion():
-    # Block dims (2, 1) force a shared eigenvector between the big blocks,
-    # so the pair is always reducible and acceptance is impossible.
-    with pytest.raises(GenerationBudgetError):
-        gen_tridiagonal_form(GF(5), (2, 1), (0, 1), (2, 3), seed=0, max_attempts=40)
+def _count_block_draws(monkeypatch):
+    draws = []
+    sample = generators._sample_block
+
+    def counted(*args, **kwargs):
+        draws.append(args[1:3])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "_sample_block", counted)
+    return draws
+
+
+def test_tridiagonal_form_budget_exhaustion(monkeypatch):
+    # A symmetric shape whose spectra break the three-term recurrence: the
+    # ratios (θ0 - θ3)/(θ1 - θ2) are 4 for A and 3 for A*, where a
+    # tridiagonal pair needs them equal, so every attempt is rejected.
+    draws = _count_block_draws(monkeypatch)
+    with pytest.raises(GenerationBudgetError, match="within 40 attempts"):
+        gen_tridiagonal_form(GF(101), (1, 1, 1, 1), (0, 1, 2, 4), (0, 1, 2, 3), seed=0, max_attempts=40)
+    # One block per gap per matrix on every attempt: the budget was spent.
+    assert len(draws) == 40 * 3 * 2
+
+
+@pytest.mark.parametrize(
+    "dims, reason",
+    [((2, 1), "not symmetric"), ((1, 2), "not symmetric"), ((2, 1, 2), "not unimodal")],
+)
+def test_tridiagonal_form_refuses_impossible_shapes_before_drawing(dims, reason, monkeypatch):
+    # A tridiagonal pair's shape is symmetric and unimodal (Ito, Tanabe and
+    # Terwilliger 2001), so these dims are refused with no candidate drawn.
+    draws = _count_block_draws(monkeypatch)
+    values = tuple(range(len(dims)))
+    with pytest.raises(GenerationBudgetError, match=reason):
+        gen_tridiagonal_form(GF(101), dims, values, values, seed=0)
+    assert draws == []
 
 
 def test_tridiagonal_form_deterministic():

@@ -28,7 +28,7 @@ from hesspairs.errors import (
     NotSquareError,
 )
 from hesspairs import spectral
-from hesspairs.spectral import _in_field_roots_with_multiplicity, _poly_mod, _poly_mul_mod
+from hesspairs.spectral import _in_field_roots_with_multiplicity, _poly_divmod, _poly_mul_mod
 
 
 def companion(field, coeffs_low_to_high_monic):
@@ -363,6 +363,99 @@ def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "HesspairsError"
 
 
+def _ref_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _ref_mul(a, b, p):
+    """Schoolbook product over GF(p)."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b, p):
+    """Schoolbook long division over GF(p): cancel the lead term, one at a time."""
+    q, r = [0] * len(a), _ref_trim([c % p for c in a])
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        t = r[-1] * pow(b[-1], p - 2, p) % p
+        q[k] = t
+        r = _ref_trim([(c - t * (b[i - k] if 0 <= i - k < len(b) else 0)) % p for i, c in enumerate(r)])
+    return _ref_trim(q), r
+
+
+def _rand_poly(rng, p, deg, monic=False):
+    """A degree-``deg`` polynomial over GF(p) with a nonzero (or unit) lead."""
+    return [rng.randrange(p) for _ in range(deg)] + [1 if monic else rng.randrange(1, p)]
+
+
+_KERNEL_PRIMES = [2, 3, 101, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_poly_divmod_matches_schoolbook(p):
+    # Non-monic and constant divisors, deg a < deg b, an empty a and an a
+    # with zero high coefficients: both results come back trimmed.
+    rng = random.Random(p)
+    cases = [([], [1, 1]), ([], [rng.randrange(1, p)]), ([1], [0, 1]), ([0, 1], [1, 0, 1]), ([1, 0, 1], [p - 1])]
+    cases += [([1, 1, 0, 0], [1, 1])]
+    for _ in range(40):
+        b = _rand_poly(rng, p, rng.randint(0, 5))
+        cases.append((_rand_poly(rng, p, rng.randint(0, 9)), b))
+    # Over GF(2) every lead is 1.
+    assert p == 2 or any(b[-1] != 1 for _, b in cases)
+    for a, b in cases:
+        q, r = _poly_divmod(a, b, p)
+        assert (q, r) == _ref_divmod(a, b, p)
+        assert len(r) < len(b)
+        qb = _ref_mul(q, b, p)
+        qb += [0] * (len(a) - len(qb))
+        r_pad = r + [0] * (len(qb) - len(r))
+        assert _ref_trim([(x + y) % p for x, y in zip(qb, r_pad)]) == _ref_trim(a[:])
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES[:4])
+def test_poly_gcd_finds_planted_common_factor(p):
+    # a = α·c·u and b = β·c·v with u, v products of linear factors at
+    # disjoint roots, so gcd(a, b) is exactly the monic c.
+    rng = random.Random(p)
+    for _ in range(20):
+        c = _rand_poly(rng, p, rng.randint(0, 4), monic=True)
+        roots = rng.sample(range(p), 2)
+        u, v = [1], [1]
+        for _ in range(rng.randint(0, 3)):
+            u = _ref_mul(u, [(-roots[0]) % p, 1], p)
+        for _ in range(rng.randint(0, 3)):
+            v = _ref_mul(v, [(-roots[1]) % p, 1], p)
+        a = _ref_mul(_ref_mul(c, u, p), [rng.randrange(1, p)], p)
+        b = _ref_mul(_ref_mul(c, v, p), [rng.randrange(1, p)], p)
+        g = spectral._poly_gcd(a, b, p)
+        assert g == c
+        assert g[-1] == 1
+        assert _ref_divmod(a, g, p)[1] == [] and _ref_divmod(b, g, p)[1] == []
+    assert spectral._poly_gcd([], [], p) == []
+    assert spectral._poly_gcd([0, p - 1], [], p) == [0, 1]
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_poly_pow_linear_matches_repeated_multiplication(p):
+    # (x + a)^e mod m equals e steps of "multiply by x + a, then reduce",
+    # for monic moduli of degree 1 to 5.
+    rng = random.Random(p)
+    for deg in (1, 1, 2, 3, 5):
+        mod = _rand_poly(rng, p, deg, monic=True)
+        a = rng.randrange(p)
+        expected = [1]
+        for e in range(41):
+            assert spectral._poly_pow_linear(a, e, mod, p) == expected, (deg, e)
+            expected = _ref_divmod(_ref_mul(expected, [a, 1], p), mod, p)[1]
+
+
 @pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1, 10007])
 def test_poly_mul_mod_matches_termwise_reduction(p):
     # Mersenne moduli take the folding reduction, 10007 the plain one.
@@ -377,7 +470,7 @@ def test_poly_mul_mod_matches_termwise_reduction(p):
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-        assert _poly_mul_mod(a, b, mod, p) == _poly_mod(out, mod, p)
+        assert _poly_mul_mod(a, b, mod, p) == _poly_divmod(out, mod, p)[1]
     assert _poly_mul_mod(*cases[0], p) == [p - 1, 0, 1]
 
 
