@@ -8,8 +8,9 @@ construction and therefore the pair Hessenberg.  ``gen_tridiagonal_form``
 additionally samples extra blocks in the opposite direction -- at most one
 direction per gap, which keeps each matrix triangular up to a block
 permutation, hence diagonalizable with exactly the requested spectrum --
-and rejection-samples until the tridiagonal checker accepts the requested
-eigenvalue orderings.
+and rejection-samples until the requested eigenvalue orderings satisfy the
+definition of a tridiagonal pair: the three-term inclusions on both sides
+and irreducibility.
 
 Seeds are mandatory; generation is reproducible and carries full
 ground-truth metadata.
@@ -26,18 +27,16 @@ from .errors import (
     EmptyDimsError,
     GenerationBudgetError,
     LengthMismatchError,
+    OracleDisagreementError,
     SingularConjugatorError,
 )
 from .fields import FieldElement, FieldSpec
 from .irreducibility import decide_irreducible
 from .linalg import Matrix, SubspaceBasis, apply
 from .pairs import (
-    DEFAULT_MAX_ORDERINGS,
     EigenOrdering,
     SplitDecomposition,
-    _admissible_sides,
     _three_term_side_holds,
-    _tridiagonal_orderings,
     split_from_flags,
     verify_split,
 )
@@ -122,7 +121,7 @@ def _sample_block(field: FieldSpec, rows: int, cols: int, rng, *, nonzero: bool,
 
 
 def _assemble(field: FieldSpec, dims: Sequence[int], diag_values, blocks: dict) -> Matrix:
-    """Matrix with scalar diagonal blocks plus explicit off-diagonal blocks."""
+    """Matrix with scalar diagonal blocks, then the explicit blocks written over them."""
     n = sum(dims)
     offs = _offsets(dims)
     zero = field.zero()
@@ -195,14 +194,18 @@ def gen_tridiagonal_form(
 
     Per gap each matrix gets a random block in exactly one direction
     (subdiagonal or superdiagonal), which preserves diagonalizability and
-    the requested spectrum; candidates are accepted only when the
-    tridiagonal checker confirms the pair with respect to the requested
-    eigenvalue orderings.  Acceptance is rare for larger d -- the extra
-    inclusions are genuine polynomial constraints -- so the attempt budget
-    is generous and :class:`~hesspairs.errors.GenerationBudgetError`
-    reports exhaustion.  The same error refuses, before any draw, block
-    dims that no tridiagonal pair has: its shape is symmetric and
-    unimodal (Ito, Tanabe and Terwilliger 2001).
+    the requested spectrum; a candidate is accepted when, for the requested
+    eigenvalue orderings, A* maps each V_i into V_{i-1} + V_i + V_{i+1},
+    A does the same to the V*_i, and the pair is irreducible -- the
+    definition of a tridiagonal pair.  Its split, the closed form from the
+    two flags, must then verify; a failure there is a bug and raises
+    :class:`~hesspairs.errors.OracleDisagreementError`.  Acceptance is rare
+    for larger d -- the extra inclusions are genuine polynomial constraints
+    -- so the attempt budget is generous and
+    :class:`~hesspairs.errors.GenerationBudgetError` reports exhaustion.
+    The same error refuses, before any draw, block dims that no
+    tridiagonal pair has: its shape is symmetric and unimodal (Ito, Tanabe
+    and Terwilliger 2001).
     """
     dims, va, vb = _validate(field, dims, eigenvalues_a, eigenvalues_a_star)
     d = len(dims) - 1
@@ -235,7 +238,8 @@ def gen_tridiagonal_form(
             ord_b = EigenOrdering.from_eigenvalues(eig_b, target_b)
         except ValueError:  # a spectrum other than the requested one
             continue
-        # Cheap necessary conditions before the full certification.
+        # The definition of a tridiagonal pair: the three-term inclusions
+        # on both sides, then irreducibility.
         if not _three_term_side_holds(a_star, ord_a):
             continue
         if not _three_term_side_holds(a, ord_b):
@@ -243,19 +247,13 @@ def gen_tridiagonal_form(
         verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_b)
         if not verdict.is_irreducible:
             continue
-        sides = _admissible_sides(a, a_star, eig_a, eig_b, DEFAULT_MAX_ORDERINGS)
-        ok, witnesses = _tridiagonal_orderings(eig_a, eig_b, sides, verdict)
-        if not ok:
-            continue
-        wanted = (target_a, target_b)
-        if not any(
-            (tuple(v.value for v in wa.eigenvalues), tuple(v.value for v in wb.eigenvalues)) == wanted
-            for wa, wb in witnesses
-        ):
-            continue
         split = split_from_flags(ord_a, ord_b)
         if not verify_split(a, a_star, split):
-            continue
+            raise OracleDisagreementError(
+                f"closed-form split of a certified tridiagonal pair failed verification "
+                f"for the eigenvalue orderings ({', '.join(map(str, va))}) of A "
+                f"and ({', '.join(map(str, vb))}) of A*"
+            )
         truth = InstanceTruth(
             kind=TRIDIAGONAL_FORM,
             dims=dims,
@@ -291,42 +289,32 @@ def gen_reducible(
         gen_split_form(field, dims, eigenvalues_a, eigenvalues_a_star, rng.randrange(2**30))
         for dims in inner_dims
     ]
-    d = len(inners[0].truth.dims) - 1
     sizes = [sum(inst.truth.dims) for inst in inners]
     n = sum(sizes)
-    starts = _offsets(sizes)
-    zero = field.zero()
-
-    def embed(mats: list[Matrix]) -> Matrix:
-        grid = [[zero] * n for _ in range(n)]
-        for k, m in enumerate(mats):
-            for i, row in enumerate(m.entries):
-                for j, x in enumerate(row):
-                    grid[starts[k] + i][starts[k] + j] = x
-        return Matrix(field, tuple(tuple(r) for r in grid), ncols=n)
-
-    a = embed([inst.a for inst in inners])
-    a_star = embed([inst.a_star for inst in inners])
-    flag = []
-    for i in range(d + 1):
-        vectors = []
-        for k, inst in enumerate(inners):
-            for row in inst.truth.flag[i].rows:
-                vec = [zero] * n
-                vec[starts[k]: starts[k] + sizes[k]] = list(row)
-                vectors.append(vec)
-        flag.append(SubspaceBasis.from_vectors(field, n, vectors))
+    # The summands are the diagonal blocks; the scalar parts are zero.
+    blocks_a = {(k, k): inst.a.entries for k, inst in enumerate(inners)}
+    blocks_b = {(k, k): inst.a_star.entries for k, inst in enumerate(inners)}
+    a = _assemble(field, sizes, [0] * len(inners), blocks_a)
+    a_star = _assemble(field, sizes, [0] * len(inners), blocks_b)
+    # Each summand's flag is its block flag (gen_split_form), so U_i is the
+    # span of the coordinates of block i of every summand.  The identity
+    # rows at those coordinates, in increasing order, are already the
+    # reduced row echelon basis that SubspaceBasis.from_vectors would return.
+    coords = [[] for _ in inners[0].truth.dims]
+    start = 0
+    for inst in inners:
+        for i, w in enumerate(inst.truth.dims):
+            coords[i].extend(range(start, start + w))
+            start += w
     ident = Matrix.identity(field, n).entries
+    flag = tuple(SubspaceBasis(field, n, tuple(ident[c] for c in cs)) for cs in coords)
     witness = SubspaceBasis(field, n, tuple(ident[: sizes[0]]))
-    combined_dims = tuple(
-        sum(inst.truth.dims[i] for inst in inners) for i in range(d + 1)
-    )
     truth = InstanceTruth(
         kind=REDUCIBLE_SUM,
-        dims=combined_dims,
+        dims=tuple(len(cs) for cs in coords),
         eigenvalues_a=inners[0].truth.eigenvalues_a,
         eigenvalues_a_star=inners[0].truth.eigenvalues_a_star,
-        flag=tuple(flag),
+        flag=flag,
         seed=seed,
         witness=witness,
     )

@@ -154,20 +154,6 @@ class Matrix:
             ncols=self.ncols,
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise AmbientMismatchError("matrix shapes differ")
-        F = self.field
-        return Matrix(
-            F,
-            tuple(
-                tuple(F.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            ncols=self.ncols,
-        )
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.ncols != other.nrows:

@@ -304,7 +304,8 @@ def test_criterion_6_tridiagonal_equivalence():
     # Positive side: 50 certified tridiagonal instances.  is_tridiagonal_pair
     # reports the reversal closure of each side's admissible orderings; the
     # loop below checks it per side against the echelon scan of the direct
-    # three-term inclusions.
+    # three-term inclusions, and checks that the orderings the generator
+    # certified from the definition are among its witnesses.
     positives = [
         gen_tridiagonal_form(field, dims, va, vb, seed)
         for field, dims, va, vb, seed in _tridiagonal_corpus()
@@ -315,6 +316,8 @@ def test_criterion_6_tridiagonal_equivalence():
         verdict = decide_irreducible(inst.a, inst.a_star)
         ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star, verdict=verdict)
         assert ok
+        requested = (inst.truth.eigenvalues_a, inst.truth.eigenvalues_a_star)
+        assert requested in {(wa.eigenvalues, wb.eigenvalues) for wa, wb in witnesses}
         eig_a = eigen_structure(inst.a)
         eig_b = eigen_structure(inst.a_star)
         assert eig_a.d == eig_b.d  # tridiagonal pairs have equal eigenspace counts

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from hesspairs.errors import (
     EmptyDimsError,
     GenerationBudgetError,
     LengthMismatchError,
+    OracleDisagreementError,
     SingularConjugatorError,
 )
 
@@ -230,6 +232,24 @@ def test_tridiagonal_form_budget_exhaustion(monkeypatch):
         gen_tridiagonal_form(GF(101), (1, 1, 1, 1), (0, 1, 2, 4), (0, 1, 2, 3), seed=0, max_attempts=40)
     # One block per gap per matrix on every attempt: the budget was spent.
     assert len(draws) == 40 * 3 * 2
+
+
+def test_tridiagonal_form_unverified_split_is_a_bug(monkeypatch):
+    # An irreducible pair with the three-term inclusions for the requested
+    # orderings has exactly the closed-form split, so a split that fails
+    # verification is a fault in the code, not a rejected attempt.  Seed 1
+    # accepts its 16th attempt.
+    split_from_flags = generators.split_from_flags
+
+    def swapped(ord_a, ord_a_star):
+        split = split_from_flags(ord_a, ord_a_star)
+        subs = list(split.subspaces)
+        subs[0], subs[1] = subs[1], subs[0]
+        return dataclasses.replace(split, subspaces=tuple(subs))
+
+    monkeypatch.setattr(generators, "split_from_flags", swapped)
+    with pytest.raises(OracleDisagreementError, match=r"\(0, 1, 2\) of A and \(0, 1, 2\) of A\*"):
+        gen_tridiagonal_form(GF(11), (1, 1, 1), (0, 1, 2), (0, 1, 2), seed=1, max_attempts=30)
 
 
 @pytest.mark.parametrize(
