@@ -61,6 +61,7 @@ from .pairs import (
     PairAnalysisReport,
     SplitDecomposition,
     _admissible_sides,
+    _intersected_split,
     _ordering_pairs,
     _scan_orderings,
     _side_condition_holds,
@@ -483,7 +484,7 @@ def cmd_oracle(args) -> int:
     field, a, a_star, _truth = parse_document(_load_json(_read_text(args.document)))
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
-    result: dict = {"ordering_search": None, "tridiagonal_search": None, "irreducibility": None}
+    result: dict = {"ordering_search": None, "tridiagonal_search": None, "split": None, "irreducibility": None}
     if eig_a.diagonalizable and eig_a_star.diagonalizable:
         # What analyze reports, against the echelon scans of all orderings.
         sides = _admissible_sides(a, a_star, eig_a, eig_a_star, args.max_orderings)
@@ -498,9 +499,18 @@ def cmd_oracle(args) -> int:
         result["tridiagonal_search"] = {"agrees": agrees, "orderings": [len(side) for side in tri]}
         if not agrees:
             raise OracleDisagreementError("reversal closure disagrees with the echelon three-term scan")
+        if eig_a.d == eig_a_star.d:
+            # The eigenbasis read analyze uses, against the flag intersections.
+            agrees = all(split_from_flags(oa, ob).subspaces == _intersected_split(oa, ob) for oa, ob in pairs)
+            result["split"] = {"agrees": agrees, "pairs": len(pairs)}
+            if not agrees:
+                raise OracleDisagreementError("eigenbasis split read disagrees with the flag intersections")
+        else:
+            result["split"] = {"skipped": "eigenspace counts differ"}
     else:
         result["ordering_search"] = {"skipped": "pair is not diagonalizable"}
         result["tridiagonal_search"] = {"skipped": "pair is not diagonalizable"}
+        result["split"] = {"skipped": "pair is not diagonalizable"}
     if field.is_finite and _count_subspaces(field.order(), a.nrows) <= args.subspace_limit:
         fast_v = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
         slow_v = decide_irreducible_by_enumeration(a, a_star)

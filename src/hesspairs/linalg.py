@@ -388,6 +388,16 @@ def subspace_contains(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     return all(ech.contains(v) for v in b.rows)
 
 
+def _shift_maps_into(m: Matrix, t: Raw, s: SubspaceBasis, target: _Echelon) -> bool:
+    """True when (m - t·I) s ⊆ target, the span of ``target``'s rows.
+
+    Tests m·u - t·u for each basis row u of ``s``; neither m - t·I nor the
+    image's echelon is formed.
+    """
+    F = m.field
+    return all(target.contains(F.sub_scaled(m.mul_vec(u), t, u)) for u in s.rows)
+
+
 def apply(m: Matrix, s: SubspaceBasis) -> SubspaceBasis:
     """Canonical basis of the image {m v : v in s}."""
     m.field.check_same(s.field)

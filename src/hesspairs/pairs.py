@@ -25,6 +25,11 @@ are kept as oracles for ``hesspairs oracle`` and the tests.
 :func:`analyze_pair` computes each eigen structure, each side's
 eigenbasis conjugate and each side's admissible orderings once and
 derives the ordering pairs, splits and tridiagonal orderings from them.
+Each split is read in A's eigenbasis, where the A-flag is a coordinate
+span, with one echelon per ordering pair (:func:`split_from_flags`);
+:func:`split_violations` checks it in the standard basis, one vector
+m·u - t·u at a time.  The d+1 flag intersections of
+:func:`_intersected_split` are kept as the oracle for the read.
 
 Everything is exact and deterministic: orderings are reported in
 lexicographic order of their eigenvalue sequences, and all subspaces are
@@ -57,7 +62,7 @@ from .irreducibility import (
     IrreducibilityVerdict,
     decide_irreducible,
 )
-from .linalg import Matrix, SubspaceBasis, _Echelon, apply, subspace_contains, subspace_intersect
+from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, subspace_intersect
 from .spectral import EigenStructure, eigen_structure, is_decomposition
 
 #: Default cap on (d+1)! orderings explored per side.
@@ -385,19 +390,59 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
     verify the split conditions; pair with :func:`verify_split`.
     Uniqueness of split decompositions means any split with respect to
     these orderings must equal this candidate.
+
+    Read in A's eigenbasis (P and P^-1 of
+    :attr:`~hesspairs.spectral.EigenStructure.eigenbasis`) with the blocks
+    in the order V_d, ..., V_0, in which V_0+...+V_{d-i} is the span of the
+    coordinates from m_d+...+m_{d-i+1} on (m_k = dim V_k).  The
+    A*-eigenvectors, in those coordinates, go into one echelon in the
+    order V*_0, V*_1, ...; once V*_i is in, the rows whose pivot lies in
+    that span are a basis of U_i, mapped back through P.
+    :func:`_intersected_split` is the same candidate by d+1 intersections.
     """
     _require_diagonalizable(ord_a.eigen, ord_a_star.eigen)
     if ord_a.d != ord_a_star.d:
         raise DDeltaMismatchError(
             f"eigenspace counts differ: {ord_a.d + 1} vs {ord_a_star.d + 1}"
         )
+    eigen = ord_a.eigen
+    field, n = eigen.transform.field, eigen.ambient_dim
+    p, p_inv = eigen.eigenbasis
+    starts = [0, *itertools.accumulate(eigen.dims)]
+    # Coordinate k of the read is P's column order[k].
+    order = [c for j in reversed(ord_a.perm) for c in range(starts[j], starts[j + 1])]
+    to_read = Matrix(field, tuple(p_inv.entries[c] for c in order), ncols=n)
+    from_read = Matrix(field, tuple(tuple(row[c] for c in order) for row in p.entries), ncols=n)
+    spaces_a = ord_a.eigenspaces
     d = ord_a.d
-    flags_a, flags_b = ord_a.flags, ord_a_star.flags
+    ech = _Echelon(field, n)
+    cut = 0
+    subspaces = []
+    for i, space in enumerate(ord_a_star.eigenspaces):
+        if i:
+            cut += spaces_a[d - i + 1].dim
+        for w in space.rows:
+            ech.insert(to_read.mul_vec(w))
+        back = _Echelon(field, n)
+        for row, piv in zip(ech.rows, ech.pivots):
+            if piv >= cut:
+                back.insert(from_read.mul_vec(row))
+        subspaces.append(back.to_subspace())
     return SplitDecomposition(
-        subspaces=tuple(subspace_intersect(flags_b[i], flags_a[d - i]) for i in range(d + 1)),
+        subspaces=tuple(subspaces),
         eigenvalues_a=ord_a.eigenvalues,
         eigenvalues_a_star=ord_a_star.eigenvalues,
     )
+
+
+def _intersected_split(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> tuple[SubspaceBasis, ...]:
+    """The subspaces of :func:`split_from_flags` as d+1 intersections of the prefix flags.
+
+    The Zassenhaus oracle for the eigenbasis read, used by ``hesspairs
+    oracle`` and the tests.
+    """
+    d = ord_a.d
+    return tuple(subspace_intersect(ord_a_star.flags[i], ord_a.flags[d - i]) for i in range(d + 1))
 
 
 def construct_split(
@@ -470,17 +515,15 @@ def split_violations(a: Matrix, a_star: Matrix, cand: SplitDecomposition) -> lis
         problems.append("subspaces do not form a direct sum of V")
     if problems:
         return problems
-    zero = SubspaceBasis.zero(field, n)
+    a_star.field.check_same(field)
+    # echelons[d + 1] and echelons[-1] are both the zero space, U_{d+1} = U_{-1} = 0.
+    echelons = [s._as_echelon() for s in subs] + [_Echelon(field, n)]
     for i in range(d + 1):
-        lowered = apply(a.minus_scalar(values_a[d - i]), subs[i])
-        target = subs[i + 1] if i < d else zero
-        if not subspace_contains(target, lowered):
+        if not _shift_maps_into(a, values_a[d - i], subs[i], echelons[i + 1]):
             problems.append(
                 f"(A - t[{d - i}]) U_{i} is not contained in U_{i + 1}"
             )
-        raised = apply(a_star.minus_scalar(values_b[i]), subs[i])
-        target = subs[i - 1] if i > 0 else zero
-        if not subspace_contains(target, raised):
+        if not _shift_maps_into(a_star, values_b[i], subs[i], echelons[i - 1]):
             problems.append(
                 f"(A* - s[{i}]) U_{i} is not contained in U_{i - 1}"
             )
@@ -703,10 +746,12 @@ def analyze_pair(
     eigenbasis conjugate (shared by the algebra closure and the side's
     block pattern) and both lists of admissible side orderings.  The
     Hessenberg ordering pairs are their product; each pair's split is the
-    closed-form candidate of :func:`split_from_flags`, verified once with
-    echelons, independently of the block patterns; the tridiagonal
-    orderings are the reversal-closed subsets of the same side lists, so
-    each witness is one of those ordering pairs.  A split of an
+    closed-form candidate of :func:`split_from_flags`, read in A's
+    eigenbasis with the P^-1 the block pattern already formed, so no
+    prefix flag is built; it is verified once with echelons in the
+    standard basis, independently of P and of the block patterns; the
+    tridiagonal orderings are the reversal-closed subsets of the same side
+    lists, so each witness is one of those ordering pairs.  A split of an
     irreducible pair that fails verification raises
     :class:`~hesspairs.errors.OracleDisagreementError`.
 

@@ -20,6 +20,7 @@ analysis is meaningless without the full spectrum.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import FieldElement, FieldSpec, PrimeField, Raw, Rationals
-from .linalg import Matrix, SubspaceBasis, _Echelon, apply, kernel, subspace_contains
+from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 
 # A polynomial of degree n over GF(p) has its roots found by trying every
 # residue when p <= _SCAN_FACTOR·n, and by gcd-based linear-factor
@@ -464,21 +465,31 @@ class EigenStructure:
     def ambient_dim(self) -> int:
         return self.transform.nrows
 
+    @functools.cached_property
+    def eigenbasis(self) -> tuple[Matrix, Matrix]:
+        """(P, P^-1), where P's columns are the eigenspace bases in order.
+
+        Formed once and kept on this structure, so the eigenbasis
+        conjugates and the split reads share one inverse.  Requires a
+        diagonalizable transform, for which P is invertible.
+        """
+        if not self.diagonalizable:
+            raise NotDiagonalizableError("an eigenbasis needs a diagonalizable transform")
+        p = Matrix(self.transform.field, tuple(v for space in self.eigenspaces for v in space.rows)).transpose()
+        return p, p.inverse()
+
     def eigenbasis_conjugate(self, other: Matrix) -> Matrix:
-        """P^-1 · other · P, where P's columns are the eigenspace bases in order.
+        """P^-1 · other · P, with P and P^-1 from :attr:`eigenbasis`.
 
         Block (j, i) of the result is the V_j-component of ``other`` on V_i.
         Formed once per matrix and kept on this structure, so the ordering
-        searches and the algebra closure share it.  Requires a
-        diagonalizable transform, for which P is invertible.
+        searches and the algebra closure share it.
         """
         for m, conj in self._conjugates:
             if m == other:
                 return conj
-        if not self.diagonalizable:
-            raise NotDiagonalizableError("an eigenbasis needs a diagonalizable transform")
-        p = Matrix(other.field, tuple(v for space in self.eigenspaces for v in space.rows)).transpose()
-        conj = p.inverse() * other * p
+        p, p_inv = self.eigenbasis
+        conj = p_inv * other * p
         self._conjugates.append((other, conj))
         return conj
 
@@ -551,8 +562,7 @@ def is_raising_decomposition(m: Matrix, subspaces: Sequence[SubspaceBasis], eige
         raise NotADecompositionError("subspaces do not form a direct-sum decomposition of K^n")
     d = len(subspaces) - 1
     for i, (space, t) in enumerate(zip(subspaces, values)):
-        image = apply(m.minus_scalar(t), space)
-        target = subspaces[i + 1] if i < d else SubspaceBasis.zero(F, m.nrows)
-        if not subspace_contains(target, image):
+        target = subspaces[i + 1]._as_echelon() if i < d else _Echelon(F, m.nrows)
+        if not _shift_maps_into(m, t, space, target):
             return False
     return True

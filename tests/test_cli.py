@@ -380,8 +380,33 @@ def test_oracle_agrees_on_shipped_corpus(fixture):
     if "skipped" not in tri:
         assert tri["agrees"] is True
         assert len(tri["orderings"]) == 2
+    # The eigenbasis split read against the flag intersections, on every
+    # ordering pair the search reports.
+    split = verdict["split"]
+    if "skipped" not in ordering and "skipped" not in split:
+        assert split == {"agrees": True, "pairs": ordering["pairs"]}
     irr = verdict["irreducibility"]
     assert irr.get("agrees", True) is True
+
+
+def test_oracle_catches_a_split_read_fault(monkeypatch, capsys):
+    # A read that takes A's blocks in the order V_0, ..., V_d instead of
+    # V_d, ..., V_0 gives U_d = V_d instead of V_0; the oracle must exit 5.
+    from hesspairs import SplitDecomposition, cli
+    from hesspairs.cli import main
+
+    split_from_flags = cli.split_from_flags
+
+    def faulty_read(ord_a, ord_a_star):
+        cand = split_from_flags(ord_a.reversed(), ord_a_star)
+        return SplitDecomposition(cand.subspaces, ord_a.eigenvalues, ord_a_star.eigenvalues)
+
+    monkeypatch.setattr(cli, "split_from_flags", faulty_read)
+    code = main(["oracle", str(FIXTURES / "pair_tridiagonal_gf11.json")])
+    assert code == 5
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "OracleDisagreement"
+    assert "split read" in error["message"]
 
 
 def test_oracle_catches_a_block_pattern_fault(monkeypatch, capsys):

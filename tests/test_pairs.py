@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ordering_for, rand_diagonalizable, remix_basis, sl2_pair
+from conftest import ordering_for, rand_diagonalizable, rand_invertible, remix_basis, sl2_pair
 from hesspairs import (
     GF,
     QQ,
@@ -30,6 +30,7 @@ from hesspairs import (
     gen_reducible,
     gen_split_form,
     gen_tridiagonal_form,
+    is_decomposition,
     is_hessenberg_wrt,
     is_tridiagonal_pair,
     recover_hessenberg_from_split,
@@ -340,8 +341,8 @@ def test_analyze_pair_conjugates_once_per_side(monkeypatch, fixture):
 
 
 def test_analyze_pair_builds_each_flag_once(monkeypatch):
-    # Prefix flags are built once per side ordering, not once per
-    # ordering pair: 2 + 2 orderings give 4 ordering pairs here.
+    # The splits are read in A's eigenbasis, so analyze_pair builds no
+    # prefix flag at all for its 4 ordering pairs (2 + 2 orderings).
     from hesspairs import pairs
     from hesspairs.cli import parse_document
 
@@ -357,7 +358,7 @@ def test_analyze_pair_builds_each_flag_once(monkeypatch):
     monkeypatch.setattr(pairs, "_prefix_flags", counting_flags)
     report = analyze_pair(a, a_star)
     assert len(report.hessenberg_orderings) == 4
-    assert len(flag_calls) == 4
+    assert flag_calls == []
 
 
 def test_search_budget_enforced():
@@ -619,6 +620,170 @@ def test_split_violations_shape_errors():
             inst.a_star,
             SplitDecomposition((taller, taller), good.eigenvalues_a, good.eigenvalues_a_star),
         )
+
+
+def _conjugated_diagonal(field, values, conjugator):
+    return conjugator * Matrix.diagonal(field, values) * conjugator.inverse()
+
+
+def _spectrum(rng, pool, n, k):
+    """n diagonal entries with exactly k distinct values from pool."""
+    values = rng.sample(pool, k)
+    diag = values + [rng.choice(values) for _ in range(n - k)]
+    rng.shuffle(diag)
+    return diag
+
+
+def _conjugated(inst, seed, rng):
+    """The instance under a random conjugator, unimodular over Q."""
+    from hesspairs.generators import conjugate
+
+    field = inst.a.field
+    unimodular = _unimodular(field, inst.a.nrows, rng) if field is QQ else None
+    return conjugate(inst, seed, conjugator=unimodular)
+
+
+def _pairs_with_equal_counts(rng):
+    """Diagonalizable pairs with d = d* <= 3: random, Q, split-form, reducible, sl2, d = 0."""
+    pairs = []
+    for field in (GF(2), GF(3), GF(5), GF(7)):
+        pool = list(range(field.p))
+        for _ in range(6):
+            n = rng.randint(1, 5)
+            k = rng.randint(1, min(field.p, n, 3))
+            pairs.append(tuple(
+                _conjugated_diagonal(field, _spectrum(rng, pool, n, k), rand_invertible(field, n, rng))
+                for _ in range(2)
+            ))
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        k = rng.randint(2, min(n, 3))
+        pairs.append(tuple(
+            _conjugated_diagonal(QQ, _spectrum(rng, list(range(-3, 4)), n, k), _unimodular(QQ, n, rng))
+            for _ in range(2)
+        ))
+    # Hessenberg by shape, with repeated eigenvalues, then conjugated.
+    for seed, (field, dims) in enumerate(
+        [(GF(5), (2, 1, 2)), (GF(7), (1, 2, 1)), (GF(3), (2, 2)), (QQ, (2, 1, 1)), (GF(7), (1, 1, 1, 1))]
+    ):
+        values = list(range(len(dims)))
+        inst = gen_split_form(field, dims, values, values[::-1], seed=seed)
+        moved = _conjugated(inst, seed, rng)
+        pairs.extend([(inst.a, inst.a_star), (moved.a, moved.a_star)])
+    # Reducible sums, whose splits still verify.
+    for seed, (field, inner) in enumerate(
+        [(GF(5), [(1, 1), (1, 1)]), (GF(7), [(1, 2, 1), (1, 1, 1)]), (QQ, [(1, 1), (2, 1)])]
+    ):
+        d = len(inner[0]) - 1
+        inst = gen_reducible(field, inner, list(range(d + 1)), list(range(1, d + 2)), seed=seed)
+        moved = _conjugated(inst, seed, rng)
+        pairs.extend([(inst.a, inst.a_star), (moved.a, moved.a_star)])
+    pairs.extend([sl2_pair(GF(7), 2), sl2_pair(GF(7), 3), sl2_pair(QQ, 2)])
+    # d = 0: both sides scalar.
+    pairs.extend((Matrix.scalar(field, 3, 1), Matrix.scalar(field, 3, 2)) for field in (GF(3), QQ))
+    return pairs
+
+
+def test_split_read_equals_intersections_on_every_ordering_pair():
+    # The eigenbasis read against d + 1 Zassenhaus intersections of the
+    # prefix flags, on all (d+1)!^2 ordering pairs, admissible or not.
+    from hesspairs.pairs import _intersected_split
+
+    verified = failed = 0
+    for a, b in _pairs_with_equal_counts(random.Random(35)):
+        ea, eb = eigen_structure(a), eigen_structure(b)
+        assert ea.d == eb.d <= 3
+        for pa in itertools.permutations(range(ea.d + 1)):
+            for pb in itertools.permutations(range(eb.d + 1)):
+                ord_a, ord_b = EigenOrdering(ea, pa), EigenOrdering(eb, pb)
+                cand = split_from_flags(ord_a, ord_b)
+                assert cand.subspaces == _intersected_split(ord_a, ord_b), (a, b, pa, pb)
+                if verify_split(a, b, cand):
+                    verified += 1
+                else:
+                    failed += 1
+    assert verified >= 60
+    assert failed >= 2000
+
+
+def _violations_by_images(a, a_star, cand):
+    """split_violations written with matrix copies and image echelons: the reference."""
+    field, n = a.field, a.nrows
+    subs = cand.subspaces
+    d = len(subs) - 1
+    problems = []
+    values_a = [v.value for v in cand.eigenvalues_a]
+    values_b = [v.value for v in cand.eigenvalues_a_star]
+    if len(set(values_a)) != len(values_a):
+        problems.append("eigenvalue sequence for A has repeats")
+    if len(set(values_b)) != len(values_b):
+        problems.append("eigenvalue sequence for A* has repeats")
+    for i, s in enumerate(subs):
+        if s.is_zero:
+            problems.append(f"subspace {i} is zero")
+    if sum(s.dim for s in subs) != n:
+        problems.append("subspace dimensions do not sum to the ambient dimension")
+    elif not is_decomposition(field, n, subs):
+        problems.append("subspaces do not form a direct sum of V")
+    if problems:
+        return problems
+    zero = SubspaceBasis.zero(field, n)
+    for i in range(d + 1):
+        lowered = apply(a.minus_scalar(values_a[d - i]), subs[i])
+        target = subs[i + 1] if i < d else zero
+        if not subspace_contains(target, lowered):
+            problems.append(f"(A - t[{d - i}]) U_{i} is not contained in U_{i + 1}")
+        raised = apply(a_star.minus_scalar(values_b[i]), subs[i])
+        target = subs[i - 1] if i > 0 else zero
+        if not subspace_contains(target, raised):
+            problems.append(f"(A* - s[{i}]) U_{i} is not contained in U_{i - 1}")
+    return problems
+
+
+def test_split_violations_equal_the_image_formulation():
+    # The lean check (m·u - t·u against an echelon of the target) lists the
+    # same violations, in the same order, as images of m - t·I.
+    rng = random.Random(36)
+    cases = []
+    for seed, (field, dims) in enumerate(
+        [(GF(5), (1, 1, 1)), (GF(7), (1, 2, 1)), (GF(11), (2, 1, 2, 1)), (QQ, (1, 2, 1)), (GF(3), (2, 2))]
+    ):
+        d = len(dims) - 1
+        values = list(range(d + 1))
+        inst = gen_split_form(field, dims, values, values[1:] + values[:1], seed=seed)
+        for pair in (inst, _conjugated(inst, seed, rng)):
+            a, b, good = pair.a, pair.a_star, pair.split()
+            subs, va, vb = good.subspaces, good.eigenvalues_a, good.eigenvalues_a_star
+            n = a.nrows
+            g = rand_invertible(field, n, rng)
+            variants = [
+                (subs, va, vb),                                   # verified
+                (subs, va[::-1], vb),                             # reversed orderings
+                (subs, va, vb[::-1]),
+                (subs[::-1], va, vb),                             # swapped subspaces
+                ((subs[1], subs[0], *subs[2:]), va, vb),
+                (tuple(apply(g, s) for s in subs), va, vb),       # corrupted: moved by g
+                ((apply(g, subs[0]), *subs[1:]), va, vb),         # corrupted: one moved by g
+                ((subs[0], subs[0], *subs[2:]), va, vb),          # not a direct sum
+                ((subs[0], SubspaceBasis.zero(field, n), *subs[2:]), va, vb),
+                ((SubspaceBasis.zero(field, n), subs[0], *subs[1:]), va[:1] + va, vb[:1] + vb),
+                (subs, (va[0],) * len(va), vb),                   # repeated eigenvalues
+            ]
+            cases.extend((a, b, SplitDecomposition(*v)) for v in variants)
+    # Every ordering pair's candidate of random pairs: mostly not splits.
+    for a, b in _pairs_with_equal_counts(random.Random(37))[::3]:
+        ea, eb = eigen_structure(a), eigen_structure(b)
+        for pa in itertools.permutations(range(ea.d + 1)):
+            for pb in itertools.permutations(range(eb.d + 1)):
+                cases.append((a, b, split_from_flags(EigenOrdering(ea, pa), EigenOrdering(eb, pb))))
+    verified = inclusion_failures = 0
+    for a, b, cand in cases:
+        expected = _violations_by_images(a, b, cand)
+        assert split_violations(a, b, cand) == expected, cand
+        verified += not expected
+        inclusion_failures += any("is not contained" in v for v in expected)
+    assert verified >= 30
+    assert inclusion_failures >= 500
 
 
 def test_analyze_rejects_mismatched_shapes():
