@@ -60,7 +60,7 @@ from .pairs import (
     EigenOrdering,
     PairAnalysisReport,
     SplitDecomposition,
-    _admissible_sides,
+    _admissible_side_orderings,
     _intersected_split,
     _ordering_pairs,
     _scan_orderings,
@@ -487,10 +487,10 @@ def cmd_oracle(args) -> int:
     result: dict = {"ordering_search": None, "tridiagonal_search": None, "split": None, "irreducibility": None}
     if eig_a.diagonalizable and eig_a_star.diagonalizable:
         # What analyze reports, against the echelon scans of all orderings.
-        sides = _admissible_sides(a, a_star, eig_a, eig_a_star, args.max_orderings)
-        pairs = _ordering_pairs(eig_a, eig_a_star, *sides, args.max_orderings)
         per_side = ((eig_a, a_star), (eig_a_star, a))
-        agrees = list(sides) == [_scan_orderings(eig, m, _side_condition_holds) for eig, m in per_side]
+        sides = [_admissible_side_orderings(eig, m, args.max_orderings) for eig, m in per_side]
+        pairs = _ordering_pairs(eig_a, eig_a_star, *sides, args.max_orderings)
+        agrees = sides == [_scan_orderings(eig, m, _side_condition_holds) for eig, m in per_side]
         result["ordering_search"] = {"agrees": agrees, "pairs": len(pairs)}
         if not agrees:
             raise OracleDisagreementError("block-pattern ordering search disagrees with the echelon scan")

@@ -47,6 +47,9 @@ TRIDIAGONAL_FORM = "tridiagonal-form"
 REDUCIBLE_SUM = "reducible-sum"
 CONJUGATED = "conjugated"
 
+#: Random matrices :func:`conjugate` draws before giving up on an invertible one.
+CONJUGATOR_DRAWS = 64
+
 
 @dataclass(frozen=True)
 class InstanceTruth:
@@ -326,7 +329,6 @@ def conjugate(
     seed: int,
     *,
     conjugator: Optional[Matrix] = None,
-    max_attempts: int = 64,
 ) -> GeneratedInstance:
     """Apply an invertible change of basis, transporting all truth data.
 
@@ -344,7 +346,7 @@ def conjugate(
             raise SingularConjugatorError("supplied conjugator is singular")
     else:
         rng = random.Random(seed)
-        for _ in range(max_attempts):
+        for _ in range(CONJUGATOR_DRAWS):
             grid = [[field.rand(rng) for _ in range(n)] for _ in range(n)]
             p = Matrix(field, tuple(tuple(r) for r in grid), ncols=n)
             p_inv = _inverse(p)
@@ -352,7 +354,7 @@ def conjugate(
                 break
         else:
             raise SingularConjugatorError(
-                f"no invertible conjugator found in {max_attempts} draws"
+                f"no invertible conjugator found in {CONJUGATOR_DRAWS} draws"
             )
     truth = inst.truth
     new_truth = InstanceTruth(

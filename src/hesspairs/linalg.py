@@ -86,11 +86,8 @@ class _Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    def to_rows(self) -> tuple[Vector, ...]:
-        return tuple(tuple(row) for row in self.rows)
-
     def to_subspace(self) -> "SubspaceBasis":
-        return SubspaceBasis(self.field, self.width, self.to_rows())
+        return SubspaceBasis(self.field, self.width, tuple(tuple(row) for row in self.rows))
 
 
 class Matrix:

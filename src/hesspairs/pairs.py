@@ -12,7 +12,8 @@ orderings, builds the two-parameter lattice of flag intersections,
 constructs and verifies split decompositions, and detects tridiagonal
 pairs via the reversed-ordering characterization: the three-term
 orderings of a side are the admissible orderings whose reversal is also
-admissible.
+admissible, so the tridiagonal witnesses are the Hessenberg ordering
+pairs whose two orderings are both three-term.
 
 The admissible search reads one block pattern per side: written in an
 eigenbasis of A, A* has block (j, i) zero exactly when A* V_i has no
@@ -22,9 +23,10 @@ _side_condition_holds)`` and ``_scan_orderings(eigen, acting,
 _three_term_side_holds)`` check the inclusions with echelons instead and
 are kept as oracles for ``hesspairs oracle`` and the tests.
 
-:func:`analyze_pair` computes each eigen structure, each side's
-eigenbasis conjugate and each side's admissible orderings once and
-derives the ordering pairs, splits and tridiagonal orderings from them.
+:func:`analyze_pair` computes each eigen structure and each side's
+eigenbasis conjugate once and makes one ordering search,
+:func:`find_hessenberg_orderings_of`; the splits are read from its
+ordering pairs and the tridiagonal witnesses are filtered from them.
 Each split is read in A's eigenbasis, where the A-flag is a coordinate
 span, with one echelon per ordering pair (:func:`split_from_flags`);
 :func:`split_violations` checks it in the standard basis, one vector
@@ -42,7 +44,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from math import factorial
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import (
     DDeltaMismatchError,
@@ -235,21 +237,6 @@ def _admissible_side_orderings(
     return results
 
 
-def _admissible_sides(
-    a: Matrix,
-    a_star: Matrix,
-    eig_a: EigenStructure,
-    eig_a_star: EigenStructure,
-    max_orderings: int,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The admissible orderings of the A side and of the A* side."""
-    _require_diagonalizable(eig_a, eig_a_star)
-    return (
-        _admissible_side_orderings(eig_a, a_star, max_orderings),
-        _admissible_side_orderings(eig_a_star, a, max_orderings),
-    )
-
-
 def _ordering_pairs(
     eig_a: EigenStructure,
     eig_a_star: EigenStructure,
@@ -297,9 +284,16 @@ def find_hessenberg_orderings_of(
     *,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
 ) -> list[tuple[EigenOrdering, EigenOrdering]]:
-    """Like :func:`find_hessenberg_orderings`, reusing eigen structures."""
-    sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
-    return _ordering_pairs(eig_a, eig_a_star, *sides, max_orderings)
+    """Like :func:`find_hessenberg_orderings`, reusing eigen structures.
+
+    The one ordering search of the package: :func:`analyze_pair` and
+    :func:`is_tridiagonal_pair` both call it, and the tridiagonal
+    witnesses are filtered from its result.
+    """
+    _require_diagonalizable(eig_a, eig_a_star)
+    side_a = _admissible_side_orderings(eig_a, a_star, max_orderings)
+    side_a_star = _admissible_side_orderings(eig_a_star, a, max_orderings)
+    return _ordering_pairs(eig_a, eig_a_star, side_a, side_a_star, max_orderings)
 
 
 # -- the flag-intersection lattice ---------------------------------------------
@@ -561,7 +555,7 @@ def recover_hessenberg_from_split(a: Matrix, a_star: Matrix, split: SplitDecompo
     if not (eig_a.diagonalizable and eig_a_star.diagonalizable):
         raise SplitInvalidError("a verified split forces diagonalizability; eigen data disagrees")
 
-    suffix = _suffix_sums(split.subspaces, field, n)
+    suffix = _prefix_flags(split.subspaces[::-1], field, n)[::-1]
     flags_a = ord_a.flags
     for i in range(d + 1):
         if suffix[i] != flags_a[d - i]:
@@ -572,11 +566,6 @@ def recover_hessenberg_from_split(a: Matrix, a_star: Matrix, split: SplitDecompo
         if prefix[i] != flags_b[i]:
             return False
     return is_hessenberg_wrt(a, a_star, ord_a, ord_a_star)
-
-
-def _suffix_sums(spaces: Sequence[SubspaceBasis], field: FieldSpec, n: int) -> list[SubspaceBasis]:
-    rev = _prefix_flags(list(spaces)[::-1], field, n)
-    return rev[::-1]
 
 
 @dataclass(frozen=True)
@@ -649,29 +638,30 @@ def _three_term_side_holds(acting: Matrix, ordering: EigenOrdering) -> bool:
     return True
 
 
-def _three_term_side_orderings(admissible: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _three_term_side_orderings(admissible: Collection[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The three-term orderings of a side, given its admissible orderings.
 
     An ordering satisfies acting V_i ⊆ V_{i-1} + V_i + V_{i+1} for all i
     exactly when it and its reversal both satisfy the inclusion chain, so
     these are the admissible orderings whose reversal is admissible too,
-    kept in lexicographic order.
+    kept in the order of ``admissible``.
     """
     closed = set(admissible)
     return [p for p in admissible if p[::-1] in closed]
 
 
 def _tridiagonal_orderings(
-    eig_a: EigenStructure,
-    eig_a_star: EigenStructure,
-    sides: tuple[list[tuple[int, ...]], list[tuple[int, ...]]],
+    orderings: Sequence[tuple[EigenOrdering, EigenOrdering]],
     verdict: IrreducibilityVerdict,
-    max_orderings: int = DEFAULT_MAX_ORDERINGS,
 ) -> tuple[bool, list[tuple[EigenOrdering, EigenOrdering]]]:
-    """Tridiagonality from the admissible side lists ``sides``.
+    """Tridiagonality from the Hessenberg ordering pairs ``orderings``.
 
-    The witnesses are the products of the two sides' three-term orderings
-    (:func:`_three_term_side_orderings`); a reducible pair has none.
+    The witnesses are the entries of ``orderings``, in their given order,
+    whose two orderings are both three-term
+    (:func:`_three_term_side_orderings`).  Each side's admissible
+    orderings are read off the list: it is the product of the two side
+    lists, so it shows every one of them unless the other side has none,
+    and then no pair is a witness either way.  A reducible pair has none.
     """
     if verdict.status is IrreducibilityStatus.UNDETERMINED:
         raise IrreducibilityUndeterminedError(
@@ -679,8 +669,9 @@ def _tridiagonal_orderings(
         )
     if verdict.status is IrreducibilityStatus.REDUCIBLE:
         return False, []
-    tri_sides = [_three_term_side_orderings(side) for side in sides]
-    witnesses = _ordering_pairs(eig_a, eig_a_star, *tri_sides, max_orderings)
+    tri_a = set(_three_term_side_orderings({oa.perm for oa, _ in orderings}))
+    tri_a_star = set(_three_term_side_orderings({ob.perm for _, ob in orderings}))
+    witnesses = [ab for ab in orderings if ab[0].perm in tri_a and ab[1].perm in tri_a_star]
     return bool(witnesses), witnesses
 
 
@@ -697,15 +688,18 @@ def is_tridiagonal_pair(
     three-term condition exactly when it and its reversal both satisfy the
     Hessenberg condition; the pair is tridiagonal when it is irreducible
     and such orderings exist on both sides.  This is the path
-    :func:`analyze_pair` takes, run on freshly computed eigen structures
-    and admissible side orderings.
+    :func:`analyze_pair` takes: the witnesses are filtered from
+    :func:`find_hessenberg_orderings_of`, so this function refuses
+    (:class:`~hesspairs.errors.SearchBudgetExceededError`) exactly the
+    pairs whose ordering search :func:`analyze_pair` refuses, reducible
+    ones included.
     """
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
     if verdict is None:
         verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
-    sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
-    return _tridiagonal_orderings(eig_a, eig_a_star, sides, verdict, max_orderings)
+    orderings = find_hessenberg_orderings_of(a, a_star, eig_a, eig_a_star, max_orderings=max_orderings)
+    return _tridiagonal_orderings(orderings, verdict)
 
 
 # -- whole-pair analysis ------------------------------------------------------------
@@ -744,14 +738,15 @@ def analyze_pair(
 
     Each fact is computed once: both eigen structures, each side's
     eigenbasis conjugate (shared by the algebra closure and the side's
-    block pattern) and both lists of admissible side orderings.  The
-    Hessenberg ordering pairs are their product; each pair's split is the
+    block pattern) and the Hessenberg ordering pairs, which come from one
+    call of :func:`find_hessenberg_orderings_of`.  Each pair's split is the
     closed-form candidate of :func:`split_from_flags`, read in A's
     eigenbasis with the P^-1 the block pattern already formed, so no
     prefix flag is built; it is verified once with echelons in the
-    standard basis, independently of P and of the block patterns; the
-    tridiagonal orderings are the reversal-closed subsets of the same side
-    lists, so each witness is one of those ordering pairs.  A split of an
+    standard basis, independently of P and of the block patterns.  The
+    tridiagonal orderings are filtered from the same list
+    (:func:`_tridiagonal_orderings`), so each witness is one of its
+    entries, with no second product or cap check.  A split of an
     irreducible pair that fails verification raises
     :class:`~hesspairs.errors.OracleDisagreementError`.
 
@@ -778,8 +773,7 @@ def analyze_pair(
     tridiagonal: Optional[bool] = False
     d_eq: Optional[bool] = None
     if eig_a.diagonalizable and eig_a_star.diagonalizable:
-        sides = _admissible_sides(a, a_star, eig_a, eig_a_star, max_orderings)
-        orderings = _ordering_pairs(eig_a, eig_a_star, *sides, max_orderings)
+        orderings = find_hessenberg_orderings_of(a, a_star, eig_a, eig_a_star, max_orderings=max_orderings)
         d_eq = eig_a.d == eig_a_star.d
         for ord_a, ord_a_star in orderings:
             cand = split_from_flags(ord_a, ord_a_star) if d_eq else None
@@ -793,9 +787,7 @@ def analyze_pair(
         if verdict.status is IrreducibilityStatus.UNDETERMINED:
             tridiagonal = None
         else:
-            tridiagonal, tri_orderings = _tridiagonal_orderings(
-                eig_a, eig_a_star, sides, verdict, max_orderings
-            )
+            tridiagonal, tri_orderings = _tridiagonal_orderings(orderings, verdict)
 
     return PairAnalysisReport(
         field=field,

@@ -138,6 +138,15 @@ def test_conjugate_rejects_singular_conjugator():
         conjugate(inst, seed=0, conjugator=Matrix.zeros(GF(7), 2, 2))
 
 
+def test_conjugate_gives_up_after_a_fixed_number_of_draws(monkeypatch):
+    inst = gen_split_form(GF(7), (1, 1), (0, 1), (2, 3), seed=5)
+    draws = []
+    monkeypatch.setattr(generators, "_inverse", lambda p: draws.append(p))
+    with pytest.raises(SingularConjugatorError, match="no invertible conjugator found in 64 draws"):
+        conjugate(inst, seed=0)
+    assert len(draws) == generators.CONJUGATOR_DRAWS == 64
+
+
 def test_conjugation_preserves_all_verdicts():
     def seqs(pairs):
         return sorted(

@@ -57,6 +57,7 @@ from hesspairs.pairs import (
     _side_condition_holds,
     _three_term_side_holds,
     _three_term_side_orderings,
+    _tridiagonal_orderings,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -223,10 +224,12 @@ def _unimodular(field, n, rng):
     return m
 
 
-def test_block_pattern_search_equals_echelon_scan_randomized():
-    # The admissible search reads each side's block pattern; the
-    # oracle scans every ordering with echelons.  Sides that admit some but
-    # not all orderings come from sl2 and sparse split-form pairs.
+def _search_test_pairs():
+    """Random, Q, sl2 and sparse split-form pairs, all sides diagonalizable.
+
+    Sides that admit some but not all orderings come from the sl2 and
+    sparse split-form pairs.
+    """
     rng = random.Random(34)
     pairs = []
     for _ in range(60):
@@ -256,13 +259,41 @@ def test_block_pattern_search_equals_echelon_scan_randomized():
         va, vb = rng.sample(values, len(dims)), rng.sample(values, len(dims))
         inst = gen_split_form(field, dims, va, vb, seed=seed, allow_zero_entries=True)
         pairs.append((inst.a, inst.a_star))
+    return pairs
+
+
+def test_block_pattern_search_equals_echelon_scan_randomized():
+    # The admissible search reads each side's block pattern; the
+    # oracle scans every ordering with echelons.
     partial = 0
-    for a, b in pairs:
+    for a, b in _search_test_pairs():
         for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
             fast = _admissible_side_orderings(eig, acting, DEFAULT_MAX_ORDERINGS)
             assert fast == _scan_orderings(eig, acting, _side_condition_holds)
             partial += 0 < len(fast) < math.factorial(eig.d + 1)
     assert partial >= 20
+
+
+def test_tridiagonal_filter_equals_product_of_three_term_sides():
+    # The witnesses are filtered from the Hessenberg ordering pairs; the
+    # reference builds them as the product of each side's three-term
+    # orderings, as a second search would.  Sides with some but not all
+    # orderings three-term, pairs with witnesses and pairs whose filter
+    # drops some ordering pair are each counted.
+    partial = nonempty = filtered = 0
+    for a, b in _search_test_pairs():
+        eig_a, eig_b = eigen_structure(a), eigen_structure(b)
+        orderings = find_hessenberg_orderings_of(a, b, eig_a, eig_b)
+        sides = [
+            _three_term_side_orderings(_admissible_side_orderings(eig, acting, DEFAULT_MAX_ORDERINGS))
+            for eig, acting in ((eig_a, b), (eig_b, a))
+        ]
+        expected = _ordering_pairs(eig_a, eig_b, *sides, DEFAULT_MAX_ORDERINGS)
+        assert _tridiagonal_orderings(orderings, IRR) == (bool(expected), expected)
+        partial += sum(0 < len(side) < math.factorial(eig.d + 1) for side, eig in zip(sides, (eig_a, eig_b)))
+        nonempty += bool(expected)
+        filtered += len(expected) < len(orderings)
+    assert partial >= 20 and nonempty >= 20 and filtered >= 20
 
 
 def test_analyze_pair_computes_each_fact_once(monkeypatch):
@@ -291,6 +322,33 @@ def test_analyze_pair_computes_each_fact_once(monkeypatch):
     assert len(report.hessenberg_orderings) == 1
     assert len(split_checks) == len(report.hessenberg_orderings)
     assert report.splits[0] is not None
+
+
+def test_analyze_pair_searches_orderings_once(monkeypatch):
+    # One ordering search, through the public stage, with one block-pattern
+    # search per side; the tridiagonal witnesses come from its result.
+    from hesspairs import pairs
+    from hesspairs.cli import parse_document
+
+    doc = json.loads((FIXTURES / "pair_tridiagonal_gf11.json").read_text())
+    _, a, a_star, _ = parse_document(doc)
+    searches, sides = [], []
+    search, side_search = pairs.find_hessenberg_orderings_of, pairs._admissible_side_orderings
+
+    def counting_search(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    def counting_side_search(*args):
+        sides.append(args)
+        return side_search(*args)
+
+    monkeypatch.setattr(pairs, "find_hessenberg_orderings_of", counting_search)
+    monkeypatch.setattr(pairs, "_admissible_side_orderings", counting_side_search)
+    report = analyze_pair(a, a_star)
+    assert report.tridiagonal is True
+    assert len(searches) == 1
+    assert [eig for eig, _, _ in sides] == [report.eigen_a, report.eigen_a_star]
 
 
 @pytest.mark.parametrize(
@@ -1038,6 +1096,31 @@ def test_generic_split_form_is_not_tridiagonal():
     ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star, verdict=verdict)
     assert not ok
     assert witnesses == []
+
+
+def test_tridiagonal_witnesses_are_entries_of_the_ordering_pairs():
+    from hesspairs.cli import parse_document
+    from hesspairs.generators import conjugate
+
+    _, a, a_star, _ = parse_document(json.loads((FIXTURES / "pair_tridiagonal_gf11.json").read_text()))
+    inst = conjugate(gen_split_form(GF(11), (1, 1), (3, 5), (1, 4), seed=0), seed=100)
+    for a, a_star in ((a, a_star), (inst.a, inst.a_star)):
+        report = analyze_pair(a, a_star)
+        assert report.tridiagonal is True and report.tridiagonal_orderings
+        for witness in report.tridiagonal_orderings:
+            assert any(witness is entry for entry in report.hessenberg_orderings)
+
+
+def test_tridiagonal_detection_refuses_what_analyze_refuses():
+    # Each side's 4! orderings pass a cap of 30, their 576 pairs do not.
+    # The pair is reducible, but the witnesses are filtered from the
+    # capped ordering search, so both entry points refuse it.
+    a = Matrix.diagonal(QQ, [0, 1, 2, 3])
+    message = "24 x 24 admissible ordering pairs exceed the cap"
+    with pytest.raises(SearchBudgetExceededError, match=message):
+        analyze_pair(a, a, max_orderings=30)
+    with pytest.raises(SearchBudgetExceededError, match=message):
+        is_tridiagonal_pair(a, a, max_orderings=30)
 
 
 def test_reducible_pair_is_not_tridiagonal():
