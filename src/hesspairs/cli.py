@@ -282,9 +282,11 @@ def _read_text(path: Optional[str]) -> str:
 
 
 def _load_json(text: str):
+    # ValueError covers JSONDecodeError and the decoder's refusal of an
+    # integer literal over its digit limit; deep nesting overflows the stack.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentParseError(f"invalid JSON: {exc}") from exc
 
 

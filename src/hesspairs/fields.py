@@ -129,10 +129,6 @@ class FieldSpec:
     def element(self, x) -> "FieldElement":
         return FieldElement(self, self.coerce(x))
 
-    def sort_key(self, value: Raw):
-        """Total order used for canonical eigenvalue ordering."""
-        return value
-
     # enumeration / sampling ----------------------------------------------
 
     @property

@@ -115,10 +115,7 @@ def _block_flag(field: FieldSpec, dims: Sequence[int]) -> tuple[SubspaceBasis, .
     )
 
 
-def _sample_block(field: FieldSpec, rows: int, cols: int, rng, *, nonzero: bool, constant) -> list[list]:
-    if constant is not None:
-        c = field.coerce(constant)
-        return [[c] * cols for _ in range(rows)]
+def _sample_block(field: FieldSpec, rows: int, cols: int, rng, *, nonzero: bool) -> list[list]:
     draw = field.rand_nonzero if nonzero else field.rand
     return [[draw(rng) for _ in range(cols)] for _ in range(rows)]
 
@@ -148,27 +145,24 @@ def gen_split_form(
     seed: int,
     *,
     allow_zero_entries: bool = False,
-    constant_entry=None,
 ) -> GeneratedInstance:
     """A pair in split coordinates: Hessenberg (and diagonalizable) by shape.
 
     Block i carries eigenvalue a[d-i] for A and a*[i] for A*; A gets random
     subdiagonal blocks and A* random superdiagonal blocks.  Off-diagonal
     entries are all nonzero by default (zero entries tend to produce
-    reducible instances); ``allow_zero_entries`` samples uniformly instead
-    and ``constant_entry`` fixes every off-diagonal entry for reproducible
-    worked examples.
+    reducible instances); ``allow_zero_entries`` samples uniformly instead.
     """
     dims, va, vb = _validate(field, dims, eigenvalues_a, eigenvalues_a_star)
     rng = random.Random(seed)
     d = len(dims) - 1
     nonzero = not allow_zero_entries
     blocks_a = {
-        (g + 1, g): _sample_block(field, dims[g + 1], dims[g], rng, nonzero=nonzero, constant=constant_entry)
+        (g + 1, g): _sample_block(field, dims[g + 1], dims[g], rng, nonzero=nonzero)
         for g in range(d)
     }
     blocks_b = {
-        (g, g + 1): _sample_block(field, dims[g], dims[g + 1], rng, nonzero=nonzero, constant=constant_entry)
+        (g, g + 1): _sample_block(field, dims[g], dims[g + 1], rng, nonzero=nonzero)
         for g in range(d)
     }
     a = _assemble(field, dims, [va[d - i].value for i in range(d + 1)], blocks_a)
@@ -228,7 +222,7 @@ def gen_tridiagonal_form(
             for blocks, preferred in ((blocks_a, 1), (blocks_b, 0)):
                 s = preferred if rng.random() < 0.5 else 1 - preferred
                 i, j = g + s, g + 1 - s
-                blocks[(i, j)] = _sample_block(field, dims[i], dims[j], rng, nonzero=True, constant=None)
+                blocks[(i, j)] = _sample_block(field, dims[i], dims[j], rng, nonzero=True)
         a = _assemble(field, dims, [va[d - i].value for i in range(d + 1)], blocks_a)
         a_star = _assemble(field, dims, [vb[i].value for i in range(d + 1)], blocks_b)
         # Re-verify diagonalizability and the spectrum instead of arguing it.

@@ -21,7 +21,9 @@ V_j-component, so each inclusion is a test on sets of eigenspace
 indices.  The (d+1)! scans ``_scan_orderings(eigen, acting,
 _side_condition_holds)`` and ``_scan_orderings(eigen, acting,
 _three_term_side_holds)`` check the inclusions with echelons instead and
-are kept as oracles for ``hesspairs oracle`` and the tests.
+are kept as oracles for ``hesspairs oracle`` and the tests; the two
+chains differ only in their window of eigenspaces, so both run one loop,
+:func:`_window_inclusions_hold`.
 
 :func:`analyze_pair` computes each eigen structure and each side's
 eigenbasis conjugate once and makes one ordering search,
@@ -34,7 +36,9 @@ m·u - t·u at a time.  The d+1 flag intersections of
 :func:`_intersected_split` are kept as the oracle for the read.
 
 Everything is exact and deterministic: orderings are reported in
-lexicographic order of their eigenvalue sequences, and all subspaces are
+lexicographic order of their eigenvalue sequences, the order in which the
+search finds them (eigenvalues are indexed in ascending order and each
+side's search tries indices in increasing order), and all subspaces are
 canonical RREF bases, so results can be compared structurally.
 """
 
@@ -92,7 +96,7 @@ class EigenOrdering:
         spec = eigen.transform.field
         wanted = [spec.coerce(v) for v in values]
         raw = [ev.value for ev in eigen.eigenvalues]
-        if sorted(raw, key=spec.sort_key) != sorted(wanted, key=spec.sort_key):
+        if sorted(raw) != sorted(wanted):
             raise ValueError("values are not a permutation of the eigenvalues")
         return cls(eigen, tuple(raw.index(v) for v in wanted))
 
@@ -117,10 +121,6 @@ class EigenOrdering:
     def reversed(self) -> "EigenOrdering":
         return EigenOrdering(self.eigen, self.perm[::-1])
 
-    def sort_key(self):
-        spec = self.eigen.transform.field
-        return tuple(spec.sort_key(v.value) for v in self.eigenvalues)
-
 
 def _require_diagonalizable(*structures: EigenStructure) -> None:
     for eig in structures:
@@ -143,21 +143,28 @@ def _prefix_flags(spaces: Sequence[SubspaceBasis], field: FieldSpec, n: int) -> 
     return out
 
 
+def _window_inclusions_hold(acting: Matrix, ordering: EigenOrdering, back: int) -> bool:
+    """Does ``acting`` map each V_i into V_{i-back} + ... + V_{i+1}?
+
+    Indices outside 0..d are dropped, so ``back`` >= d gives the window
+    V_0 + ... + V_{i+1} of the Hessenberg chain and ``back`` = 1 the
+    window V_{i-1} + V_i + V_{i+1} of the three-term chain.  The echelon
+    oracle for both chains: it works in the standard basis, independently
+    of the block pattern.
+    """
+    spaces = ordering.eigenspaces
+    for i, space in enumerate(spaces):
+        ech = _Echelon(acting.field, acting.ncols)
+        for w in spaces[max(i - back, 0):i + 2]:
+            ech.insert_all(w.rows)
+        if not all(ech.contains(acting.mul_vec(v)) for v in space.rows):
+            return False
+    return True
+
+
 def _side_condition_holds(acting: Matrix, ordering: EigenOrdering) -> bool:
     """Does ``acting`` map each V_i into V_0 + ... + V_{i+1}?"""
-    spaces = ordering.eigenspaces
-    field, n = acting.field, acting.ncols
-    d = len(spaces) - 1
-    ech = _Echelon(field, n)
-    ech.insert_all(spaces[0].rows)
-    for i in range(d + 1):
-        if i + 1 <= d:
-            ech.insert_all(spaces[i + 1].rows)
-        # ech now spans V_0 + ... + V_{min(i+1, d)}
-        for v in spaces[i].rows:
-            if not ech.contains(acting.mul_vec(v)):
-                return False
-    return True
+    return _window_inclusions_hold(acting, ordering, len(ordering.eigenspaces))
 
 
 def is_hessenberg_wrt(
@@ -244,17 +251,19 @@ def _ordering_pairs(
     side_a_star: Sequence[tuple[int, ...]],
     max_orderings: int,
 ) -> list[tuple[EigenOrdering, EigenOrdering]]:
-    """The cartesian product of two side lists, capped and sorted by eigenvalues."""
+    """The cartesian product of two side lists, capped.
+
+    Each side list is in lexicographic order of eigenvalue indices, which
+    ascend with the eigenvalues, so the product is in lexicographic order
+    of the two eigenvalue sequences.
+    """
     if len(side_a) * len(side_a_star) > max_orderings:
         raise SearchBudgetExceededError(
             f"{len(side_a)} x {len(side_a_star)} admissible ordering pairs exceed the cap"
         )
     ords_a = [EigenOrdering(eig_a, pa) for pa in side_a]
     ords_a_star = [EigenOrdering(eig_a_star, pb) for pb in side_a_star]
-    return sorted(
-        itertools.product(ords_a, ords_a_star),
-        key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()),
-    )
+    return list(itertools.product(ords_a, ords_a_star))
 
 
 def find_hessenberg_orderings(
@@ -267,9 +276,11 @@ def find_hessenberg_orderings(
 
     The two inclusion chains constrain the two sides independently, so the
     search runs per side and the admissible pairs are the cartesian
-    product.  Pairs are returned sorted lexicographically by eigenvalue
-    sequences; an empty list means the pair is not a Hessenberg pair under
-    any ordering.
+    product.  Pairs come in lexicographic order of their eigenvalue
+    sequences, the order of the search itself: eigenvalues are indexed in
+    ascending order, and each side's search emits its orderings in
+    lexicographic order of those indices.  An empty list means the pair is
+    not a Hessenberg pair under any ordering.
     """
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
@@ -449,7 +460,7 @@ def construct_split(
     """Construct the split decomposition of an irreducible Hessenberg pair.
 
     Re-checks the Hessenberg property, requires an Irreducible verdict
-    from the caller, takes U_i as the lattice cells on the antidiagonal,
+    from the caller, reads U_i in A's eigenbasis (:func:`split_from_flags`),
     and verifies the result instead of trusting the construction --
     implementation bugs surface as verification failures, never as silent
     wrong answers.
@@ -624,18 +635,7 @@ def dimension_profile(
 
 def _three_term_side_holds(acting: Matrix, ordering: EigenOrdering) -> bool:
     """Does ``acting`` map each V_i into V_{i-1} + V_i + V_{i+1}?"""
-    spaces = ordering.eigenspaces
-    field, n = acting.field, acting.ncols
-    d = len(spaces) - 1
-    for i, s in enumerate(spaces):
-        ech = _Echelon(field, n)
-        for j in (i - 1, i, i + 1):
-            if 0 <= j <= d:
-                ech.insert_all(spaces[j].rows)
-        for v in s.rows:
-            if not ech.contains(acting.mul_vec(v)):
-                return False
-    return True
+    return _window_inclusions_hold(acting, ordering, 1)
 
 
 def _three_term_side_orderings(admissible: Collection[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -679,7 +679,6 @@ def is_tridiagonal_pair(
     a: Matrix,
     a_star: Matrix,
     *,
-    verdict: Optional[IrreducibilityVerdict] = None,
     max_orderings: int = DEFAULT_MAX_ORDERINGS,
 ) -> tuple[bool, list[tuple[EigenOrdering, EigenOrdering]]]:
     """Decide tridiagonality and return every witnessing ordering pair.
@@ -696,8 +695,7 @@ def is_tridiagonal_pair(
     """
     eig_a = eigen_structure(a)
     eig_a_star = eigen_structure(a_star)
-    if verdict is None:
-        verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
+    verdict = decide_irreducible(a, a_star, eigen_a=eig_a, eigen_a_star=eig_a_star)
     orderings = find_hessenberg_orderings_of(a, a_star, eig_a, eig_a_star, max_orderings=max_orderings)
     return _tridiagonal_orderings(orderings, verdict)
 

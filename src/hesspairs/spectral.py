@@ -406,7 +406,7 @@ def _roots_rationals(poly: Polynomial) -> list[Fraction]:
 
 
 def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
-    """All (root, multiplicity) pairs with the root in the ground field.
+    """All (root, multiplicity) pairs with the root in the ground field, roots ascending.
 
     The multiplicity count is the one exact root test: a candidate that
     divides ``poly`` zero times is dropped.
@@ -419,7 +419,7 @@ def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]
     else:  # pragma: no cover - no other field kinds exist
         raise TypeError(f"unsupported field {spec!r}")
     out = []
-    for r in sorted(set(found), key=spec.sort_key):
+    for r in sorted(set(found)):
         mult = 0
         work = poly
         while True:

@@ -314,7 +314,7 @@ def test_criterion_6_tridiagonal_equivalence():
     assert len(positives) == 50
     for inst in positives:
         verdict = decide_irreducible(inst.a, inst.a_star)
-        ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star, verdict=verdict)
+        ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star)
         assert ok
         requested = (inst.truth.eigenvalues_a, inst.truth.eigenvalues_a_star)
         assert requested in {(wa.eigenvalues, wb.eigenvalues) for wa, wb in witnesses}
@@ -347,7 +347,7 @@ def test_criterion_6_tridiagonal_equivalence():
         verdict = decide_irreducible(inst.a, inst.a_star)
         if verdict.status is IrreducibilityStatus.UNDETERMINED:
             continue
-        ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star, verdict=verdict)
+        ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star)
         if ok:
             continue  # exceptional split-form instance that is tridiagonal
         assert witnesses == []

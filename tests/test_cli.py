@@ -88,6 +88,31 @@ def test_parse_error_exit_code():
         assert json.loads(r.stderr)["error"]["type"] == "ParseError"
 
 
+
+# An integer literal past the decoder's digit limit (4300) raises a plain
+# ValueError in json.loads; deep nesting raises RecursionError.
+HUGE_LITERAL = '{"field": {"kind": "Q"}, "A": [[' + "9" * 5000 + ']], "Astar": [["1"]]}'
+DEEP_NESTING = "[" * 100_000
+
+
+@pytest.mark.parametrize("text", [HUGE_LITERAL, DEEP_NESTING], ids=["huge-literal", "deep-nesting"])
+def test_undecodable_json_is_a_parse_error(text):
+    r = run_cli("analyze", "-", stdin=text)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["type"] == "ParseError"
+
+
+def test_batch_survives_an_undecodable_line():
+    # The bad line prints its error in place; the lines after it are still analyzed.
+    good = (FIXTURES / "pair_split_gf7.json").read_text().replace("\n", " ")
+    r = run_cli("analyze", "-", "--batch", stdin="\n".join([good, HUGE_LITERAL, good]) + "\n")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == ""
+    first, middle, last = (json.loads(line) for line in r.stdout.splitlines())
+    assert first == last and first["hessenberg"]["is_hessenberg_pair"] is True
+    assert middle["line"] == 2 and middle["error"]["type"] == "ParseError"
+
 def _unreadable_path(tmp_path, kind):
     if kind == "missing":
         return str(tmp_path / "missing.json")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -34,9 +35,16 @@ from hesspairs.errors import (
 
 
 def test_split_form_canonical_worked_example():
-    inst = gen_split_form(QQ, (1, 1, 1), (0, 1, 2), (0, 1, 2), seed=0, constant_entry=1)
-    assert inst.a == Matrix.from_rows(QQ, [[2, 0, 0], [1, 1, 0], [0, 1, 0]])
-    assert inst.a_star == Matrix.from_rows(QQ, [[0, 1, 0], [0, 1, 1], [0, 0, 2]])
+    # Block i carries a[d-i] for A and a*[i] for A*; A is lower and A* upper
+    # bidiagonal, with every drawn off-diagonal entry nonzero.
+    inst = gen_split_form(QQ, (1, 1, 1), (0, 1, 2), (0, 1, 2), seed=0)
+    a, a_star = inst.a.entries, inst.a_star.entries
+    assert [a[i][i] for i in range(3)] == [2, 1, 0]
+    assert [a_star[i][i] for i in range(3)] == [0, 1, 2]
+    assert all(a[i + 1][i] != 0 and a_star[i][i + 1] != 0 for i in range(2))
+    for i, j in itertools.product(range(3), repeat=2):
+        assert a[i][j] == 0 or i - j in (0, 1)
+        assert a_star[i][j] == 0 or j - i in (0, 1)
 
 
 def test_split_form_single_block_is_scalar_pair():
@@ -172,8 +180,8 @@ def test_conjugation_preserves_all_verdicts():
         )
         # Tridiagonal verdict unchanged.
         if v0.status is not IrreducibilityStatus.UNDETERMINED:
-            t0, _ = is_tridiagonal_pair(inst.a, inst.a_star, verdict=v0)
-            t1, _ = is_tridiagonal_pair(moved.a, moved.a_star, verdict=v1)
+            t0, _ = is_tridiagonal_pair(inst.a, inst.a_star)
+            t1, _ = is_tridiagonal_pair(moved.a, moved.a_star)
             assert t0 == t1
 
 

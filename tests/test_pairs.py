@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,54 @@ def test_tridiagonal_filter_equals_product_of_three_term_sides():
     assert partial >= 20 and nonempty >= 20 and filtered >= 20
 
 
+
+def _order_test_pairs():
+    """Random GF(5), GF(7), GF(11) pairs, conjugated split-form pairs, and
+    Q pairs with negative and fractional eigenvalues."""
+    rng = random.Random(35)
+    thirds = sorted({Fraction(k, m) for k in range(-6, 7) for m in (1, 2, 3)})
+    pairs = []
+    for _ in range(30):
+        field = rng.choice([GF(5), GF(7), GF(11)])
+        n = rng.randint(2, 5)
+        pairs.append(tuple(
+            rand_diagonalizable(field, n, list(range(field.p)), rng, max_distinct=3) for _ in range(2)
+        ))
+    for seed in range(40):
+        field = rng.choice([GF(5), GF(7), GF(11), QQ])
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(2, 4)))
+        values = thirds if field is QQ else range(field.p)
+        va, vb = rng.sample(values, len(dims)), rng.sample(values, len(dims))
+        inst = gen_split_form(field, dims, va, vb, seed=seed, allow_zero_entries=True)
+        moved = _conjugated(inst, seed, rng)
+        pairs.append((moved.a, moved.a_star))
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        pairs.append(tuple(
+            _conjugated_diagonal(QQ, _spectrum(rng, thirds, n, 2), _unimodular(QQ, n, rng))
+            for _ in range(2)
+        ))
+    return pairs
+
+
+def test_ordering_pairs_come_in_ascending_eigenvalue_order():
+    # No sort stands behind the report order: eigen_structure lists the
+    # eigenvalues in ascending order and each side's search emits its
+    # orderings in lexicographic order of eigenvalue indices, so the
+    # product of the two sides ascends in the eigenvalue sequences.
+    spread = 0
+    for a, b in _order_test_pairs():
+        for m in (a, b):
+            values = [v.value for v in eigen_structure(m).eigenvalues]
+            assert all(x < y for x, y in zip(values, values[1:]))
+        keys = [
+            (tuple(v.value for v in oa.eigenvalues), tuple(v.value for v in ob.eigenvalues))
+            for oa, ob in find_hessenberg_orderings(a, b)
+        ]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        spread += len({ka for ka, _ in keys}) > 1 and len({kb for _, kb in keys}) > 1
+    assert spread >= 20
+
 def test_analyze_pair_computes_each_fact_once(monkeypatch):
     # One eigen structure per side and one split verification per
     # reported ordering pair.
@@ -387,6 +436,7 @@ def test_analyze_pair_conjugates_once_per_side(monkeypatch, fixture):
     monkeypatch.setattr(pairs, "_block_support", counting_support)
     monkeypatch.setattr(pairs, "_side_condition_holds", refuse)
     monkeypatch.setattr(pairs, "_three_term_side_holds", refuse)
+    monkeypatch.setattr(pairs, "_window_inclusions_hold", refuse)
     report = analyze_pair(a, a_star)
     assert report.eigen_a.diagonalizable and report.eigen_a_star.diagonalizable
     assert report.tridiagonal is not None
@@ -1093,7 +1143,7 @@ def test_generic_split_form_is_not_tridiagonal():
     inst = gen_split_form(GF(11), (1, 1, 1), (0, 1, 2), (0, 1, 2), seed=41)
     verdict = decide_irreducible(inst.a, inst.a_star)
     assert verdict.status is IrreducibilityStatus.IRREDUCIBLE
-    ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star, verdict=verdict)
+    ok, witnesses = is_tridiagonal_pair(inst.a, inst.a_star)
     assert not ok
     assert witnesses == []
 
@@ -1145,7 +1195,7 @@ def test_sparse_split_form_instances_oracle_agreement():
         verdict = decide_irreducible(inst.a, inst.a_star)
         if verdict.status is IrreducibilityStatus.UNDETERMINED:
             continue
-        ok, _ = is_tridiagonal_pair(inst.a, inst.a_star, verdict=verdict)
+        ok, _ = is_tridiagonal_pair(inst.a, inst.a_star)
         hits += 1
         if verdict.status is IrreducibilityStatus.REDUCIBLE:
             assert not ok
