@@ -16,13 +16,17 @@ API boundaries and supports the usual operators.
 Matrix and polynomial products, the Berkowitz recurrence and every echelon
 row reduction go through two vector primitives, :meth:`FieldSpec.dot`
 (Σ x·y) and :meth:`FieldSpec.sub_scaled` (x − c·y entrywise), so each field
-kind writes its multiply-accumulate once.
+kind writes its multiply-accumulate once.  Both work on integers and build
+one canonical value per result entry: over GF(p) one reduction modulo p,
+over Q one ``Fraction(numerator, denominator)`` formed from the integer
+numerators and denominators of the inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Union
 
@@ -38,6 +42,10 @@ Raw = Union[Fraction, int]
 
 _MAX_PRIME = 2**31  # machine-word primes only
 _WITNESSES = (2, 3, 5, 7)
+
+# Fractions are immutable, so Q's zero and one are shared constants.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -171,10 +179,10 @@ class Rationals(FieldSpec):
     kind = "Q"
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b
@@ -193,12 +201,30 @@ class Rationals(FieldSpec):
             raise DivisionByZeroError("inverse of zero")
         return 1 / a
 
-    # A Fraction product costs about a microsecond, so zero terms are skipped.
+    # Every Fraction operation reduces by a gcd, so the sum is kept as an
+    # integer numerator n over the lcm d of the term denominators and
+    # reduced once, at the end.  A term with denominator d is added as is.
     def dot(self, xs, ys):
-        return sum((x * y for x, y in zip(xs, ys) if x and y), Fraction(0))
+        n, d = 0, 1
+        for x, y in zip(xs, ys):
+            if x and y:
+                tn = x.numerator * y.numerator
+                td = x.denominator * y.denominator
+                if td == d:
+                    n += tn
+                else:
+                    g = gcd(d, td)
+                    n, d = n * (td // g) + tn * (d // g), d // g * td
+        return Fraction(n, d)
 
+    # x - c·y = (x.n·c.d·y.d - c.n·y.n·x.d) / (x.d·c.d·y.d): one Fraction per entry.
     def sub_scaled(self, xs, c, ys):
-        return [x - c * y if y else x for x, y in zip(xs, ys)]
+        cn, cd = c.numerator, c.denominator
+        return [
+            Fraction(x.numerator * cd * y.denominator - cn * y.numerator * x.denominator,
+                     x.denominator * cd * y.denominator) if y else x
+            for x, y in zip(xs, ys)
+        ]
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, FieldElement):

@@ -31,7 +31,9 @@ class _Echelon:
     The workhorse behind rref, kernels, sums, intersections, spinning and
     flag construction.  Rows are kept normalized (pivot 1), mutually
     reduced, and sorted by pivot column, so `rows` is always a canonical
-    RREF basis of the span of everything inserted so far.
+    RREF basis of the span of everything inserted so far.  Zeros are tested
+    by truth value: a raw zero is falsy in both fields, and ``Fraction``'s
+    ``==`` is far slower than its ``bool``.
     """
 
     __slots__ = ("field", "width", "rows", "pivots")
@@ -45,34 +47,31 @@ class _Echelon:
     def residual(self, vec: Sequence[Raw]) -> list[Raw]:
         """Reduce ``vec`` against the current rows; returns the remainder."""
         F = self.field
-        zero = F.zero()
         out = list(vec)
         for row, piv in zip(self.rows, self.pivots):
             c = out[piv]
-            if c != zero:
+            if c:
                 out[piv:] = F.sub_scaled(out[piv:], c, row[piv:])
         return out
 
     def contains(self, vec: Sequence[Raw]) -> bool:
-        zero = self.field.zero()
-        return all(x == zero for x in self.residual(vec))
+        return not any(self.residual(vec))
 
     def insert(self, vec: Sequence[Raw]) -> bool:
         """Add ``vec`` to the span.  Returns True when the span grew."""
         F = self.field
-        zero = F.zero()
         red = self.residual(vec)
-        piv = next((j for j, x in enumerate(red) if x != zero), None)
+        piv = next((j for j, x in enumerate(red) if x), None)
         if piv is None:
             return False
         if red[piv] != F.one():
             inv = F.inv(red[piv])
-            red = [F.mul(inv, x) if x != zero else zero for x in red]
+            red = [F.mul(inv, x) if x else x for x in red]
         # Clear the new pivot column from the existing rows.
         tail = red[piv:]
         for row in self.rows:
             c = row[piv]
-            if c != zero:
+            if c:
                 row[piv:] = F.sub_scaled(row[piv:], c, tail)
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
@@ -292,7 +291,7 @@ class SubspaceBasis:
     def _as_echelon(self) -> _Echelon:
         ech = _Echelon(self.field, self.ambient_dim)
         ech.rows = [list(r) for r in self.rows]
-        ech.pivots = [next(j for j, x in enumerate(r) if x != self.field.zero()) for r in self.rows]
+        ech.pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
         return ech
 
     def __eq__(self, other) -> bool:

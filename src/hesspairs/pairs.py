@@ -150,13 +150,20 @@ def _window_inclusions_hold(acting: Matrix, ordering: EigenOrdering, back: int) 
     V_0 + ... + V_{i+1} of the Hessenberg chain and ``back`` = 1 the
     window V_{i-1} + V_i + V_{i+1} of the three-term chain.  The echelon
     oracle for both chains: it works in the standard basis, independently
-    of the block pattern.
+    of the block pattern.  While the window starts at V_0 its echelon is
+    extended by V_{i+1} alone; once the low end moves it is rebuilt.
     """
     spaces = ordering.eigenspaces
+    ech = _Echelon(acting.field, acting.ncols)
+    ech.insert_all(spaces[0].rows)
     for i, space in enumerate(spaces):
-        ech = _Echelon(acting.field, acting.ncols)
-        for w in spaces[max(i - back, 0):i + 2]:
-            ech.insert_all(w.rows)
+        low = i - back
+        if low > 0:
+            ech = _Echelon(acting.field, acting.ncols)
+            for w in spaces[low:i + 2]:
+                ech.insert_all(w.rows)
+        elif i + 1 < len(spaces):
+            ech.insert_all(spaces[i + 1].rows)
         if not all(ech.contains(acting.mul_vec(v)) for v in space.rows):
             return False
     return True

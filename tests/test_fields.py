@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -167,10 +168,50 @@ def test_dot_and_sub_scaled_match_termwise(spec):
     cases += [(vec(k), vec(k)) for k in range(1, 9) for _ in range(5)]
     # Unequal lengths: zip truncation lets the shorter input set the length.
     cases += [(vec(rng.randint(1, 8)), vec(rng.randint(1, 8))) for _ in range(40)]
-    for xs, ys in cases:
-        c = spec.rand(rng)
-        dot, scaled = spec.dot(xs, ys), spec.sub_scaled(xs, c, ys)
-        assert dot == fold(xs, ys)
-        assert scaled == [spec.sub(x, spec.mul(c, y)) for x, y in zip(xs, ys)]
-        if spec == QQ:
-            assert isinstance(dot, Fraction) and all(isinstance(v, Fraction) for v in scaled)
+    cases = [(xs, spec.rand(rng), ys) for xs, ys in cases]
+    if spec == QQ:
+        cases += _wide_rational_cases(random.Random(29))
+    for xs, c, ys in cases:
+        for scale in (c, spec.zero()):
+            dot, scaled = spec.dot(xs, ys), spec.sub_scaled(xs, scale, ys)
+            assert dot == fold(xs, ys)
+            assert scaled == [spec.sub(x, spec.mul(scale, y)) for x, y in zip(xs, ys)]
+            if spec == QQ:
+                for v in [dot, *scaled]:
+                    assert isinstance(v, Fraction)
+                    assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+def _wide_rational_cases(rng):
+    """(xs, c, ys) over Q for the integer-based dot and sub_scaled.
+
+    Heights up to about 2^200 with mixed signs; runs of equal term
+    denominators, runs of pairwise coprime ones and runs that switch
+    between the two; zero x against nonzero y, and the reverse.
+    """
+
+    def height(bits):
+        return rng.randint(-(2**bits), 2**bits)
+
+    def rat(bits):
+        return Fraction(height(bits), rng.randint(1, 2**bits))
+
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    cases = []
+    for bits in (1, 8, 64, 200):
+        for k in range(1, 10):
+            cases.append(([rat(bits) for _ in range(k)], rat(bits), [rat(bits) for _ in range(k)]))
+            # Integer xs against ys over one prime: every term has that denominator.
+            p = rng.choice(primes)
+            ints = [Fraction(height(bits)) for _ in range(k)]
+            same = [Fraction(height(bits) * p + rng.randint(1, p - 1), p) for _ in range(k)]
+            cases.append((ints, rat(bits), same))
+            # Pairwise coprime term denominators, then a switch back and forth.
+            coprime = [Fraction(height(bits) * q + 1, q) for q in rng.sample(primes, k)]
+            mixed = [Fraction(height(bits) * q + 1, q) for q in rng.choices([3, 3, 5, 1], k=k)]
+            cases.append((ints, rat(bits), coprime))
+            cases.append((coprime, rat(bits), mixed))
+            # Zero x against nonzero y, and nonzero x against zero y.
+            cases.append(([Fraction(0)] * k, rat(bits), coprime))
+            cases.append((coprime, rat(bits), [Fraction(0)] * k))
+    return cases

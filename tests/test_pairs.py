@@ -59,6 +59,7 @@ from hesspairs.pairs import (
     _three_term_side_holds,
     _three_term_side_orderings,
     _tridiagonal_orderings,
+    _window_inclusions_hold,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -273,6 +274,58 @@ def test_block_pattern_search_equals_echelon_scan_randomized():
             assert fast == _scan_orderings(eig, acting, _side_condition_holds)
             partial += 0 < len(fast) < math.factorial(eig.d + 1)
     assert partial >= 20
+
+
+def _first_failing_window(acting, ordering, back):
+    """The first i with acting V_i not inside V_{i-back} + ... + V_{i+1}, or None.
+
+    Each window's sum is built afresh from its eigenspaces.
+    """
+    spaces = ordering.eigenspaces
+    for i, space in enumerate(spaces):
+        rows = [r for w in spaces[max(i - back, 0):i + 2] for r in w.rows]
+        window = SubspaceBasis.from_vectors(acting.field, acting.ncols, rows)
+        if not subspace_contains(window, apply(acting, space)):
+            return i
+    return None
+
+
+def test_window_inclusions_match_fresh_window_reference():
+    # The oracle extends one echelon while the window starts at V_0 and
+    # rebuilds it once the low end moves; the reference sums every window
+    # afresh.  Both chains are checked on every ordering, and orderings
+    # failing at the first, a middle and the last window that can fail are
+    # each counted.
+    rng = random.Random(36)
+    pairs = []
+    for _ in range(24):
+        field = rng.choice([GF(5), GF(7)])
+        n = rng.randint(3, 5)
+        pairs.append(tuple(rand_diagonalizable(field, n, list(range(field.p)), rng) for _ in range(2)))
+    for _ in range(6):
+        n = rng.randint(3, 4)
+        pairs.append(tuple(rand_diagonalizable(QQ, n, list(range(-3, 4)), rng) for _ in range(2)))
+    for seed in range(24):
+        field = [GF(5), GF(7), QQ][seed % 3]
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(4, 5)))
+        values = range(-5, 6) if field is QQ else range(field.p)
+        va, vb = rng.sample(values, len(dims)), rng.sample(values, len(dims))
+        inst = gen_split_form(field, dims, va, vb, seed=seed, allow_zero_entries=True)
+        pairs.append((inst.a, inst.a_star))
+    seen = {(chain, where): 0 for chain in ("hessenberg", "three-term") for where in ("first", "middle", "last")}
+    for a, b in pairs:
+        for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
+            d = eig.d
+            for perm in itertools.permutations(range(d + 1)):
+                ordering = EigenOrdering(eig, perm)
+                # The last window that can fail: V_0 + ... + V_d is all of V.
+                for chain, back, last in (("hessenberg", d + 1, d - 2), ("three-term", 1, d)):
+                    failed_at = _first_failing_window(acting, ordering, back)
+                    assert _window_inclusions_hold(acting, ordering, back) == (failed_at is None)
+                    if failed_at is not None and last >= 2:
+                        where = "first" if failed_at == 0 else "last" if failed_at == last else "middle"
+                        seen[chain, where] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_tridiagonal_filter_equals_product_of_three_term_sides():
