@@ -456,17 +456,16 @@ def cmd_check_split(args) -> int:
         ord_a = EigenOrdering.from_eigenvalues(eig_a, cand.eigenvalues_a)
         ord_b = EigenOrdering.from_eigenvalues(eig_a_star, cand.eigenvalues_a_star)
         formula = split_from_flags(ord_a, ord_b)
+    except (HesspairsError, ValueError) as exc:
+        result["formula_error"] = str(exc)
+    else:
         result["matches_formula"] = formula == cand
         if not violations:
-            result["uniqueness_confirmed"] = formula == cand
+            result["uniqueness_confirmed"] = result["matches_formula"]
             if not result["uniqueness_confirmed"]:
                 raise OracleDisagreementError(
                     "verified split differs from the closed-form split; this is a bug"
                 )
-    except (HesspairsError, ValueError) as exc:
-        if isinstance(exc, OracleDisagreementError):
-            raise
-        result["formula_error"] = str(exc)
     _emit(result)
     return EXIT_OK if result["split_valid"] else EXIT_FAIL
 

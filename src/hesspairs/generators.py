@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
+    AmbientMismatchError,
     DuplicateEigenvalueError,
     EmptyDimsError,
     GenerationBudgetError,
@@ -335,7 +336,9 @@ def conjugate(
     n = inst.a.nrows
     if conjugator is not None:
         p = conjugator
-        p_inv = _inverse(p) if p.nrows == n else None
+        if (p.nrows, p.ncols) != (n, n):
+            raise AmbientMismatchError(f"supplied conjugator is {p.nrows}x{p.ncols}; the pair is {n}x{n}")
+        p_inv = _inverse(p)
         if p_inv is None:
             raise SingularConjugatorError("supplied conjugator is singular")
     else:
@@ -370,7 +373,7 @@ def conjugate(
 
 
 def _inverse(p: Matrix) -> Optional[Matrix]:
-    """P^-1, or None when P is singular or not square."""
+    """P^-1, or None when the square P is singular."""
     try:
         return p.inverse()
     except ValueError:

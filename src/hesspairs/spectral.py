@@ -5,12 +5,17 @@ Hessenberg form, and over Q by the division-free Berkowitz method, under
 which the entries grow less.  Eigenvalues are found *in the ground field
 only*:
 
-* over GF(p), by scanning all residues when p <= 64·deg and, for larger
-  p, by extracting the linear part of the square-free part of the
-  polynomial via gcd with x^p - x, then equal-degree splitting;
-* over Q, by the same gcd finder modulo a Mersenne prime that exceeds
-  twice Fujiwara's root bound of the integer scaling of the polynomial;
-  the exact multiplicity count keeps the lifts that are roots.
+* over GF(p), the candidates are all residues when p <= 64·deg and, for
+  larger p, the roots of the linear part of the square-free part of the
+  polynomial, extracted via gcd with x^p - x, then equal-degree splitting;
+* over Q, the polynomial is scaled to a monic integer g whose rational
+  roots are integers, and the candidates are the symmetric lifts of the
+  same gcd finder's roots modulo a Mersenne prime that exceeds twice
+  Fujiwara's root bound of g.
+
+On both fields one exact count on integer coefficients is the root test:
+synthetic division, mod p or over Z, divides each candidate out of one
+shrinking quotient, and the number of zero remainders is its multiplicity.
 
 If the characteristic polynomial does not split into linear factors over
 the field, :func:`eigen_structure` raises
@@ -21,10 +26,10 @@ analysis is meaningless without the full spectrum.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -37,7 +42,7 @@ from .errors import (
     NotDiagonalizableError,
     NotSquareError,
 )
-from .fields import FieldElement, FieldSpec, PrimeField, Raw, Rationals
+from .fields import FieldElement, FieldSpec, PrimeField, Raw
 from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 
 # A polynomial of degree n over GF(p) has its roots found by trying every
@@ -64,9 +69,8 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs: Sequence[Raw]):
-        zero = field.zero()
         cs = list(coeffs)
-        while cs and cs[-1] == zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -130,21 +134,6 @@ class Polynomial:
             acc = acc * m + Matrix.scalar(self.field, n, c)
         return acc
 
-    def divide_linear(self, root) -> tuple["Polynomial", Raw]:
-        """Synthetic division by (x - root); returns (quotient, remainder)."""
-        F = self.field
-        r = F.coerce(root)
-        out: list[Raw] = []
-        acc = F.zero()
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, r), c)
-            out.append(acc)
-        if not out:
-            return Polynomial.zero(F), F.zero()
-        rem = out.pop()
-        out.reverse()
-        return Polynomial(F, out), rem
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
@@ -159,7 +148,7 @@ class Polynomial:
         if self.is_zero:
             return "Polynomial(0)"
         terms = " + ".join(
-            f"({self.field.format(c)})x^{i}" for i, c in enumerate(self.coeffs) if c != self.field.zero()
+            f"({self.field.format(c)})x^{i}" for i, c in enumerate(self.coeffs) if c
         )
         return f"Polynomial({terms})"
 
@@ -255,14 +244,6 @@ def _char_poly_hessenberg(m: Matrix) -> Polynomial:
 
 
 # -- root finding ------------------------------------------------------------
-
-
-def _roots_prime_field(poly: Polynomial, spec: PrimeField) -> list[int]:
-    """Distinct roots of ``poly`` in GF(p)."""
-    p = spec.p
-    if p <= _SCAN_FACTOR * poly.degree:
-        return [c for c in range(p) if poly.eval(c) == 0]
-    return sorted(_roots_large_prime(list(poly.coeffs), p))
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -378,21 +359,20 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     return roots
 
 
-def _roots_rationals(poly: Polynomial) -> list[Fraction]:
-    """Candidate rational roots of a monic ``poly``, found modulo a Mersenne prime.
+def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, list[int]]:
+    """(g, L, candidates) for a monic ``poly`` over Q, found modulo a Mersenne prime.
 
     With L the lcm of the denominators, g(y) = L^n poly(y/L) is monic with
-    integer coefficients, so its rational roots are integers.  Fujiwara's
-    bound puts them in |y| <= 2^(b+1), so modulo a prime p > 2^(b+2) they
-    stay distinct and lift back from (-p/2, p/2).  Every rational root is
-    among the returned lifts; the exact multiplicity count in
+    integer coefficients, so its rational roots are integers y, and the
+    roots of ``poly`` are the y/L.  Fujiwara's bound puts them in
+    |y| <= 2^(b+1), so modulo a prime p > 2^(b+2) they stay distinct and
+    lift back from (-p/2, p/2).  Every integer root of g is among the
+    returned lifts; the exact multiplicity count in
     :func:`_in_field_roots_with_multiplicity` drops the lifts that are not
     roots.
     """
     n = poly.degree
-    lcm = 1
-    for c in poly.coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in poly.coeffs))
     g = [int(c * lcm ** (n - i)) for i, c in enumerate(poly.coeffs)]
     b = max((-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1])), default=0)
     e = next((e for e in _MERSENNE_EXPONENTS if e > b + 2), None)
@@ -402,34 +382,55 @@ def _roots_rationals(poly: Polynomial) -> list[Fraction]:
             f"exceeds the largest supported bound 2^{_MERSENNE_EXPONENTS[-1] - 2}"
         )
     p = 2**e - 1
-    return [Fraction(r - p if r > p // 2 else r, lcm) for r in _roots_large_prime(g, p)]
+    return g, lcm, [r - p if r > p // 2 else r for r in _roots_large_prime(g, p)]
+
+
+def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int]:
+    """(quotient, remainder) of ``high`` by (x - r), coefficients high-to-low.
+
+    On ints: reduced mod p when p is nonzero, exact when p is 0.
+    """
+    out = []
+    acc = 0
+    for c in high:
+        acc = acc * r + c
+        if p:
+            acc %= p
+        out.append(acc)
+    rem = out.pop()
+    return out, rem
 
 
 def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
     """All (root, multiplicity) pairs with the root in the ground field, roots ascending.
 
-    The multiplicity count is the one exact root test: a candidate that
-    divides ``poly`` zero times is dropped.
+    Works on integer coefficients g: over GF(p) the residues of ``poly``,
+    whose candidate roots are every residue when p <= _SCAN_FACTOR·deg and
+    the gcd finder's roots above; over Q, g and the candidates of
+    :func:`_integer_candidates`, where a root y of g is the root y/L of
+    ``poly``.  Each candidate, in ascending order, is divided out of one
+    shrinking quotient, mod p or exactly over Z.  The number of zero
+    remainders is its multiplicity, and the one exact root test: a
+    candidate that divides zero times is dropped.
     """
-    spec = poly.field
-    if isinstance(spec, PrimeField):
-        found = _roots_prime_field(poly, spec)
-    elif isinstance(spec, Rationals):
-        found = _roots_rationals(poly)
-    else:  # pragma: no cover - no other field kinds exist
-        raise TypeError(f"unsupported field {spec!r}")
+    if isinstance(poly.field, PrimeField):
+        p, g, lcm = poly.field.p, list(poly.coeffs), 1
+        found = range(p) if p <= _SCAN_FACTOR * poly.degree else _roots_large_prime(g, p)
+    else:
+        p = 0
+        g, lcm, found = _integer_candidates(poly)
     out = []
-    for r in sorted(set(found)):
+    quo = g[::-1]
+    for r in sorted(found):
         mult = 0
-        work = poly
         while True:
-            quo, rem = work.divide_linear(r)
-            if rem != spec.zero():
+            q, rem = _synthetic_division(quo, r, p)
+            if rem:
                 break
+            quo = q
             mult += 1
-            work = quo
         if mult:
-            out.append((r, mult))
+            out.append((r if p else Fraction(r, lcm), mult))
     return out
 
 

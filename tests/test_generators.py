@@ -25,6 +25,7 @@ from hesspairs import (
     verify_split,
 )
 from hesspairs.errors import (
+    AmbientMismatchError,
     DuplicateEigenvalueError,
     EmptyDimsError,
     GenerationBudgetError,
@@ -144,6 +145,16 @@ def test_conjugate_rejects_singular_conjugator():
     inst = gen_split_form(GF(7), (1, 1), (0, 1), (2, 3), seed=5)
     with pytest.raises(SingularConjugatorError):
         conjugate(inst, seed=0, conjugator=Matrix.zeros(GF(7), 2, 2))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (1, 1)])
+def test_conjugate_rejects_wrong_shape_conjugator(shape):
+    inst = gen_split_form(GF(7), (1, 1), (0, 1), (2, 3), seed=5)
+    # Full rank, so only the shape can be wrong with it.
+    rows, cols = shape
+    p = Matrix.from_rows(GF(7), [[int(i == j) for j in range(cols)] for i in range(rows)])
+    with pytest.raises(AmbientMismatchError, match=f"supplied conjugator is {rows}x{cols}; the pair is 2x2"):
+        conjugate(inst, seed=0, conjugator=p)
 
 
 def test_conjugate_gives_up_after_a_fixed_number_of_draws(monkeypatch):

@@ -325,6 +325,118 @@ def test_rational_roots_match_sympy():
         assert _in_field_roots_with_multiplicity(poly) == sorted(expected), coeffs
 
 
+def _field_division_count(poly, candidates):
+    """Roots with multiplicity by the generic count: each candidate divides
+    the field polynomial, by synthetic division in FieldSpec arithmetic,
+    until the remainder is nonzero."""
+    F = poly.field
+    out = []
+    for r in sorted(set(candidates)):
+        mult, work = 0, list(poly.coeffs)
+        while True:
+            acc, quo = F.zero(), []
+            for c in reversed(work):
+                acc = F.add(F.mul(acc, r), c)
+                quo.append(acc)
+            if quo.pop() != F.zero():
+                break
+            mult += 1
+            work = quo[::-1]
+        if mult:
+            out.append((r, mult))
+    return out
+
+
+def _planted_over(field, rng):
+    """(poly, planted roots, extra factors) over GF(p) or Q.
+
+    Roots repeat, 0 is planted in a third of the cases, and the extra
+    factors have no root in the field: an irreducible quadratic, and over Q
+    also x^2 - 2, whose roots exist modulo every Mersenne prime above 3.
+    """
+    height = 2 ** rng.choice([4, 30, 100])
+    if field == QQ:
+        extras = [Polynomial.from_coefficients(QQ, [-2, 0, 1]), _rootless_quadratic(rng)]
+    elif field.p == 2:
+        extras = [Polynomial(field, [1, 1, 1])]
+    else:
+        p = field.p
+        non_square = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+        extras = [Polynomial(field, [p - non_square, 0, 1])]
+    planted: dict = {}
+    for _ in range(rng.randint(0, 4)):
+        if field == QQ:
+            root = Fraction(rng.randint(-height, height), rng.randint(1, 40))
+        else:
+            root = rng.randrange(field.p)
+        planted[root] = planted.get(root, 0) + rng.randint(1, 3)
+    if rng.random() < 0.35:
+        zero = field.zero()
+        planted[zero] = planted.get(zero, 0) + rng.randint(1, 2)
+    poly = Polynomial.from_roots(field, [r for r, k in planted.items() for _ in range(k)])
+    chosen = [f for f in extras if rng.random() < 0.5]
+    for f in chosen:
+        poly = poly * f
+    return poly, planted, chosen
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), GF(101), GF(2**31 - 1), QQ], ids=str)
+def test_integer_root_count_matches_field_division(field):
+    # The root routine counts on integer coefficients (residues mod p, or
+    # L^n poly(y/L) over Z); the generic count divides the field polynomial.
+    # Both must find exactly the planted roots: the routine among its own
+    # candidates, the reference among the planted roots, decoys, every
+    # residue of a small field and, over Q, the routine's lifts.
+    rng = random.Random(20 + (field.p if field != QQ else 0))
+    sqrt2 = Polynomial.from_coefficients(QQ, [-2, 0, 1])
+    if field == QQ:
+        fixed = [
+            (sqrt2 * sqrt2 * Polynomial.from_roots(QQ, [1]), {Fraction(1): 1}, [sqrt2, sqrt2]),
+            (sqrt2, {}, [sqrt2]),
+            (Polynomial.from_roots(QQ, [Fraction(-(2**100), 3)] * 2 + [Fraction(2**99 + 1, 7), 0]),
+             {Fraction(-(2**100), 3): 2, Fraction(2**99 + 1, 7): 1, Fraction(0): 1}, []),
+        ]
+    else:
+        fixed = [(Polynomial.from_roots(field, [0, 0, 0, 1, 1]), {0: 3, 1: 2}, [])]
+    cases = fixed + [_planted_over(field, rng) for _ in range(25)]
+    for poly, planted, extras in cases:
+        if poly.degree < 1:
+            continue
+        expected = sorted(planted.items())
+        found = _in_field_roots_with_multiplicity(poly)
+        assert found == expected, (poly, planted)
+        decoys = [field.coerce(rng.randint(-50, 50)) for _ in range(5)]
+        decoys += [field.neg(r) for r in planted] + [field.add(r, field.one()) for r in planted]
+        if field == QQ:
+            _, lcm, lifts = spectral._integer_candidates(poly)
+            decoys += [Fraction(y, lcm) for y in lifts]
+            decoys += [Fraction(y) for y in lifts]  # L forgotten
+            if sqrt2 in extras:
+                # x^2 - 2 has roots modulo the Mersenne prime: two lifts to drop.
+                assert len(lifts) >= len(planted) + 2
+            assert all(
+                type(r) is Fraction and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+                for r, _ in found
+            )
+        else:
+            if field.p <= 101:
+                decoys += range(field.p)
+            assert all(type(r) is int and 0 <= r < field.p for r, _ in found)
+        assert _field_division_count(poly, list(planted) + decoys) == expected
+        # On the companion matrix the unfound part is exactly the extra factors.
+        m = companion(field, poly.coeffs)
+        unfound = sum(f.degree for f in extras)
+        if unfound:
+            with pytest.raises(EigenvaluesOutsideFieldError) as err:
+                eigen_structure(m)
+            assert err.value.unfactored_degree == unfound
+        else:
+            eig = eigen_structure(m)
+            assert [(v.value, s.dim) for v, s in zip(eig.eigenvalues, eig.eigenspaces)] == [
+                (r, 1) for r, _ in expected
+            ]
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -496,7 +608,7 @@ def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
         found = []
         for factor in (p, 0):
             monkeypatch.setattr(spectral, "_SCAN_FACTOR", factor)
-            found.append(spectral._roots_prime_field(poly, field))
+            found.append([r for r, _ in _in_field_roots_with_multiplicity(poly)])
         assert found[0] == found[1] == planted
 
 
