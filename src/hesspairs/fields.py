@@ -14,12 +14,13 @@ are what matrices and subspace bases store internally; the
 API boundaries and supports the usual operators.
 
 Matrix and polynomial products, the Berkowitz recurrence and every echelon
-row reduction go through two vector primitives, :meth:`FieldSpec.dot`
-(Σ x·y) and :meth:`FieldSpec.sub_scaled` (x − c·y entrywise), so each field
-kind writes its multiply-accumulate once.  Both work on integers and build
-one canonical value per result entry: over GF(p) one reduction modulo p,
-over Q one ``Fraction(numerator, denominator)`` formed from the integer
-numerators and denominators of the inputs.
+row operation go through three vector primitives, :meth:`FieldSpec.dot`
+(Σ x·y), :meth:`FieldSpec.sub_scaled` (x − c·y entrywise) and
+:meth:`FieldSpec.scale` (c·y entrywise, which normalizes echelon rows), so
+each field kind writes its multiply-accumulate once.  All three work on
+integers and build one canonical value per result entry: over GF(p) one
+reduction modulo p, over Q one ``Fraction(numerator, denominator)`` formed
+from the integer numerators and denominators of the inputs.
 """
 
 from __future__ import annotations
@@ -118,6 +119,10 @@ class FieldSpec:
 
     def sub_scaled(self, xs: Iterable[Raw], c: Raw, ys: Iterable[Raw]) -> list[Raw]:
         """``[x - c·y for x, y in zip(xs, ys)]``."""
+        raise NotImplementedError
+
+    def scale(self, c: Raw, ys: Iterable[Raw]) -> list[Raw]:
+        """``[c·y for y in ys]``."""
         raise NotImplementedError
 
     # conversion ---------------------------------------------------------
@@ -226,6 +231,11 @@ class Rationals(FieldSpec):
             for x, y in zip(xs, ys)
         ]
 
+    # c·y = (c.n·y.n) / (c.d·y.d): one Fraction per entry.
+    def scale(self, c, ys):
+        cn, cd = c.numerator, c.denominator
+        return [Fraction(cn * y.numerator, cd * y.denominator) if y else y for y in ys]
+
     def coerce(self, x) -> Fraction:
         if isinstance(x, FieldElement):
             self.check_same(x.spec)
@@ -303,6 +313,10 @@ class PrimeField(FieldSpec):
     def sub_scaled(self, xs, c, ys):
         p = self.p
         return [(x - c * y) % p if y else x for x, y in zip(xs, ys)]
+
+    def scale(self, c, ys):
+        p = self.p
+        return [c * y % p for y in ys]
 
     def coerce(self, x) -> int:
         if isinstance(x, FieldElement):

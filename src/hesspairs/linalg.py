@@ -10,8 +10,10 @@ Conventions used throughout the package:
 
 Internally every entry is a raw value (``Fraction`` or int residue); the
 owning :class:`~hesspairs.fields.FieldSpec` performs the arithmetic.  Matrix
-products are rows of :meth:`~hesspairs.fields.FieldSpec.dot`, and every
-echelon row reduction is one :meth:`~hesspairs.fields.FieldSpec.sub_scaled`.
+products are rows of :meth:`~hesspairs.fields.FieldSpec.dot`, every
+echelon row reduction is one :meth:`~hesspairs.fields.FieldSpec.sub_scaled`,
+and every new echelon row is normalized by one
+:meth:`~hesspairs.fields.FieldSpec.scale`.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ class _Echelon:
         piv = next((j for j, x in enumerate(red) if x), None)
         if piv is None:
             return False
-        if red[piv] != F.one():
-            inv = F.inv(red[piv])
-            red = [F.mul(inv, x) if x else x for x in red]
-        # Clear the new pivot column from the existing rows.
         tail = red[piv:]
+        if tail[0] != F.one():
+            tail = F.scale(F.inv(tail[0]), tail)
+            red[piv:] = tail
+        # Clear the new pivot column from the existing rows.
         for row in self.rows:
             c = row[piv]
             if c:
@@ -163,7 +165,7 @@ class Matrix:
     def scale(self, value) -> "Matrix":
         F = self.field
         v = F.coerce(value)
-        return Matrix(F, tuple(tuple(F.mul(v, x) for x in row) for row in self.entries), ncols=self.ncols)
+        return Matrix(F, tuple(tuple(F.scale(v, row)) for row in self.entries), ncols=self.ncols)
 
     def minus_scalar(self, value) -> "Matrix":
         """``self - value * I``; requires a square matrix."""

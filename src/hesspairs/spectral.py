@@ -5,15 +5,18 @@ Hessenberg form, and over Q by the division-free Berkowitz method, under
 which the entries grow less.  Eigenvalues are found *in the ground field
 only*:
 
-* over GF(p), the candidates are all residues when p <= 64·deg and, for
-  larger p, the roots of the linear part of the square-free part of the
-  polynomial, extracted via gcd with x^p - x, then equal-degree splitting;
+* over GF(p), the roots are sought among the residues mod p itself;
 * over Q, the polynomial is scaled to a monic integer g whose rational
-  roots are integers, and the candidates are the symmetric lifts of the
-  same gcd finder's roots modulo a Mersenne prime that exceeds twice
-  Fujiwara's root bound of g.
+  roots are integers, and they are sought among the symmetric lifts of
+  the residues mod a Mersenne prime p that exceeds twice Fujiwara's root
+  bound of g.
 
-On both fields one exact count on integer coefficients is the root test:
+On both fields the candidate residues are all of them when p <= 64·deg
+and, for larger p, the roots of the linear part of the square-free part
+of the polynomial mod p, extracted via gcd with x^p - x, then
+equal-degree splitting.  The powers x^p and (x + a)^((p-1)/2) are taken
+on packed residues (Kronecker substitution: one big-integer product per
+squaring).  One exact count on integer coefficients is the root test:
 synthetic division, mod p or over Z, divides each candidate out of one
 shrinking quotient, and the number of zero remainders is its multiplicity.
 
@@ -45,10 +48,11 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, PrimeField, Raw
 from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 
-# A polynomial of degree n over GF(p) has its roots found by trying every
-# residue when p <= _SCAN_FACTOR·n, and by gcd-based linear-factor
-# extraction above.  The scan costs about p·n Horner steps and the gcd
-# finder about n²·log p products, so the crossover grows with the degree.
+# A polynomial of degree n has its roots mod p (the field's prime, or the
+# Mersenne prime over Q) found by trying every residue when
+# p <= _SCAN_FACTOR·n, and by gcd-based linear-factor extraction above.
+# The scan costs about p·n Horner steps and the gcd finder about
+# n²·log p products, so the crossover grows with the degree.
 _SCAN_FACTOR = 64
 
 # Exponents e of the Mersenne primes 2^e - 1: the moduli in which rational
@@ -275,40 +279,82 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     return _poly_trim(q), _poly_trim(r)
 
 
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """a·b modulo ``mod`` over GF(p), for coefficients in [0, p).
+class _PackedModulus:
+    """Residues modulo a monic f of degree d >= 1 over GF(p), each one int.
 
-    Each product coefficient is summed in full and reduced once; modulo a
-    Mersenne prime p = 2^e - 1 by folding, since 2^e ≡ 1.
+    Coefficient j of a residue sits in bits [jB, (j+1)B) of its packed int
+    (Kronecker substitution; Dumas, Fousse and Salvy 2011), so the product
+    of two residues is one bigint product.  Reduced residues have every
+    coefficient in [0, p).
     """
-    # Zero-padded to the product's length, so a[k::-1] lines up with b.
-    a = a + [0] * (len(b) - 1)
-    out = [sum(map(mul, a[k::-1], b)) for k in range(len(a))]
-    if p & (p + 1) == 0:
-        e = p.bit_length()
-        for k, c in enumerate(out):
-            while c > p:
-                c = (c & p) + (c >> e)
-            out[k] = 0 if c == p else c
-    else:
-        out = [c % p for c in out]
-    return _poly_divmod(out, mod, p)[1]
+
+    __slots__ = ("p", "d", "width", "mask", "table")
+
+    def __init__(self, mod: list[int], p: int):
+        d = len(mod) - 1
+        self.p, self.d = p, d
+        # A product slot sums at most d terms below p², and the fold in
+        # reduce adds at most d - 1 more, so every slot stays below 2d·p²
+        # and B = 2·bits(p) + bits(2d) + 1 keeps it from carrying into the
+        # next.  A ×(x + a) step stays below 2p² in the same way.
+        self.width = 2 * p.bit_length() + (2 * d).bit_length() + 1
+        self.mask = (1 << self.width) - 1
+        # table[k] = x^(d+k) mod f for k = 0 … d - 2, the high slots of a
+        # product; k = 0 is kept when d = 1 for the top slot of r·(x + a).
+        row = [(-c) % p for c in mod[:-1]]
+        self.table = []
+        for _ in range(max(d - 1, 1)):
+            self.table.append(self.pack(row))
+            top = row[-1]
+            row = [(s - top * c) % p for s, c in zip([0, *row[:-1]], mod)]
+
+    def pack(self, coeffs: list[int]) -> int:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc << self.width | c
+        return acc
+
+    def unpack(self, s: int) -> list[int]:
+        """The slots of ``s``, low to high, up to its highest nonzero one."""
+        out = []
+        while s:
+            out.append(s & self.mask)
+            s >>= self.width
+        return out
+
+    def reduce(self, s: int) -> int:
+        """The reduced residue of a packed ``s`` with carry-free slots.
+
+        Each slot above d - 1 is reduced mod p and folded back through
+        ``table``; then every low slot is reduced mod p and repacked.
+        """
+        p, low_bits = self.p, self.d * self.width
+        high = s >> low_bits
+        if high:
+            folds = [c % p for c in self.unpack(high)]
+            s = (s & ((1 << low_bits) - 1)) + sum(map(mul, folds, self.table))
+        return self.pack([c % p for c in self.unpack(s)])
+
+    def mul(self, x: int, y: int) -> int:
+        """x·y mod f for reduced residues x and y."""
+        return self.reduce(x * y)
 
 
 def _poly_pow_linear(a: int, e: int, mod: list[int], p: int) -> list[int]:
-    """(x + a)^e modulo a monic ``mod`` over GF(p).
+    """(x + a)^e modulo a monic ``mod`` of degree >= 1 over GF(p), trimmed.
 
-    Left to right, so only the squarings are full products: a step by the
-    linear base is a shift and one reduction step.
+    Left to right on packed residues (:class:`_PackedModulus`): each
+    squaring is one bigint product and one reduction, and a step by the
+    linear base is a shift, a scalar product and one reduction.
     """
-    result = [1]
+    m = _PackedModulus(mod, p)
+    result = 1
     for i, bit in enumerate(bin(e)[2:]):
         if i:
-            result = _poly_mul_mod(result, result, mod, p)
+            result = m.mul(result, result)
         if bit == "1":
-            shifted = [(a * c + s) % p for c, s in zip([*result, 0], [0, *result])]
-            result = _poly_divmod(shifted, mod, p)[1]
-    return result
+            result = m.reduce((result << m.width) + a * result)
+    return m.unpack(result)
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -359,17 +405,15 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     return roots
 
 
-def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, list[int]]:
-    """(g, L, candidates) for a monic ``poly`` over Q, found modulo a Mersenne prime.
+def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, int]:
+    """(g, L, p) for a monic ``poly`` over Q: g integer, p a Mersenne prime.
 
     With L the lcm of the denominators, g(y) = L^n poly(y/L) is monic with
     integer coefficients, so its rational roots are integers y, and the
     roots of ``poly`` are the y/L.  Fujiwara's bound puts them in
     |y| <= 2^(b+1), so modulo a prime p > 2^(b+2) they stay distinct and
-    lift back from (-p/2, p/2).  Every integer root of g is among the
-    returned lifts; the exact multiplicity count in
-    :func:`_in_field_roots_with_multiplicity` drops the lifts that are not
-    roots.
+    lift back from (-p/2, p/2): every integer root of g is the symmetric
+    lift of one root of g mod p.
     """
     n = poly.degree
     lcm = math.lcm(*(c.denominator for c in poly.coeffs))
@@ -381,8 +425,7 @@ def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, list[int]]:
             f"characteristic polynomial too large: its rational root bound 2^{b + 1} "
             f"exceeds the largest supported bound 2^{_MERSENNE_EXPONENTS[-1] - 2}"
         )
-    p = 2**e - 1
-    return g, lcm, [r - p if r > p // 2 else r for r in _roots_large_prime(g, p)]
+    return g, lcm, 2**e - 1
 
 
 def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int]:
@@ -404,33 +447,35 @@ def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int
 def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
     """All (root, multiplicity) pairs with the root in the ground field, roots ascending.
 
-    Works on integer coefficients g: over GF(p) the residues of ``poly``,
-    whose candidate roots are every residue when p <= _SCAN_FACTOR·deg and
-    the gcd finder's roots above; over Q, g and the candidates of
+    Works on integer coefficients g and a prime p: over GF(p) the residues
+    of ``poly``; over Q, g, L and the Mersenne prime p of
     :func:`_integer_candidates`, where a root y of g is the root y/L of
-    ``poly``.  Each candidate, in ascending order, is divided out of one
-    shrinking quotient, mod p or exactly over Z.  The number of zero
-    remainders is its multiplicity, and the one exact root test: a
+    ``poly``.  The residues tried are every residue when p <= _SCAN_FACTOR·deg
+    and the gcd finder's roots of g mod p above; over Q the candidates are
+    their symmetric lifts.  Each candidate, in ascending order, is divided
+    out of one shrinking quotient, mod p or exactly over Z.  The number of
+    zero remainders is its multiplicity, and the one exact root test: a
     candidate that divides zero times is dropped.
     """
-    if isinstance(poly.field, PrimeField):
-        p, g, lcm = poly.field.p, list(poly.coeffs), 1
-        found = range(p) if p <= _SCAN_FACTOR * poly.degree else _roots_large_prime(g, p)
+    field_p = poly.field.p if isinstance(poly.field, PrimeField) else 0
+    if field_p:
+        g, lcm, p = list(poly.coeffs), 1, field_p
     else:
-        p = 0
-        g, lcm, found = _integer_candidates(poly)
+        g, lcm, p = _integer_candidates(poly)
+    residues = range(p) if p <= _SCAN_FACTOR * poly.degree else _roots_large_prime(g, p)
+    found = residues if field_p else [r - p if r > p // 2 else r for r in residues]
     out = []
     quo = g[::-1]
     for r in sorted(found):
         mult = 0
         while True:
-            q, rem = _synthetic_division(quo, r, p)
+            q, rem = _synthetic_division(quo, r, field_p)
             if rem:
                 break
             quo = q
             mult += 1
         if mult:
-            out.append((r if p else Fraction(r, lcm), mult))
+            out.append((r if field_p else Fraction(r, lcm), mult))
     return out
 
 

@@ -174,10 +174,12 @@ def test_dot_and_sub_scaled_match_termwise(spec):
     for xs, c, ys in cases:
         for scale in (c, spec.zero()):
             dot, scaled = spec.dot(xs, ys), spec.sub_scaled(xs, scale, ys)
+            multiples = spec.scale(scale, ys)
             assert dot == fold(xs, ys)
             assert scaled == [spec.sub(x, spec.mul(scale, y)) for x, y in zip(xs, ys)]
+            assert multiples == [spec.mul(scale, y) for y in ys]
             if spec == QQ:
-                for v in [dot, *scaled]:
+                for v in [dot, *scaled, *multiples]:
                     assert isinstance(v, Fraction)
                     assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 

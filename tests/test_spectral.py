@@ -28,7 +28,7 @@ from hesspairs.errors import (
     NotSquareError,
 )
 from hesspairs import spectral
-from hesspairs.spectral import _in_field_roots_with_multiplicity, _poly_divmod, _poly_mul_mod
+from hesspairs.spectral import _PackedModulus, _in_field_roots_with_multiplicity, _poly_divmod
 
 
 def companion(field, coeffs_low_to_high_monic):
@@ -305,9 +305,18 @@ def test_rational_roots_planted_with_multiplicity():
         assert _in_field_roots_with_multiplicity(poly) == sorted(planted.items())
 
 
+def _sympy_rational_roots(sympy, coeffs):
+    """(root, multiplicity) of the linear factors of an integer polynomial, by sympy."""
+    out = []
+    for factor, mult in sympy.Poly(coeffs[::-1], sympy.Symbol("x")).factor_list()[1]:
+        if factor.degree() == 1:
+            b, a = factor.all_coeffs()[::-1]
+            out.append((Fraction(-int(b), int(a)), mult))
+    return sorted(out)
+
+
 def test_rational_roots_match_sympy():
     sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
     rng = random.Random(18)
     for _ in range(60):
         # Random integer linear factors times a random integer cofactor.
@@ -315,14 +324,10 @@ def test_rational_roots_match_sympy():
         for _ in range(rng.randint(0, 3)):
             u, v = rng.randint(1, 12), rng.randint(-40, 40)
             coeffs = [a * v + b * u for a, b in zip(coeffs + [0], [0] + coeffs)]
-        expected = []
-        for factor, mult in sympy.Poly(coeffs[::-1], x).factor_list()[1]:
-            if factor.degree() == 1:
-                b, a = factor.all_coeffs()[::-1]
-                expected.append((Fraction(-int(b), int(a)), mult))
+        expected = _sympy_rational_roots(sympy, coeffs)
         lead = Fraction(coeffs[-1])
         poly = Polynomial(QQ, [Fraction(c) / lead for c in coeffs])
-        assert _in_field_roots_with_multiplicity(poly) == sorted(expected), coeffs
+        assert _in_field_roots_with_multiplicity(poly) == expected, coeffs
 
 
 def _field_division_count(poly, candidates):
@@ -408,7 +413,8 @@ def test_integer_root_count_matches_field_division(field):
         decoys = [field.coerce(rng.randint(-50, 50)) for _ in range(5)]
         decoys += [field.neg(r) for r in planted] + [field.add(r, field.one()) for r in planted]
         if field == QQ:
-            _, lcm, lifts = spectral._integer_candidates(poly)
+            g, lcm, q = spectral._integer_candidates(poly)
+            lifts = [y - q if y > q // 2 else y for y in spectral._roots_large_prime(g, q)]
             decoys += [Fraction(y, lcm) for y in lifts]
             decoys += [Fraction(y) for y in lifts]  # L forgotten
             if sqrt2 in extras:
@@ -554,36 +560,57 @@ def test_poly_gcd_finds_planted_common_factor(p):
     assert spectral._poly_gcd([0, p - 1], [], p) == [0, 1]
 
 
-@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def _ref_pow_linear(a, e, mod, p):
+    """(x + a)^e mod ``mod`` by right-to-left binary powering on schoolbook steps."""
+    result, base = _ref_divmod([1], mod, p)[1], _ref_divmod([a, 1], mod, p)[1]
+    while e:
+        if e & 1:
+            result = _ref_divmod(_ref_mul(result, base, p), mod, p)[1]
+        base = _ref_divmod(_ref_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES + [2**521 - 1])
 def test_poly_pow_linear_matches_repeated_multiplication(p):
     # (x + a)^e mod m equals e steps of "multiply by x + a, then reduce",
-    # for monic moduli of degree 1 to 5.
+    # for monic moduli of degree 1 to 30; the exponents p and (p - 1)/2 of
+    # the root finder are checked against binary powering on schoolbook
+    # products.
+    # Over 2^521 - 1 the schoolbook reference is slow, so degrees stop at 13.
     rng = random.Random(p)
-    for deg in (1, 1, 2, 3, 5):
+    for deg in (1, 1, 2, 3, 5, 13, 30) if p.bit_length() < 100 else (1, 2, 5, 13):
         mod = _rand_poly(rng, p, deg, monic=True)
         a = rng.randrange(p)
         expected = [1]
         for e in range(41):
             assert spectral._poly_pow_linear(a, e, mod, p) == expected, (deg, e)
             expected = _ref_divmod(_ref_mul(expected, [a, 1], p), mod, p)[1]
+        for e in (p, (p - 1) // 2):
+            assert spectral._poly_pow_linear(a, e, mod, p) == _ref_pow_linear(a, e, mod, p), (deg, e)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**127 - 1, 10007])
 def test_poly_mul_mod_matches_termwise_reduction(p):
-    # Mersenne moduli take the folding reduction, 10007 the plain one.
-    # [1, 1]·[p - 1, 1] has x-coefficient exactly p, which must read 0.
+    # The packed product step of the root finder against the schoolbook
+    # product and division.  [1, 1]·[p - 1, 1] has x-coefficient exactly p,
+    # which must read 0.  All-(p - 1) operands modulo the all-(p - 1) monic
+    # modulus of each degree 1 to 30 fill every slot to its bound.
     rng = random.Random(p)
     cases = [([1, 1], [p - 1, 1], [0, 0, 0, 1])]
     for _ in range(30):
-        a, b, mod = ([rng.randrange(p) for _ in range(rng.randint(1, 6))] for _ in range(3))
-        cases.append((a, b, mod + [rng.randrange(1, p)]))
+        mod = _rand_poly(rng, p, rng.randint(1, 6), monic=True)
+        a, b = ([rng.randrange(p) for _ in range(rng.randint(1, len(mod) - 1))] for _ in range(2))
+        cases.append((a, b, mod))
+    cases += [([p - 1] * d, [p - 1] * d, [p - 1] * d + [1]) for d in range(1, 31)]
     for a, b, mod in cases:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        assert _poly_mul_mod(a, b, mod, p) == _poly_divmod(out, mod, p)[1]
-    assert _poly_mul_mod(*cases[0], p) == [p - 1, 0, 1]
+        m = _PackedModulus(mod, p)
+        x, y = m.pack(a), m.pack(b)
+        expected = _ref_divmod(_ref_mul(a, b, p), mod, p)[1]
+        assert m.unpack(m.mul(x, y)) == expected, (a, b, mod)
+        assert m.unpack(m.mul(x, x)) == _ref_divmod(_ref_mul(a, a, p), mod, p)[1], (a, mod)
+    m = _PackedModulus(cases[0][2], p)
+    assert m.unpack(m.mul(m.pack(cases[0][0]), m.pack(cases[0][1]))) == [p - 1, 0, 1]
 
 
 @pytest.mark.parametrize("p", [509, 521, 1009, 4093])
@@ -610,6 +637,47 @@ def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
             monkeypatch.setattr(spectral, "_SCAN_FACTOR", factor)
             found.append([r for r, _ in _in_field_roots_with_multiplicity(poly)])
         assert found[0] == found[1] == planted
+
+
+@pytest.mark.parametrize("p", [31, 127, 8191])
+def test_rational_scan_matches_finder_and_sympy(p):
+    # Over Q the residue scan is taken when the Mersenne prime p is at most
+    # _SCAN_FACTOR·deg; its candidates are the symmetric lifts of every
+    # residue.  On planted integer polynomials whose prime is p (repeated
+    # roots, the root 0, and x^2 - 2, which has roots mod p but not in Q),
+    # the default rule, the forced scan, the forced gcd finder and sympy
+    # must agree.  With p forced below the prime of the root bound, roots
+    # at ±⌊p/2⌋ test the ends of the lift.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(p)
+    height = {31: 2, 127: 6, 8191: 200}[p]
+    integer_candidates, finder = spectral._integer_candidates, spectral._roots_large_prime
+    cases = []
+    while len(cases) < 12:
+        roots = [rng.randint(-height, height) for _ in range(rng.randint(1, 4))]
+        roots += roots[: rng.randint(0, 2)]
+        if rng.random() < 0.3:
+            roots.append(0)
+        poly = Polynomial.from_roots(QQ, roots)
+        if rng.random() < 0.3:
+            poly = poly * Polynomial.from_coefficients(QQ, [-2, 0, 1])
+        if integer_candidates(poly)[2] == p:
+            cases.append((poly, False))
+    half = p // 2
+    for roots in ([half, -half], [half, half, 0, -half, 1], [-half, -half, -half]):
+        cases.append((Polynomial.from_roots(QQ, roots), True))
+    for poly, forced in cases:
+        expected = _sympy_rational_roots(sympy, [int(c) for c in poly.coeffs])
+        with pytest.MonkeyPatch.context() as mp:
+            if forced:
+                mp.setattr(spectral, "_integer_candidates", lambda f: (*integer_candidates(f)[:2], p))
+            calls = []
+            mp.setattr(spectral, "_roots_large_prime", lambda g, q: calls.append(q) or finder(g, q))
+            assert _in_field_roots_with_multiplicity(poly) == expected, poly
+            assert calls == ([] if p <= spectral._SCAN_FACTOR * poly.degree else [p])
+            for factor in (p, 0):
+                mp.setattr(spectral, "_SCAN_FACTOR", factor)
+                assert _in_field_roots_with_multiplicity(poly) == expected, (poly, factor)
 
 
 @pytest.mark.parametrize("p", [13, 101, 1009, 2**31 - 1])
@@ -662,17 +730,17 @@ def test_x_to_the_p_squares_modulo_the_square_free_part(monkeypatch):
     assert poly.degree == 12
     products: list = []
     exponent = [None]
-    pow_linear, mul_mod = spectral._poly_pow_linear, spectral._poly_mul_mod
+    pow_linear, packed_mul = spectral._poly_pow_linear, _PackedModulus.mul
 
     def counted_pow(a, e, mod, q):
         exponent[0] = e
         return pow_linear(a, e, mod, q)
 
-    def counted_mul(a, b, mod, q):
-        products.append((exponent[0], len(mod) - 1))
-        return mul_mod(a, b, mod, q)
+    def counted_mul(self, x, y):
+        products.append((exponent[0], self.d))
+        return packed_mul(self, x, y)
 
     monkeypatch.setattr(spectral, "_poly_pow_linear", counted_pow)
-    monkeypatch.setattr(spectral, "_poly_mul_mod", counted_mul)
+    monkeypatch.setattr(_PackedModulus, "mul", counted_mul)
     assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == planted
     assert [deg for e, deg in products if e == p] == [4] * (p.bit_length() - 1) == [4] * 30
