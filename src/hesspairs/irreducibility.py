@@ -76,6 +76,9 @@ ENUMERATION_LIMIT = 5000
 # Random algebra elements tried last, over GF(p) only.
 RANDOM_DRAWS = 64
 
+# A block of a matrix in the algebra closure: rows of raw entries.
+Block = tuple[tuple[Raw, ...], ...]
+
 
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
@@ -151,35 +154,44 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
     """
     field, n = _check_generators(generators)
     blocks = _coordinate_blocks(generators[0])
-    # movers[k]: the blocks G_IK, with their row block I, that act on block
-    # K; zero blocks and scalar diagonal blocks give nothing new.
-    movers: list[list[tuple[int, Matrix]]] = [[] for _ in blocks]
+    # movers[k]: the blocks G_IK, as rows of raw entries, with their row
+    # block I, that act on block K; zero blocks and scalar diagonal blocks
+    # give nothing new.  Both are recognized by truth value.
+    movers: list[list[tuple[int, Block]]] = [[] for _ in blocks]
     for g in generators:
         for i, rows in enumerate(blocks):
+            band = [g.entries[r] for r in rows]
             for k, cols in enumerate(blocks):
-                blk = Matrix(field, tuple(tuple(g.entries[r][c] for c in cols) for r in rows))
-                scalar = i == k and blk == Matrix.scalar(field, len(rows), blk.entries[0][0])
-                if not (scalar or blk.is_zero()):
+                blk = tuple(tuple(row[c] for c in cols) for row in band)
+                if any(map(any, blk)) and not (i == k and _is_scalar(blk)):
                     movers[k].append((i, blk))
 
     def close(j: int) -> list[Matrix]:
-        """A basis of 𝒜E_J for the column block J = blocks[j], each block embedded."""
+        """A basis of 𝒜E_J for the column block J = blocks[j], each block embedded.
+
+        Blocks are rows of raw entries.  A product G_IK·m is formed flat,
+        row-major, as the echelon of row block I takes it, and is only
+        shaped into rows when it is new.
+        """
         cols = blocks[j]
-        echs = [_Echelon(field, len(rows) * len(cols)) for rows in blocks]
-        ident = Matrix.identity(field, len(cols))
-        echs[j].insert(_flatten(ident))
-        out = [_embed(n, cols, cols, ident)]
+        width = len(cols)
+        echs = [_Echelon(field, len(rows) * width) for rows in blocks]
+        ident = Matrix.identity(field, width).entries
+        echs[j].insert([x for row in ident for x in row])
+        out = [_embed(field, n, cols, cols, ident)]
         queue = [(j, ident)]
-        room = n * len(cols) - 1
+        room = n * width - 1
         while queue and room:
             k, m = queue.pop()
+            m_cols = tuple(zip(*m))
             for i, g in movers[k]:
                 ech = echs[i]
                 if ech.dim == ech.width:
                     continue
-                prod = g * m
-                if ech.insert(_flatten(prod)):
-                    out.append(_embed(n, blocks[i], cols, prod))
+                flat = [field.dot(row, col) for row in g for col in m_cols]
+                if ech.insert(flat):
+                    prod = tuple(tuple(flat[r:r + width]) for r in range(0, len(flat), width))
+                    out.append(_embed(field, n, blocks[i], cols, prod))
                     queue.append((i, prod))
                     room -= 1
                     if not room:
@@ -194,6 +206,12 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
             return n * n, _matrix_units(field, n)
     basis = [m for j in range(len(blocks)) for m in (first_basis if j == first else close(j))]
     return len(basis), tuple(basis)
+
+
+def _is_scalar(blk: Block) -> bool:
+    """True when the square block ``blk`` is c·I."""
+    c = blk[0][0]
+    return all(x == c if r == s else not x for r, row in enumerate(blk) for s, x in enumerate(row))
 
 
 def _matrix_units(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
@@ -214,19 +232,16 @@ def _coordinate_blocks(m: Matrix) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
-def _flatten(m: Matrix) -> tuple[Raw, ...]:
-    return tuple(x for row in m.entries for x in row)
-
-
-def _embed(n: int, rows: Sequence[int], cols: Sequence[int], blk: Matrix) -> Matrix:
-    """The n×n matrix that is ``blk`` on rows × cols and zero elsewhere."""
-    field = blk.field
-    grid = [[field.zero()] * n for _ in range(n)]
-    for r, entries in zip(rows, blk.entries):
-        out = grid[r]
+def _embed(field: FieldSpec, n: int, rows: Sequence[int], cols: Sequence[int], blk: Block) -> Matrix:
+    """The n×n matrix that is ``blk`` on rows × cols and zero elsewhere; zero rows are shared."""
+    zero_row = (field.zero(),) * n
+    grid = [zero_row] * n
+    for r, entries in zip(rows, blk):
+        out = list(zero_row)
         for c, x in zip(cols, entries):
             out[c] = x
-    return Matrix(field, tuple(tuple(row) for row in grid))
+        grid[r] = tuple(out)
+    return Matrix(field, tuple(grid))
 
 
 def verify_invariant(w: SubspaceBasis, a: Matrix, a_star: Matrix) -> bool:
@@ -319,14 +334,18 @@ def _eigenbasis_generators(a: Matrix, a_star: Matrix,
 def _singular_elements(a: Matrix, a_star: Matrix,
                        eigen_a: Optional[EigenStructure],
                        eigen_a_star: Optional[EigenStructure]) -> Iterator[tuple[Matrix, SubspaceBasis]]:
-    """Algebra elements X with their kernels, in the order rung 2 tries them."""
+    """Algebra elements X with their kernels, in the order rung 2 tries them.
+
+    Each X is formed when it is reached.
+    """
     field, n = a.field, a.nrows
     shifts = []
     for m, eig in ((a, eigen_a), (a_star, eigen_a_star)):
         if eig is not None:
-            shifts.extend((m.minus_scalar(theta), space) for theta, space in zip(eig.eigenvalues, eig.eigenspaces))
-    shifts.sort(key=lambda shift: shift[1].dim)
-    yield from shifts
+            shifts.extend((m, theta, space) for theta, space in zip(eig.eigenvalues, eig.eigenspaces))
+    shifts.sort(key=lambda shift: shift[2].dim)
+    for m, theta, space in shifts:
+        yield m.minus_scalar(theta), space
     yield Matrix.zeros(field, n, n), SubspaceBasis.full(field, n)
     if isinstance(field, PrimeField):
         yield from _random_elements(a, a_star)

@@ -31,6 +31,7 @@ from hesspairs.irreducibility import (
     _eigenbasis_generators,
     _norton_step,
     _random_elements,
+    _singular_elements,
     _try_eigen,
 )
 
@@ -283,6 +284,35 @@ def test_companion_of_irreducible_quadratic_gf2():
     verdict = decide_irreducible(c, c)
     assert verdict.status is IrreducibilityStatus.IRREDUCIBLE
     assert decide_irreducible_by_enumeration(c, c).status is IrreducibilityStatus.IRREDUCIBLE
+
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=repr)
+def test_singular_elements_come_smallest_kernel_first(field):
+    # Rung 2's order: M - θI for every eigenvalue of A and then of A*,
+    # stably sorted by eigenspace dimension, then X = 0 with kernel V,
+    # then over GF(p) the random elements.
+    rng = random.Random(17)
+    p, q = rand_invertible(field, 6, rng), rand_invertible(field, 6, rng)
+    a = p * Matrix.diagonal(field, [0, 0, 0, 1, 1, 2]) * p.inverse()
+    b = q * Matrix.diagonal(field, [3, 4, 4, 5, 5, 5]) * q.inverse()
+    eigs = [_try_eigen(a), _try_eigen(b)]
+    expected = [(m, theta, space) for m, eig in zip((a, b), eigs)
+                for theta, space in zip(eig.eigenvalues, eig.eigenspaces)]
+    expected.sort(key=lambda e: e[2].dim)
+    assert [e[2].dim for e in expected] == [1, 1, 2, 2, 3, 3]
+    assert [e[0] for e in expected] == [a, b, a, b, a, b]
+    elements = list(_singular_elements(a, b, *eigs))
+    for (x, ker), (m, theta, space) in zip(elements, expected):
+        assert x == m.minus_scalar(theta)
+        assert ker == space == kernel(x)
+    k = len(expected)
+    assert elements[k] == (Matrix.zeros(field, 6, 6), SubspaceBasis.full(field, 6))
+    rest = elements[k + 1:]
+    if field.is_finite:
+        assert rest == list(_random_elements(a, b))
+    else:
+        assert rest == []
 
 
 def test_block_diagonal_sum_reducible():
