@@ -14,11 +14,6 @@ from .fields import (
     FieldSpec,
     PrimeField,
     Rationals,
-    enumerate_field,
-    field_add,
-    field_inv,
-    field_mul,
-    field_sub,
 )
 from .generators import (
     CONJUGATED,

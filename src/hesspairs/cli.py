@@ -119,12 +119,14 @@ def matrix_from_json(field: FieldSpec, obj, name: str) -> Matrix:
         raise DocumentParseError(f"bad entry in {name}: {exc}") from exc
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[m.field.format(x) for x in row] for row in m.entries]
+def rows_to_json(field: FieldSpec, rows) -> list:
+    """Matrix entries or subspace basis rows as lists of canonical scalar text."""
+    return [[field.format(x) for x in row] for row in rows]
 
 
-def subspace_to_json(s: SubspaceBasis) -> list:
-    return [[s.field.format(x) for x in row] for row in s.rows]
+def scalars_to_json(values) -> list:
+    """A sequence of FieldElements (eigenvalues) as canonical scalar text."""
+    return [str(v) for v in values]
 
 
 def subspace_from_json(field: FieldSpec, n: int, obj, name: str) -> SubspaceBasis:
@@ -169,17 +171,17 @@ def instance_to_document(inst: GeneratedInstance) -> dict:
     field = inst.a.field
     doc = {
         "field": field.to_json(),
-        "A": matrix_to_json(inst.a),
-        "Astar": matrix_to_json(inst.a_star),
+        "A": rows_to_json(field, inst.a.entries),
+        "Astar": rows_to_json(field, inst.a_star.entries),
         "truth": {
             "kind": truth.kind,
             "dims": list(truth.dims),
-            "eigenvalues_a": [field.format(v.value) for v in truth.eigenvalues_a],
-            "eigenvalues_a_star": [field.format(v.value) for v in truth.eigenvalues_a_star],
-            "flag": [subspace_to_json(u) for u in truth.flag],
+            "eigenvalues_a": scalars_to_json(truth.eigenvalues_a),
+            "eigenvalues_a_star": scalars_to_json(truth.eigenvalues_a_star),
+            "flag": [rows_to_json(field, u.rows) for u in truth.flag],
             "seed": truth.seed,
-            "witness": subspace_to_json(truth.witness) if truth.witness is not None else None,
-            "conjugator": matrix_to_json(truth.conjugator) if truth.conjugator is not None else None,
+            "witness": rows_to_json(field, truth.witness.rows) if truth.witness is not None else None,
+            "conjugator": rows_to_json(field, truth.conjugator.entries) if truth.conjugator is not None else None,
             "base_kind": truth.base_kind,
         },
     }
@@ -188,18 +190,17 @@ def instance_to_document(inst: GeneratedInstance) -> dict:
 
 def _ordering_pair_json(pair: tuple[EigenOrdering, EigenOrdering]) -> dict:
     ord_a, ord_a_star = pair
-    field = ord_a.eigen.transform.field
     return {
-        "eigenvalues_a": [field.format(v.value) for v in ord_a.eigenvalues],
-        "eigenvalues_a_star": [field.format(v.value) for v in ord_a_star.eigenvalues],
+        "eigenvalues_a": scalars_to_json(ord_a.eigenvalues),
+        "eigenvalues_a_star": scalars_to_json(ord_a_star.eigenvalues),
     }
 
 
 def split_to_json(split: SplitDecomposition, field: FieldSpec) -> dict:
     return {
-        "eigenvalues_a": [field.format(v.value) for v in split.eigenvalues_a],
-        "eigenvalues_a_star": [field.format(v.value) for v in split.eigenvalues_a_star],
-        "subspaces": [subspace_to_json(u) for u in split.subspaces],
+        "eigenvalues_a": scalars_to_json(split.eigenvalues_a),
+        "eigenvalues_a_star": scalars_to_json(split.eigenvalues_a_star),
+        "subspaces": [rows_to_json(field, u.rows) for u in split.subspaces],
         "dims": list(split.dims),
     }
 
@@ -216,12 +217,12 @@ def report_to_json(report: PairAnalysisReport) -> dict:
         "n": report.n,
         "eigen": {
             "a": {
-                "eigenvalues": [field.format(v.value) for v in report.eigen_a.eigenvalues],
+                "eigenvalues": scalars_to_json(report.eigen_a.eigenvalues),
                 "eigenspace_dims": list(report.eigen_a.dims),
                 "diagonalizable": report.eigen_a.diagonalizable,
             },
             "a_star": {
-                "eigenvalues": [field.format(v.value) for v in report.eigen_a_star.eigenvalues],
+                "eigenvalues": scalars_to_json(report.eigen_a_star.eigenvalues),
                 "eigenspace_dims": list(report.eigen_a_star.dims),
                 "diagonalizable": report.eigen_a_star.diagonalizable,
             },
@@ -229,7 +230,7 @@ def report_to_json(report: PairAnalysisReport) -> dict:
         "irreducibility": {
             "status": verdict.status.value,
             "method": verdict.method.value,
-            "witness": subspace_to_json(verdict.witness) if verdict.witness is not None else None,
+            "witness": rows_to_json(field, verdict.witness.rows) if verdict.witness is not None else None,
         },
         "hessenberg": {
             "is_hessenberg_pair": report.is_hessenberg_pair,
@@ -251,9 +252,9 @@ def report_to_text(report: PairAnalysisReport) -> str:
     field = report.field
     lines = [
         f"pair over {field!r}, ambient dimension {report.n}",
-        f"  A : eigenvalues {[field.format(v.value) for v in report.eigen_a.eigenvalues]}"
+        f"  A : eigenvalues {scalars_to_json(report.eigen_a.eigenvalues)}"
         f" dims {list(report.eigen_a.dims)} diagonalizable={report.eigen_a.diagonalizable}",
-        f"  A*: eigenvalues {[field.format(v.value) for v in report.eigen_a_star.eigenvalues]}"
+        f"  A*: eigenvalues {scalars_to_json(report.eigen_a_star.eigenvalues)}"
         f" dims {list(report.eigen_a_star.dims)} diagonalizable={report.eigen_a_star.diagonalizable}",
         f"  irreducibility: {report.irreducibility.status.value}"
         f" (method {report.irreducibility.method.value})",

@@ -9,9 +9,10 @@ Two kinds of field are supported, both exact:
 
 A field object does double duty: it identifies the field (value equality,
 hashable) and implements arithmetic on *raw* canonical values.  Raw values
-are what matrices and subspace bases store internally; the
-:class:`FieldElement` wrapper carries a ``(spec, value)`` pair for use at
-API boundaries and supports the usual operators.
+are what matrices, subspace bases and polynomials store, and every
+computation runs on them.  :class:`FieldElement` only tags a value with its
+field at API boundaries (eigenvalues, split eigenvalue sequences, generator
+truth); it does no arithmetic.
 
 Matrix and polynomial products, the Berkowitz recurrence and every echelon
 row operation go through three vector primitives, :meth:`FieldSpec.dot`
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -108,9 +109,6 @@ class FieldSpec:
     def inv(self, a: Raw) -> Raw:
         raise NotImplementedError
 
-    def div(self, a: Raw, b: Raw) -> Raw:
-        return self.mul(a, self.inv(b))
-
     # vector primitives on raw values -------------------------------------
 
     def dot(self, xs: Iterable[Raw], ys: Iterable[Raw]) -> Raw:
@@ -142,7 +140,7 @@ class FieldSpec:
     def element(self, x) -> "FieldElement":
         return FieldElement(self, self.coerce(x))
 
-    # enumeration / sampling ----------------------------------------------
+    # size / sampling ------------------------------------------------------
 
     @property
     def is_finite(self) -> bool:
@@ -152,19 +150,13 @@ class FieldSpec:
         """Number of elements; InfiniteFieldError over the rationals."""
         raise InfiniteFieldError("the rationals cannot be enumerated")
 
-    def raw_elements(self) -> Iterator[Raw]:
-        raise InfiniteFieldError("the rationals cannot be enumerated")
-
-    def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, v) for v in self.raw_elements())
-
     def rand(self, rng) -> Raw:
         raise NotImplementedError
 
     def rand_nonzero(self, rng) -> Raw:
         while True:
             v = self.rand(rng)
-            if v != self.zero():
+            if v:
                 return v
 
     # helpers --------------------------------------------------------------
@@ -202,7 +194,7 @@ class Rationals(FieldSpec):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise DivisionByZeroError("inverse of zero")
         return 1 / a
 
@@ -345,9 +337,6 @@ class PrimeField(FieldSpec):
     def order(self) -> int:
         return self.p
 
-    def raw_elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
     def rand(self, rng) -> int:
         return rng.randrange(self.p)
 
@@ -369,79 +358,18 @@ def GF(p: int) -> PrimeField:
 
 @dataclass(frozen=True, slots=True)
 class FieldElement:
-    """An exact scalar tagged with its field.
+    """An exact scalar tagged with its field; it does no arithmetic.
 
     Values are always canonical: reduced fraction over Q, residue in
-    ``[0, p)`` over GF(p).  Arithmetic between elements of different
-    fields raises :class:`MixedFieldsError`.
+    ``[0, p)`` over GF(p).  Computation runs on raw values through the
+    :class:`FieldSpec` methods.
     """
 
     spec: FieldSpec
     value: Raw
-
-    def _rhs(self, other) -> Raw:
-        if isinstance(other, FieldElement):
-            self.spec.check_same(other.spec)
-            return other.value
-        return self.spec.coerce(other)
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._rhs(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._rhs(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._rhs(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.spec, self.spec.div(self.value, self._rhs(other)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.spec.coerce(other), self.value))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == self.spec.zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
 
     def __str__(self) -> str:
         return self.spec.format(self.value)
 
     def __repr__(self) -> str:
         return f"{self.spec.format(self.value)}@{self.spec!r}"
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inv()
-
-
-def enumerate_field(spec: FieldSpec) -> Iterator[FieldElement]:
-    """All elements of a finite field, each exactly once.
-
-    Raises :class:`InfiniteFieldError` over the rationals.
-    """
-    return spec.elements()

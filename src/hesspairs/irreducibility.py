@@ -116,7 +116,7 @@ def spin(v: Sequence[Raw], generators: Sequence[Matrix]) -> SubspaceBasis:
     vec = tuple(field.coerce(x) for x in v)
     if len(vec) != n:
         raise SizeMismatchError("seed vector length does not match generators")
-    if all(x == field.zero() for x in vec):
+    if not any(vec):
         raise ZeroVectorError("spin needs a nonzero seed vector")
     ech = _Echelon(field, n)
     ech.insert(vec)
@@ -223,8 +223,7 @@ def _matrix_units(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
 
 def _coordinate_blocks(m: Matrix) -> list[tuple[int, ...]]:
     """Coordinates grouped by equal diagonal entry of a diagonal ``m``; one block otherwise."""
-    zero = m.field.zero()
-    if any(x != zero for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j):
+    if any(x for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j):
         return [tuple(range(m.nrows))]
     groups: dict[Raw, list[int]] = {}
     for i, row in enumerate(m.entries):
@@ -361,7 +360,7 @@ def _random_elements(a: Matrix, a_star: Matrix) -> Iterator[tuple[Matrix, Subspa
         x = Matrix.zeros(field, n, n)
         for m in pool:
             c = field.rand(rng)
-            if c != field.zero():
+            if c:
                 x = x + m.scale(c)
         yield x, kernel(x)
 

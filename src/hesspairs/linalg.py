@@ -192,11 +192,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.entries)) if self.entries else (), ncols=self.nrows)
 
-    def rank(self) -> int:
-        ech = _Echelon(self.field, self.ncols)
-        ech.insert_all(self.entries)
-        return ech.dim
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise NotSquareError("matrix is not square")
@@ -220,8 +215,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        zero = self.field.zero()
-        return all(x == zero for row in self.entries for x in row)
+        return not any(any(row) for row in self.entries)
 
     def __eq__(self, other) -> bool:
         return (
@@ -282,14 +276,6 @@ class SubspaceBasis:
     def is_zero(self) -> bool:
         return not self.rows
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.rows) == self.ambient_dim
-
-    def contains_vector(self, vec: Sequence[Raw]) -> bool:
-        ech = self._as_echelon()
-        return ech.contains(vec)
-
     def _as_echelon(self) -> _Echelon:
         ech = _Echelon(self.field, self.ambient_dim)
         ech.rows = [list(r) for r in self.rows]
@@ -340,7 +326,7 @@ def kernel(m: Matrix) -> SubspaceBasis:
         vec = [zero] * m.ncols
         vec[f] = F.one()
         for row, piv in zip(ech.rows, ech.pivots):
-            if row[f] != zero:
+            if row[f]:
                 vec[piv] = F.neg(row[f])
         out.insert(vec)
     return out.to_subspace()

@@ -208,11 +208,10 @@ def _block_support(eigen: EigenStructure, acting: Matrix) -> list[set[int]]:
     support[i] ⊆ S.
     """
     owner = [j for j, m in enumerate(eigen.dims) for _ in range(m)]
-    zero = acting.field.zero()
     support = [set() for _ in eigen.eigenspaces]
     for r, row in enumerate(eigen.eigenbasis_conjugate(acting).entries):
         for c, x in enumerate(row):
-            if x != zero:
+            if x:
                 support[owner[c]].add(owner[r])
     return support
 
@@ -496,7 +495,9 @@ def split_violations(a: Matrix, a_star: Matrix, cand: SplitDecomposition) -> lis
     """All reasons the candidate fails to be a split decomposition.
 
     Empty list means the candidate verifies.  Shape inconsistencies raise
-    :class:`~hesspairs.errors.ShapeMismatchError` instead of being listed.
+    :class:`~hesspairs.errors.ShapeMismatchError` instead of being listed,
+    and a subspace or eigenvalue over another field raises
+    :class:`~hesspairs.errors.MixedFieldsError`.
     """
     field, n = a.field, a.nrows
     subs = cand.subspaces
@@ -511,6 +512,8 @@ def split_violations(a: Matrix, a_star: Matrix, cand: SplitDecomposition) -> lis
         field.check_same(s.field)
         if s.ambient_dim != n:
             raise ShapeMismatchError("subspace ambient dimension does not match the matrices")
+    for v in (*cand.eigenvalues_a, *cand.eigenvalues_a_star):
+        field.check_same(v.spec)
     problems = []
     values_a = [v.value for v in cand.eigenvalues_a]
     values_b = [v.value for v in cand.eigenvalues_a_star]
@@ -597,19 +600,6 @@ class DimensionProfile:
     a_eigenspace_dims: tuple[int, ...]
     a_star_eigenspace_dims: tuple[int, ...]
     subspace_dims: tuple[int, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return self.a_eigenspace_dims == self.a_star_eigenspace_dims == self.subspace_dims
-
-    def mismatches(self) -> list[str]:
-        out = []
-        for i, (x, y, z) in enumerate(
-            zip(self.a_eigenspace_dims, self.a_star_eigenspace_dims, self.subspace_dims)
-        ):
-            if not x == y == z:
-                out.append(f"index {i}: dim V_(d-i)={x}, dim V*_i={y}, dim U_i={z}")
-        return out
 
 
 def dimension_profile(

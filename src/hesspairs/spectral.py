@@ -84,10 +84,6 @@ class Polynomial:
         return cls(field, [field.coerce(c) for c in coeffs])
 
     @classmethod
-    def zero(cls, field: FieldSpec) -> "Polynomial":
-        return cls(field, ())
-
-    @classmethod
     def one(cls, field: FieldSpec) -> "Polynomial":
         return cls(field, (field.one(),))
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hesspairs import EigenOrdering, Matrix, SubspaceBasis, eigen_structure
+from hesspairs import EigenOrdering, Matrix, SubspaceBasis, eigen_structure, rref, subspace_contains
 
 
 def rand_matrix(field, n, rng):
@@ -12,8 +12,13 @@ def rand_matrix(field, n, rng):
 def rand_invertible(field, n, rng):
     while True:
         m = rand_matrix(field, n, rng)
-        if m.rank() == n:
+        if rref(m)[1] == n:
             return m
+
+
+def in_span(s, v):
+    """True when the vector v lies in the subspace s."""
+    return subspace_contains(s, SubspaceBasis.from_vectors(s.field, s.ambient_dim, [v]))
 
 
 def rand_subspace(field, n, dim, rng):

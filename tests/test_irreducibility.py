@@ -17,11 +17,13 @@ from hesspairs import (
     conjugate,
     decide_irreducible,
     decide_irreducible_by_enumeration,
+    eigen_structure,
     enumerate_subspaces,
     gen_reducible,
     gen_split_form,
     is_tridiagonal_pair,
     kernel,
+    rref,
     spin,
     verify_invariant,
 )
@@ -43,7 +45,7 @@ def test_spin_identity_generator():
 
 def test_spin_cyclic_shift_spans_everything():
     shift = Matrix.from_rows(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert spin([1, 0, 0], [shift]).is_full
+    assert spin([1, 0, 0], [shift]).dim == 3
 
 
 def test_spin_stays_in_invariant_block():
@@ -123,7 +125,7 @@ def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypa
 
     def recording_spin(v, generators):
         space = spin(v, generators)
-        dual_spins.append(space.is_full)
+        dual_spins.append(space.dim == space.ambient_dim)
         return space
 
     monkeypatch.setattr(irreducibility, "spin", recording_spin)
@@ -201,7 +203,7 @@ def test_block_closure_basis_spans_the_one_block_algebra():
     assert _coordinate_blocks(b) == [(0, 1, 2, 3, 4)]
 
     def flat_rank(mats):
-        return Matrix(field, tuple(tuple(x for row in m.entries for x in row) for m in mats)).rank()
+        return rref(Matrix(field, tuple(tuple(x for row in m.entries for x in row) for m in mats)))[1]
 
     dim, basis = algebra_closure([d, b])
     one_dim, one_basis = algebra_closure([b, d])
@@ -220,7 +222,7 @@ def test_full_column_block_without_a_full_dual_spin_is_not_the_full_algebra():
     d = Matrix.diagonal(field, [1, 1, 2])
     b = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6], [0, 0, 7]])
     assert _coordinate_blocks(d) == [(0, 1), (2,)]
-    assert spin([0, 0, 1], [d, b]).is_full
+    assert spin([0, 0, 1], [d, b]).dim == 3
     assert spin([0, 0, 1], [d.transpose(), b.transpose()]).dim == 1
     assert algebra_closure([d, b])[0] == algebra_closure([b, d])[0] == 5
 
@@ -445,6 +447,26 @@ def test_decision_is_deterministic_for_fixed_seed():
     assert verify_invariant(verdict.witness, a, b)
 
 
+def test_random_draws_decide_a_conjugated_sum_of_diagonalizable_pairs(monkeypatch):
+    # Both sides are diagonalizable over GF(101), with 4-dimensional
+    # eigenspaces, and only the random draws decide the pair.  Whatever
+    # replaces them must still decide it.
+    from hesspairs import irreducibility
+
+    inst = conjugate(gen_reducible(GF(101), [(2, 2), (2, 2)], [0, 1], [5, 6], 1), 2)
+    a, b = inst.a, inst.a_star
+    for m in (a, b):
+        eig = eigen_structure(m)
+        assert eig.diagonalizable and eig.dims == (4, 4)
+    verdict = decide_irreducible(a, b)
+    assert verdict == _first_random_element_verdict(a, b)
+    assert verdict.status is IrreducibilityStatus.REDUCIBLE
+    assert verdict.method is DecisionMethod.NORTON
+    assert verdict.witness.dim == 2 and verify_invariant(verdict.witness, a, b)
+    monkeypatch.setattr(irreducibility, "_random_elements", lambda a, b: iter(()))
+    assert decide_irreducible(a, b).status is IrreducibilityStatus.UNDETERMINED
+
+
 @pytest.mark.parametrize("analysis", [decide_irreducible, analyze_pair, is_tridiagonal_pair])
 def test_analysis_takes_no_seed(analysis):
     # A verdict is a function of the pair; only the generators take seeds.
@@ -533,7 +555,7 @@ def test_norton_step_spins_every_point_of_a_small_kernel():
     a = Matrix.diagonal(field, [0, 0, 1])
     b = Matrix.from_rows(field, [[1, 0, 1], [0, 1, 2], [1, -1, 0]])
     ker = kernel(a)
-    assert all(spin(row, [a, b]).is_full for row in ker.rows)
+    assert all(spin(row, [a, b]).dim == 3 for row in ker.rows)
     verdict = _norton_step(a, ker, a, b)
     assert verdict.status is IrreducibilityStatus.REDUCIBLE
     assert verdict.witness == SubspaceBasis.from_vectors(field, 3, [[1, 1, 0]])

@@ -16,7 +16,7 @@ import random
 
 from conftest import rand_invertible, sl2_pair
 from hesspairs import GF, QQ, Matrix, conjugate, gen_reducible, gen_split_form
-from hesspairs.cli import instance_to_document, main, matrix_to_json
+from hesspairs.cli import instance_to_document, main, rows_to_json
 
 P31 = 2**31 - 1
 
@@ -34,7 +34,8 @@ SPLIT_SHAPES = [
 
 
 def _pair_doc(a, a_star):
-    return {"field": a.field.to_json(), "A": matrix_to_json(a), "Astar": matrix_to_json(a_star)}
+    field = a.field
+    return {"field": field.to_json(), "A": rows_to_json(field, a.entries), "Astar": rows_to_json(field, a_star.entries)}
 
 
 def _conjugated_pair(a, a_star, seed):

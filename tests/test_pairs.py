@@ -44,6 +44,7 @@ from hesspairs.errors import (
     DDeltaMismatchError,
     IndexOutOfRangeError,
     IrreducibilityUndeterminedError,
+    MixedFieldsError,
     NotDiagonalizableError,
     NotHessenbergError,
     NotIrreducibleError,
@@ -548,14 +549,14 @@ def lattice_for(inst):
 def test_lattice_boundaries():
     inst = gen_split_form(GF(5), (1, 1, 1), (0, 1, 2), (0, 1, 2), seed=3)
     _, _, lat = lattice_for(inst)
-    assert lat.cell(lat.d, lat.d_star).is_full
+    assert lat.cell(lat.d, lat.d_star) == SubspaceBasis.full(GF(5), 3)
     for j in range(-1, lat.d_star + 2):
         assert lat.cell(-1, j).is_zero
     for i in range(-1, lat.d + 2):
         assert lat.cell(i, -1).is_zero
     # Clamping beyond the stored range follows the same conventions.
     assert lat.cell(-5, 0).is_zero
-    assert lat.cell(lat.d + 9, lat.d_star + 9).is_full
+    assert lat.cell(lat.d + 9, lat.d_star + 9) == SubspaceBasis.full(GF(5), 3)
 
 
 def test_lattice_edge_rows_recover_flags():
@@ -601,13 +602,14 @@ def test_lattice_cells_vanish_below_antidiagonal_and_actions():
         # Antidiagonal sums behave like the irreducibility argument says.
         for r in range(0, d):
             assert antidiagonal_span(lat, r).is_zero
-        assert antidiagonal_span(lat, d).is_full
+        top = antidiagonal_span(lat, d)
+        assert top.dim == top.ambient_dim
 
 
 def test_antidiagonal_span_degenerate_and_range():
     inst = gen_split_form(QQ, (2,), (5,), (7,), seed=1)
     _, _, lat = lattice_for(inst)
-    assert antidiagonal_span(lat, 0).is_full  # d = 0: the (0,0) cell is V
+    assert antidiagonal_span(lat, 0) == SubspaceBasis.full(QQ, 2)  # d = 0: the (0,0) cell is V
     with pytest.raises(IndexOutOfRangeError):
         antidiagonal_span(lat, 1)
     with pytest.raises(IndexOutOfRangeError):
@@ -781,6 +783,24 @@ def test_split_violations_shape_errors():
             inst.a_star,
             SplitDecomposition((taller, taller), good.eigenvalues_a, good.eigenvalues_a_star),
         )
+
+
+def test_split_violations_rejects_eigenvalues_from_another_field():
+    # GF(11)'s 7, 8, 9 reduce to GF(7)'s 0, 1, 2, and a Q copy has the same
+    # integers, so reading only each eigenvalue's value would verify both.
+    inst = gen_split_form(GF(7), (1, 1, 1), (0, 1, 2), (3, 4, 5), seed=1)
+    good = inst.split()
+    assert verify_split(inst.a, inst.a_star, good)
+    in_gf11 = tuple(GF(11).element(v) for v in (7, 8, 9))
+    in_q = tuple(QQ.element(v.value) for v in good.eigenvalues_a)
+    in_q_star = tuple(QQ.element(v.value) for v in good.eigenvalues_a_star)
+    for cand in (
+        SplitDecomposition(good.subspaces, in_gf11, good.eigenvalues_a_star),
+        SplitDecomposition(good.subspaces, in_q, in_q_star),
+        SplitDecomposition(good.subspaces, good.eigenvalues_a, in_q_star),
+    ):
+        with pytest.raises(MixedFieldsError):
+            verify_split(inst.a, inst.a_star, cand)
 
 
 def _conjugated_diagonal(field, values, conjugator):
@@ -1049,11 +1069,9 @@ def test_dimension_profile_matches_generator():
         ord_a = ordering_for(inst.a, values)
         ord_b = ordering_for(inst.a_star, values)
         profile = dimension_profile(inst.split(), ord_a, ord_b)
-        assert profile.consistent
         assert profile.subspace_dims == dims
         assert profile.a_eigenspace_dims == dims
         assert profile.a_star_eigenspace_dims == dims
-        assert profile.mismatches() == []
 
 
 def test_dimension_profile_single_block():
@@ -1064,7 +1082,7 @@ def test_dimension_profile_single_block():
     split = split_from_flags(ord_a, ord_b)
     profile = dimension_profile(split, ord_a, ord_b)
     assert profile.subspace_dims == (3,)
-    assert profile.consistent
+    assert profile.a_eigenspace_dims == profile.a_star_eigenspace_dims == profile.subspace_dims
 
 
 def test_dimension_profile_requires_valid_split():
@@ -1134,7 +1152,7 @@ def _tridiagonal_witness_facts(a, a_star):
         for ordering in (ord_a, ord_b):
             theta = [v.value for v in ordering.eigenvalues]
             ratios.update(
-                field.div(field.sub(theta[i - 2], theta[i + 1]), field.sub(theta[i - 1], theta[i]))
+                field.mul(field.sub(theta[i - 2], theta[i + 1]), field.inv(field.sub(theta[i - 1], theta[i])))
                 for i in range(2, len(theta) - 1)
             )
     assert len(ratios) <= 1, ratios

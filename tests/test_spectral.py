@@ -184,7 +184,7 @@ def test_diagonalizable_eigenspaces_form_direct_sum():
                 for t in eig.eigenspaces[i + 1:]:
                     assert subspace_intersect(s, t).is_zero
                 total = subspace_sum(total, s)
-            assert total.is_full
+            assert total.dim == total.ambient_dim
 
 
 def test_is_decomposition_semantics():
