@@ -13,12 +13,21 @@ only*:
 
 On both fields the candidate residues are all of them when p <= 64·deg
 and, for larger p, the roots of the linear part of the square-free part
-of the polynomial mod p, extracted via gcd with x^p - x, then
-equal-degree splitting.  The powers x^p and (x + a)^((p-1)/2) are taken
-on packed residues (Kronecker substitution: one big-integer product per
-squaring).  One exact count on integer coefficients is the root test:
-synthetic division, mod p or over Z, divides each candidate out of one
-shrinking quotient, and the number of zero remainders is its multiplicity.
+of the polynomial mod p, extracted via gcd with x^(p+1) - x^2 (the root 0
+divided out first), then equal-degree splitting with
+(x + a)^((p+1)/2) - (x + a).  The powers are taken on packed residues
+(Kronecker substitution: one big-integer product per squaring); for a
+Mersenne p, p + 1 is a power of two, so they are squarings only, after
+one step by the linear base.  One exact count on integer coefficients is
+the root test: synthetic division, mod p or over Z, divides each
+candidate out of one shrinking quotient, and the number of zero
+remainders is its multiplicity.
+
+The eigenspace of a simple eigenvalue θ is read from one Krylov
+sequence v, Mv, …, M^(n-1)v of a fixed start vector, shared by all of
+M's simple eigenvalues: it is the line through (χ/(x - θ))(M)·v, which
+costs O(n²) per eigenvalue.  Repeated eigenvalues, and a simple one on
+which v vanishes, take the kernel of M - θI.
 
 If the characteristic polynomial does not split into linear factors over
 the field, :func:`eigen_structure` raises
@@ -362,7 +371,14 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
-    """Roots in GF(p) via gcd with x^p - x and equal-degree splitting."""
+    """Roots in GF(p) via gcd with x^(p+1) - x^2 and equal-degree splitting.
+
+    Once x^k is divided out, f(0) != 0, so gcd(f, x^p - x) equals
+    gcd(f, x^(p+1) - x^2), and a factor h splits at gcd(h, (x + a)^((p+1)/2)
+    - (x + a)), which vanishes where r + a is a square or zero.  For a
+    Mersenne p = 2^e - 1, p + 1 and (p + 1)/2 are powers of two, so each
+    power is squarings after one step by the linear base.
+    """
     f = _poly_trim([c % p for c in coeffs])
     # 0 is a root when f[0] == 0; f / x^k, for x^k the largest power
     # dividing f, has the other roots and a nonzero constant term.
@@ -375,9 +391,9 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     # f' can vanish on a factor (x - r)^p and the quotient would lose r.
     if p >= len(f):
         f = _poly_divmod(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)[0]
-    xp = _poly_pow_linear(0, p, f, p)
-    xp += [0] * (2 - len(xp))
-    xp[1] = (xp[1] - 1) % p
+    xp = _poly_pow_linear(0, p + 1, f, p)
+    xp += [0] * (3 - len(xp))
+    xp[2] = (xp[2] - 1) % p
     g = _poly_gcd(f, xp, p)
     rng = random.Random(0x5EED)
     stack = [g]
@@ -389,10 +405,14 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
         if d == 1:
             roots.append((-h[0]) % p)
             continue
+        # d >= 2 needs p >= 3: g divides x^(p-1) - 1, which over GF(2) is
+        # x - 1, and there (p + 1)//2 = 1 would make every probe zero.
         while True:
             a = rng.randrange(p)
-            probe = _poly_pow_linear(a, (p - 1) // 2, h, p) or [0]
-            probe[0] = (probe[0] - 1) % p
+            probe = _poly_pow_linear(a, (p + 1) // 2, h, p)
+            probe += [0] * (2 - len(probe))
+            probe[0] = (probe[0] - a) % p
+            probe[1] = (probe[1] - 1) % p
             w = _poly_gcd(h, probe, p)
             if 0 < len(w) - 1 < d:
                 stack.append(w)
@@ -427,7 +447,8 @@ def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, int]:
 def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int]:
     """(quotient, remainder) of ``high`` by (x - r), coefficients high-to-low.
 
-    On ints: reduced mod p when p is nonzero, exact when p is 0.
+    Reduced mod p when p is nonzero; exact when p is 0, on ints or
+    ``Fraction``s.
     """
     out = []
     acc = 0
@@ -544,22 +565,45 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     orderings downstream.  Raises
     :class:`~hesspairs.errors.EigenvaluesOutsideFieldError` when the
     characteristic polynomial does not split over the field.
+
+    The eigenspace of a simple eigenvalue θ is the line through
+    u = q_θ(m)·v, where q_θ = χ/(x − θ) and v is the fixed start vector
+    (1, 2, …, n): by Cayley–Hamilton (m − θI)·u = χ(m)·v = 0.  The Krylov
+    vectors v, mv, …, m^(n−1)v are formed once, on the first simple
+    eigenvalue, and each u is then one dot product per coordinate.  The
+    line's RREF basis is u scaled to a leading 1.  q_θ(m) = adj(θI − m)
+    has rank 1, so u is zero exactly when v is orthogonal to θ's left
+    eigenvector; that eigenvalue, and every repeated one, takes
+    ``kernel(m − θI)``.
     """
     if not m.is_square:
         raise NotSquareError("eigen structure of a non-square matrix")
     if m.nrows == 0:
         raise NotSquareError("eigen structure of an empty matrix")
     F = m.field
+    n = m.nrows
     poly = char_poly(m)
     roots = _in_field_roots_with_multiplicity(poly)
     total_mult = sum(mult for _, mult in roots)
-    if total_mult < m.nrows:
-        raise EigenvaluesOutsideFieldError(m.nrows - total_mult)
+    if total_mult < n:
+        raise EigenvaluesOutsideFieldError(n - total_mult)
+    field_p = F.p if isinstance(F, PrimeField) else 0
+    chi = poly.coeffs[::-1]
+    columns = None
     values = []
     spaces = []
     dim_sum = 0
-    for r, _ in roots:
-        space = kernel(m.minus_scalar(r))
+    for r, mult in roots:
+        space = None
+        if mult == 1:
+            if columns is None:
+                columns = _krylov_columns(m)
+            q = _synthetic_division(chi, r, field_p)[0][::-1]
+            line = _Echelon(F, n)
+            if line.insert([F.dot(q, col) for col in columns]):
+                space = line.to_subspace()
+        if space is None:
+            space = kernel(m.minus_scalar(r))
         values.append(FieldElement(F, r))
         spaces.append(space)
         dim_sum += space.dim
@@ -567,8 +611,19 @@ def eigen_structure(m: Matrix) -> EigenStructure:
         transform=m,
         eigenvalues=tuple(values),
         eigenspaces=tuple(spaces),
-        diagonalizable=dim_sum == m.nrows,
+        diagonalizable=dim_sum == n,
     )
+
+
+def _krylov_columns(m: Matrix) -> list[tuple[Raw, ...]]:
+    """Coordinate j of v, mv, …, m^(n−1)v, for each j, with v = (1, 2, …, n)."""
+    F = m.field
+    vec = tuple(F.coerce(i + 1) for i in range(m.nrows))
+    krylov = [vec]
+    for _ in range(m.nrows - 1):
+        vec = m.mul_vec(vec)
+        krylov.append(vec)
+    return list(zip(*krylov))
 
 
 def is_decomposition(field: FieldSpec, ambient_dim: int, subspaces: Sequence[SubspaceBasis]) -> bool:

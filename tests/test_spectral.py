@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hesspairs import (
     char_poly,
     eigen_structure,
     is_raising_decomposition,
+    kernel,
     subspace_intersect,
     subspace_sum,
 )
@@ -185,6 +187,101 @@ def test_diagonalizable_eigenspaces_form_direct_sum():
                     assert subspace_intersect(s, t).is_zero
                 total = subspace_sum(total, s)
             assert total.dim == total.ambient_dim
+
+
+def _triangular_conjugate(field, diag, rng, *, upper=True, jordan=0):
+    """P·T·P⁻¹ for an upper-triangular T with the given diagonal.
+
+    T's strictly upper entries are random when ``upper`` is set and zero
+    otherwise; with ``jordan`` = k, the first k diagonal entries form one
+    Jordan block (superdiagonal 1s, nothing else above them).
+    """
+    n = len(diag)
+    t = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        t[i][i] = field.coerce(diag[i])
+        for j in range(i + 1, n):
+            if i < jordan and j < jordan:
+                t[i][j] = field.one() if j == i + 1 else field.zero()
+            elif upper:
+                t[i][j] = field.rand(rng)
+    p = rand_invertible(field, n, rng)
+    return p * Matrix(field, tuple(map(tuple, t)), ncols=n) * p.inverse()
+
+
+def _counting(monkeypatch, name):
+    """Replace ``spectral.<name>`` with a wrapper; returns its call list."""
+    calls = []
+    original = getattr(spectral, name)
+    monkeypatch.setattr(spectral, name, lambda m: calls.append(m) or original(m))
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), GF(2**31 - 1), QQ], ids=repr)
+def test_eigenlines_match_kernels(field, monkeypatch):
+    # The line read from the Krylov sequence is the RREF basis that
+    # kernel(M - θI) gives, on multiplicity-free matrices, on mixed
+    # multiplicities (diagonalizable or not) and on a Jordan block ⊕ simple
+    # eigenvalues.  Every repeated eigenvalue takes one kernel, and the
+    # Krylov path serves most simple ones.
+    rng = random.Random(repr(field))
+    pool = list(range(min(field.p, 9))) if field.is_finite else list(range(-4, 5))
+    kernels = _counting(monkeypatch, "kernel")
+    simple = fallbacks = 0
+    for _ in range(12):
+        free = rng.sample(pool, rng.randint(1, min(len(pool), 7)))
+        mixed = rng.sample(pool, rng.randint(1, min(len(pool), 4)))
+        mixed += [rng.choice(mixed) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(mixed)
+        jordan = rng.randint(2, 3)
+        block = rng.sample(pool, min(len(pool), rng.randint(2, 4)))
+        block[:1] *= jordan
+        cases = [
+            (free, _triangular_conjugate(field, free, rng)),
+            (mixed, _triangular_conjugate(field, mixed, rng, upper=rng.random() < 0.5)),
+            (block, _triangular_conjugate(field, block, rng, upper=False, jordan=jordan)),
+        ]
+        for diag, m in cases:
+            kernels.clear()
+            eig = eigen_structure(m)
+            counts = Counter(field.coerce(t) for t in diag)
+            assert [v.value for v in eig.eigenvalues] == sorted(counts)
+            assert eig.eigenspaces == tuple(kernel(m.minus_scalar(t)) for t in sorted(counts)), m
+            assert eig.diagonalizable == (sum(eig.dims) == m.nrows)
+            repeated = sum(c > 1 for c in counts.values())
+            assert len(kernels) >= repeated
+            simple += len(counts) - repeated
+            fallbacks += len(kernels) - repeated
+        # The last case, the Jordan block ⊕ simple eigenvalues, has only lines.
+        assert set(eig.dims) == {1} and not eig.diagonalizable
+    assert 2 * fallbacks < simple, (fallbacks, simple)
+
+
+def test_eigenline_falls_back_to_the_kernel_when_the_start_vector_misses(monkeypatch):
+    # M = Q⁻¹·diag(1, 2, 3)·Q has the rows of Q as left eigenvectors, and
+    # (2, -1, 0) is orthogonal to the start vector (1, 2, 3): q_1(M)·v = 0,
+    # so the eigenvalue 1, and only it, takes kernel(M - I); its eigenspace
+    # is spanned by column 0 of Q⁻¹.
+    for field in (QQ, GF(101), GF(2**31 - 1)):
+        q = Matrix.from_rows(field, [[2, -1, 0], [0, 1, 0], [0, 0, 1]])
+        m = q.inverse() * Matrix.diagonal(field, [1, 2, 3]) * q
+        kernels = _counting(monkeypatch, "kernel")
+        eig = eigen_structure(m)
+        assert [k.entries for k in kernels] == [m.minus_scalar(field.one()).entries]
+        assert eig.eigenspaces == tuple(kernel(m.minus_scalar(t)) for t in (1, 2, 3))
+        assert eig.eigenspaces[0] == SubspaceBasis.from_vectors(field, 3, [[1, 0, 0]])
+
+
+def test_krylov_vectors_only_for_a_simple_eigenvalue(monkeypatch):
+    # The Krylov sequence is formed once per matrix that has a simple
+    # eigenvalue, however many it has, and never for one without.
+    rng = random.Random(7)
+    krylov = _counting(monkeypatch, "_krylov_columns")
+    for diag, formed in (([1, 1, 2, 2, 2], 0), ([3, 3, 3], 0), ([1, 1, 2, 3, 4], 1), ([5, 6, 7, 8], 1)):
+        for field in (QQ, GF(101), GF(2**31 - 1)):
+            krylov.clear()
+            eigen_structure(_triangular_conjugate(field, diag, rng))
+            assert len(krylov) == formed, (diag, field)
 
 
 def test_is_decomposition_semantics():
@@ -574,9 +671,9 @@ def _ref_pow_linear(a, e, mod, p):
 @pytest.mark.parametrize("p", _KERNEL_PRIMES + [2**521 - 1])
 def test_poly_pow_linear_matches_repeated_multiplication(p):
     # (x + a)^e mod m equals e steps of "multiply by x + a, then reduce",
-    # for monic moduli of degree 1 to 30; the exponents p and (p - 1)/2 of
-    # the root finder are checked against binary powering on schoolbook
-    # products.
+    # for monic moduli of degree 1 to 30; p, (p - 1)/2 and the root
+    # finder's exponents p + 1 and (p + 1)/2 are checked against binary
+    # powering on schoolbook products.
     # Over 2^521 - 1 the schoolbook reference is slow, so degrees stop at 13.
     rng = random.Random(p)
     for deg in (1, 1, 2, 3, 5, 13, 30) if p.bit_length() < 100 else (1, 2, 5, 13):
@@ -586,7 +683,7 @@ def test_poly_pow_linear_matches_repeated_multiplication(p):
         for e in range(41):
             assert spectral._poly_pow_linear(a, e, mod, p) == expected, (deg, e)
             expected = _ref_divmod(_ref_mul(expected, [a, 1], p), mod, p)[1]
-        for e in (p, (p - 1) // 2):
+        for e in (p, (p - 1) // 2, p + 1, (p + 1) // 2):
             assert spectral._poly_pow_linear(a, e, mod, p) == _ref_pow_linear(a, e, mod, p), (deg, e)
 
 
@@ -718,19 +815,20 @@ def test_gcd_finder_keeps_roots_when_p_le_degree(p, roots):
     assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == sorted(set(roots))
 
 
-def test_x_to_the_p_squares_modulo_the_square_free_part(monkeypatch):
-    # A degree-12 polynomial with 4 distinct roots over GF(2^31 - 1): x^p is
-    # raised modulo the quartic square-free part, and with the linear base
-    # only the squarings are full products, one per bit of p after the
-    # leading one.
+def test_x_to_the_p_plus_one_squares_modulo_the_square_free_part(monkeypatch):
+    # A degree-12 polynomial with 4 distinct roots over GF(2^31 - 1): x^(p+1)
+    # = x^(2^31) is raised modulo the quartic square-free part in one step
+    # by the linear base and then 31 squarings, each a full product.  A
+    # linear step is a reduction that is not part of a product.
     p = 2**31 - 1
     rng = random.Random(31)
     planted = sorted(rng.sample(range(1, p), 4))
     poly = Polynomial.from_roots(GF(p), [r for r in planted for _ in range(3)])
     assert poly.degree == 12
     products: list = []
+    reductions: list = []
     exponent = [None]
-    pow_linear, packed_mul = spectral._poly_pow_linear, _PackedModulus.mul
+    pow_linear, packed_mul, packed_reduce = spectral._poly_pow_linear, _PackedModulus.mul, _PackedModulus.reduce
 
     def counted_pow(a, e, mod, q):
         exponent[0] = e
@@ -740,7 +838,75 @@ def test_x_to_the_p_squares_modulo_the_square_free_part(monkeypatch):
         products.append((exponent[0], self.d))
         return packed_mul(self, x, y)
 
+    def counted_reduce(self, s):
+        reductions.append((exponent[0], self.d))
+        return packed_reduce(self, s)
+
     monkeypatch.setattr(spectral, "_poly_pow_linear", counted_pow)
     monkeypatch.setattr(_PackedModulus, "mul", counted_mul)
+    monkeypatch.setattr(_PackedModulus, "reduce", counted_reduce)
     assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == planted
-    assert [deg for e, deg in products if e == p] == [4] * (p.bit_length() - 1) == [4] * 30
+    assert p + 1 == 2**31
+    assert [deg for e, deg in products if e == p + 1] == [4] * 31
+    assert [deg for e, deg in reductions if e == p + 1] == [4] * 32
+    assert not [e for e, _ in products if e == p]
+
+
+def _sympy_gf_roots(coeffs, p):
+    """(root, multiplicity) of the linear factors of a polynomial over GF(p), by sympy."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    factors = gf_factor([int(c) % p for c in reversed(coeffs)], p, ZZ)[1]
+    return sorted((int(-f[1]) % p, mult) for f, mult in factors if len(f) == 2)
+
+
+@pytest.mark.parametrize("p", [10007, 65521, 2**31 - 1, 2**61 - 1])
+def test_frobenius_exponents_match_sympy(p, monkeypatch):
+    # The gcd with x^(p+1) - x^2 and the splits by (x + a)^((p+1)/2) - (x + a)
+    # on non-Mersenne and Mersenne primes above _SCAN_FACTOR·deg: planted
+    # roots with 0 of multiplicity 0 to 3, pairs r and p - r, repeated
+    # roots and a quadratic factor without roots must give sympy's roots,
+    # and over a field GF(p) its multiplicities; on 10007 the residue scan
+    # must agree too.
+    rng = random.Random(p)
+    non_square = next(g for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+    for trial in range(10):
+        pairs = [rng.randrange(1, p) for _ in range(rng.randint(1, 3))]
+        roots = [0] * (trial % 4) + pairs + [p - r for r in pairs]
+        roots += [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+        roots += roots[: rng.randint(0, 3)]
+        coeffs = [1]
+        for r in roots:
+            coeffs = _ref_mul(coeffs, [p - r if r else 0, 1], p)
+        if trial % 3 == 0:
+            coeffs = _ref_mul(coeffs, [p - non_square, 0, 1], p)
+        assert p > spectral._SCAN_FACTOR * (len(coeffs) - 1)
+        expected = _sympy_gf_roots(coeffs, p)
+        assert [r for r, _ in expected] == sorted(set(roots))
+        assert sorted(spectral._roots_large_prime(coeffs, p)) == sorted(set(roots))
+        if p < 2**31:
+            poly = Polynomial(GF(p), coeffs)
+            assert _in_field_roots_with_multiplicity(poly) == expected
+            if p == 10007:
+                monkeypatch.setattr(spectral, "_SCAN_FACTOR", p)
+                assert _in_field_roots_with_multiplicity(poly) == expected
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "roots, extra",
+    [([0, 0, 0, 1, 1], [1, 1, 1]), ([], [1, 1, 1]), ([1, 1, 1], []), ([0, 0], []), ([0, 1], [1, 0, 1])],
+)
+def test_frobenius_split_terminates_over_gf2(roots, extra):
+    # Over GF(2), (p + 1)/2 = 1 and the splitting probe (x + a) - (x + a) is
+    # zero, so the finder must never need a split: once x^k is divided out,
+    # gcd(f, x^3 - x^2) has degree at most 1.  ``extra`` multiplies in
+    # x^2 + x + 1 (no roots) or x^2 + 1 = (x + 1)^2.
+    field = GF(2)
+    poly = Polynomial.from_roots(field, roots)
+    if extra:
+        poly = poly * Polynomial(field, extra)
+    expected = [c for c in range(2) if poly.eval(c) == 0]
+    assert sorted(spectral._roots_large_prime(list(poly.coeffs), 2)) == expected
