@@ -15,19 +15,22 @@ On both fields the candidate residues are all of them when p <= 64·deg
 and, for larger p, the roots of the linear part of the square-free part
 of the polynomial mod p, extracted via gcd with x^(p+1) - x^2 (the root 0
 divided out first), then equal-degree splitting with
-(x + a)^((p+1)/2) - (x + a).  The powers are taken on packed residues
-(Kronecker substitution: one big-integer product per squaring); for a
-Mersenne p, p + 1 is a power of two, so they are squarings only, after
-one step by the linear base.  One exact count on integer coefficients is
-the root test: synthetic division, mod p or over Z, divides each
-candidate out of one shrinking quotient, and the number of zero
-remainders is its multiplicity.
+(x + a)^((p+1)/2) - (x + a).  The probe a = 0 comes free from the chain
+of x^(p+1), and for p = 3 (mod 4) a quadratic factor is solved in closed
+form; the other factors take random probes.  The powers are taken on
+packed residues (Kronecker substitution: one big-integer product per
+squaring); for a Mersenne p, p + 1 is a power of two, so they are
+squarings only, after one step by the linear base.  One exact count on
+integer coefficients is the root test: synthetic division, mod p or over
+Z, divides each candidate out of one shrinking quotient, and the number
+of zero remainders is its multiplicity.
 
-The eigenspace of a simple eigenvalue θ is read from one Krylov
-sequence v, Mv, …, M^(n-1)v of a fixed start vector, shared by all of
-M's simple eigenvalues: it is the line through (χ/(x - θ))(M)·v, which
-costs O(n²) per eigenvalue.  Repeated eigenvalues, and a simple one on
-which v vanishes, take the kernel of M - θI.
+Eigenspaces are read from Krylov sequences v, Mv, … of fixed start
+vectors: with r = ∏(x - θ) over the distinct eigenvalues, the vectors
+(r/(x - θ))(M)·v lie in V_θ whenever r(M)·v = 0, and enough of them span
+it, at O(n²) per vector and eigenvalue.  A non-diagonalizable M keeps
+lines (χ/(x - θ))(M)·v for its simple eigenvalues and takes the kernel of
+M - θI for its repeated ones.
 
 If the characteristic polynomial does not split into linear factors over
 the field, :func:`eigen_structure` raises
@@ -63,6 +66,12 @@ from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 # The scan costs about p·n Horner steps and the gcd finder about
 # n²·log p products, so the crossover grows with the degree.
 _SCAN_FACTOR = 64
+
+# Start vectors formed beyond the largest multiplicity that the Krylov
+# sequences serve.  Over a large field a start vector misses an eigenspace
+# with probability about 1/p; over GF(2) and GF(3) the spares catch most
+# of the misses before the kernel has to.
+_SPARE_START_VECTORS = 2
 
 # Exponents e of the Mersenne primes 2^e - 1: the moduli in which rational
 # roots are found.
@@ -374,8 +383,14 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p) via gcd with x^(p+1) - x^2 and equal-degree splitting.
 
     Once x^k is divided out, f(0) != 0, so gcd(f, x^p - x) equals
-    gcd(f, x^(p+1) - x^2), and a factor h splits at gcd(h, (x + a)^((p+1)/2)
-    - (x + a)), which vanishes where r + a is a square or zero.  For a
+    g = gcd(f, x^(p+1) - x^2), and a factor h splits at
+    gcd(h, (x + a)^((p+1)/2) - (x + a)), which vanishes where r + a is a
+    square or zero.  For odd p, x^(p+1) is the square of s = x^((p+1)/2),
+    so the probe a = 0, gcd(g, s - x), costs no power of its own: it splits
+    g into its roots that are squares and those that are not.  When
+    p = 3 (mod 4), a quadratic factor is then solved in closed form,
+    because disc^((p+1)/4) is a square root of its discriminant; larger
+    factors, and quadratics for other p, split at random probes.  For a
     Mersenne p = 2^e - 1, p + 1 and (p + 1)/2 are powers of two, so each
     power is squarings after one step by the linear base.
     """
@@ -391,12 +406,25 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     # f' can vanish on a factor (x - r)^p and the quotient would lose r.
     if p >= len(f):
         f = _poly_divmod(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)[0]
-    xp = _poly_pow_linear(0, p + 1, f, p)
+    if p == 2:
+        # p + 1 = 3 is odd, so the chain of x^3 has no square root of it;
+        # and g divides x^(p-1) - 1 = x - 1, so it never needs a split.
+        xp = _poly_pow_linear(0, 3, f, 2)
+    else:
+        half = _poly_pow_linear(0, (p + 1) // 2, f, p)
+        packed = _PackedModulus(f, p)
+        xp = packed.unpack(packed.mul(packed.pack(half), packed.pack(half)))
     xp += [0] * (3 - len(xp))
     xp[2] = (xp[2] - 1) % p
     g = _poly_gcd(f, xp, p)
-    rng = random.Random(0x5EED)
     stack = [g]
+    if p > 2 and len(g) > 2:
+        # The probe a = 0 on g, from the power already raised modulo f.
+        w = _probe_gcd(g, half, 0, p)
+        if 0 < len(w) - 1 < len(g) - 1:
+            stack = [w, _poly_divmod(g, w, p)[0]]
+    rng = random.Random(0x5EED)
+    inv2 = (p + 1) // 2
     while stack:
         h = stack.pop()
         d = len(h) - 1
@@ -405,20 +433,34 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
         if d == 1:
             roots.append((-h[0]) % p)
             continue
+        if d == 2 and p % 4 == 3:
+            # h = x^2 + bx + c has two distinct roots in GF(p), so its
+            # discriminant is a nonzero square.
+            c, b = h[0], h[1]
+            s = pow((b * b - 4 * c) % p, (p + 1) // 4, p)
+            roots += [(s - b) * inv2 % p, (-s - b) * inv2 % p]
+            continue
         # d >= 2 needs p >= 3: g divides x^(p-1) - 1, which over GF(2) is
         # x - 1, and there (p + 1)//2 = 1 would make every probe zero.
         while True:
             a = rng.randrange(p)
-            probe = _poly_pow_linear(a, (p + 1) // 2, h, p)
-            probe += [0] * (2 - len(probe))
-            probe[0] = (probe[0] - a) % p
-            probe[1] = (probe[1] - 1) % p
-            w = _poly_gcd(h, probe, p)
+            w = _probe_gcd(h, _poly_pow_linear(a, (p + 1) // 2, h, p), a, p)
             if 0 < len(w) - 1 < d:
                 stack.append(w)
                 stack.append(_poly_divmod(h, w, p)[0])
                 break
     return roots
+
+
+def _probe_gcd(h: list[int], power: list[int], a: int, p: int) -> list[int]:
+    """gcd(h, (x + a)^((p+1)/2) - (x + a)) over GF(p).
+
+    ``power`` is (x + a)^((p+1)/2) reduced modulo h or a multiple of h.
+    """
+    power = power + [0] * (2 - len(power))
+    power[0] = (power[0] - a) % p
+    power[1] = (power[1] - 1) % p
+    return _poly_gcd(h, power, p)
 
 
 def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, int]:
@@ -566,15 +608,23 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     :class:`~hesspairs.errors.EigenvaluesOutsideFieldError` when the
     characteristic polynomial does not split over the field.
 
-    The eigenspace of a simple eigenvalue θ is the line through
-    u = q_θ(m)·v, where q_θ = χ/(x − θ) and v is the fixed start vector
-    (1, 2, …, n): by Cayley–Hamilton (m − θI)·u = χ(m)·v = 0.  The Krylov
-    vectors v, mv, …, m^(n−1)v are formed once, on the first simple
-    eigenvalue, and each u is then one dot product per coordinate.  The
-    line's RREF basis is u scaled to a leading 1.  q_θ(m) = adj(θI − m)
-    has rank 1, so u is zero exactly when v is orthogonal to θ's left
-    eigenvector; that eigenvalue, and every repeated one, takes
-    ``kernel(m − θI)``.
+    The eigenspaces come from Krylov sequences of fixed start vectors
+    v_0 = (1, 2, …, n), v_1, ….  Let r = ∏(x − θ) over the k distinct
+    eigenvalues, and q_θ = r/(x − θ), one synthetic division.  Then
+    u = q_θ(m)·v has (m − θI)·u = r(m)·v.  When every eigenvalue is simple,
+    r = χ and Cayley–Hamilton makes that zero; otherwise one more Krylov
+    step checks r(m)·v = 0.  Each u then lies in V_θ and costs one dot
+    product per coordinate over v, mv, …, m^(k−1)v.  An echelon of the u
+    from successive start vectors that reaches θ's multiplicity is V_θ, and
+    its RREF basis is the one ``kernel(m − θI)`` gives.  Start vectors are
+    formed only while an eigenvalue lacks its dimension, and at most two
+    beyond the largest multiplicity.
+
+    When r(m)·v ≠ 0, m is not diagonalizable: its simple eigenvalues then
+    take lines (χ/(x − θ))(m)·v, from sequences of length n, and its
+    repeated ones ``kernel(m − θI)``.  The kernel also serves an eigenvalue
+    that every start vector misses, and a repeated one of multiplicity
+    above n/2, whose kernel has rank below n/2.
     """
     if not m.is_square:
         raise NotSquareError("eigen structure of a non-square matrix")
@@ -587,43 +637,83 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     total_mult = sum(mult for _, mult in roots)
     if total_mult < n:
         raise EigenvaluesOutsideFieldError(n - total_mult)
-    field_p = F.p if isinstance(F, PrimeField) else 0
-    chi = poly.coeffs[::-1]
-    columns = None
-    values = []
-    spaces = []
-    dim_sum = 0
-    for r, mult in roots:
-        space = None
-        if mult == 1:
-            if columns is None:
-                columns = _krylov_columns(m)
-            q = _synthetic_division(chi, r, field_p)[0][::-1]
-            line = _Echelon(F, n)
-            if line.insert([F.dot(q, col) for col in columns]):
-                space = line.to_subspace()
-        if space is None:
-            space = kernel(m.minus_scalar(r))
-        values.append(FieldElement(F, r))
-        spaces.append(space)
-        dim_sum += space.dim
+    spaces = _eigenspaces(m, poly.coeffs[::-1], roots)
     return EigenStructure(
         transform=m,
-        eigenvalues=tuple(values),
+        eigenvalues=tuple(FieldElement(F, r) for r, _ in roots),
         eigenspaces=tuple(spaces),
-        diagonalizable=dim_sum == n,
+        diagonalizable=sum(space.dim for space in spaces) == n,
     )
 
 
-def _krylov_columns(m: Matrix) -> list[tuple[Raw, ...]]:
-    """Coordinate j of v, mv, …, m^(n−1)v, for each j, with v = (1, 2, …, n)."""
+def _eigenspaces(m: Matrix, chi: list[Raw], roots: list[tuple[Raw, int]]) -> list[SubspaceBasis]:
+    """The eigenspace of each root, from Krylov sequences of fixed start vectors.
+
+    ``chi`` is the characteristic polynomial high-to-low, and ``roots`` its
+    (root, multiplicity) pairs, which together account for its degree.
+    """
     F = m.field
-    vec = tuple(F.coerce(i + 1) for i in range(m.nrows))
-    krylov = [vec]
-    for _ in range(m.nrows - 1):
-        vec = m.mul_vec(vec)
-        krylov.append(vec)
-    return list(zip(*krylov))
+    n = m.nrows
+    field_p = F.p if isinstance(F, PrimeField) else 0
+    r = chi if len(roots) == n else Polynomial.from_roots(F, [t for t, _ in roots]).coeffs[::-1]
+    r_low = r[::-1]
+    # A repeated eigenvalue of multiplicity above n/2 would need more than
+    # n/2 start vectors, and its kernel is cheap, being of rank below n/2.
+    wanted = [mult if mult == 1 or 2 * mult <= n else 0 for _, mult in roots]
+    spans = [_Echelon(F, n) for _ in roots]
+    quotients = [_synthetic_division(r, t, field_p)[0][::-1] for t, _ in roots]
+    for j in range(max(wanted) + _SPARE_START_VECTORS):
+        lacking = [i for i, want in enumerate(wanted) if spans[i].dim < want]
+        if not lacking:
+            break
+        sequence = [_start_vector(F, n, j)]
+        # v, mv, …, m^k·v for r of degree k: the last one only for the check
+        # r(m)·v = 0, which Cayley–Hamilton makes when r = χ.  A quotient has
+        # k coefficients, so its dot products read the first k of each column.
+        columns = _krylov_columns(m, sequence, min(len(r), n))
+        if len(r) <= n and any(F.dot(r_low, col) for col in columns):
+            # m is not diagonalizable.  From here on its simple eigenvalues
+            # take lines (χ/(x - θ))(m)·v, and its repeated ones kernels.
+            r = chi
+            quotients = [_synthetic_division(r, t, field_p)[0][::-1] for t, _ in roots]
+            wanted = [int(mult == 1) for _, mult in roots]
+            lacking = [i for i in lacking if wanted[i]]
+            if lacking:
+                columns = _krylov_columns(m, sequence, n)
+        for i in lacking:
+            spans[i].insert([F.dot(quotients[i], col) for col in columns])
+    return [
+        span.to_subspace() if span.dim == mult else kernel(m.minus_scalar(t))
+        for span, (t, mult) in zip(spans, roots)
+    ]
+
+
+def _start_vector(field: FieldSpec, n: int, j: int) -> tuple[Raw, ...]:
+    """Start vector j of the Krylov sequences.
+
+    j = 0 gives (1, 2, …, n).  Every later one has entries in -3…3, read
+    from the high bits of a fixed 64-bit linear congruential stream
+    (Knuth's MMIX constants) started at j, so that its entries stay small
+    over Q and do not repeat with the coordinate index mod a small p.
+    """
+    if not j:
+        return tuple(field.coerce(i + 1) for i in range(n))
+    out = []
+    x = j
+    for _ in range(n):
+        x = (x * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+        out.append(field.coerce((x >> 32) % 7 - 3))
+    return tuple(out)
+
+
+def _krylov_columns(m: Matrix, sequence: list, length: int) -> list[tuple[Raw, ...]]:
+    """Coordinate j of each vector of ``sequence`` = [v, mv, …], for each j.
+
+    ``sequence`` is first extended in place to ``length`` vectors.
+    """
+    while len(sequence) < length:
+        sequence.append(m.mul_vec(sequence[-1]))
+    return list(zip(*sequence))
 
 
 def is_decomposition(field: FieldSpec, ambient_dim: int, subspaces: Sequence[SubspaceBasis]) -> bool:
