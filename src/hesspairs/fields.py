@@ -14,14 +14,16 @@ computation runs on them.  :class:`FieldElement` only tags a value with its
 field at API boundaries (eigenvalues, split eigenvalue sequences, generator
 truth); it does no arithmetic.
 
-Matrix and polynomial products, the Berkowitz recurrence and every echelon
-row operation go through three vector primitives, :meth:`FieldSpec.dot`
-(Σ x·y), :meth:`FieldSpec.sub_scaled` (x − c·y entrywise) and
-:meth:`FieldSpec.scale` (c·y entrywise, which normalizes echelon rows), so
-each field kind writes its multiply-accumulate once.  All three work on
+Two vector primitives serve both fields: :meth:`FieldSpec.dot` (Σ x·y),
+behind polynomial products, the algebra closure and GF(p) matrix
+products, and :meth:`FieldSpec.scale` (c·y entrywise).  Both work on
 integers and build one canonical value per result entry: over GF(p) one
 reduction modulo p, over Q one ``Fraction(numerator, denominator)`` formed
 from the integer numerators and denominators of the inputs.
+:meth:`PrimeField.sub_scaled` (x − c·y entrywise) is the GF(p) echelon
+row operation and the Hessenberg reduction's.  Over Q, matrix products,
+the Berkowitz recurrence and echelons run on integer images instead
+(:mod:`hesspairs.linalg`), so Q has no row operation on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ class FieldSpec:
 
     def dot(self, xs: Iterable[Raw], ys: Iterable[Raw]) -> Raw:
         """Σ x·y over ``zip(xs, ys)``: the shorter input sets the length."""
-        raise NotImplementedError
-
-    def sub_scaled(self, xs: Iterable[Raw], c: Raw, ys: Iterable[Raw]) -> list[Raw]:
-        """``[x - c·y for x, y in zip(xs, ys)]``."""
         raise NotImplementedError
 
     def scale(self, c: Raw, ys: Iterable[Raw]) -> list[Raw]:
@@ -214,15 +212,6 @@ class Rationals(FieldSpec):
                     n, d = n * (td // g) + tn * (d // g), d // g * td
         return Fraction(n, d)
 
-    # x - c·y = (x.n·c.d·y.d - c.n·y.n·x.d) / (x.d·c.d·y.d): one Fraction per entry.
-    def sub_scaled(self, xs, c, ys):
-        cn, cd = c.numerator, c.denominator
-        return [
-            Fraction(x.numerator * cd * y.denominator - cn * y.numerator * x.denominator,
-                     x.denominator * cd * y.denominator) if y else x
-            for x, y in zip(xs, ys)
-        ]
-
     # c·y = (c.n·y.n) / (c.d·y.d): one Fraction per entry.
     def scale(self, c, ys):
         cn, cd = c.numerator, c.denominator
@@ -302,7 +291,8 @@ class PrimeField(FieldSpec):
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.p
 
-    def sub_scaled(self, xs, c, ys):
+    def sub_scaled(self, xs: Iterable[int], c: int, ys: Iterable[int]) -> list[int]:
+        """``[x - c·y for x, y in zip(xs, ys)]``, reduced mod p."""
         p = self.p
         return [(x - c * y) % p if y else x for x, y in zip(xs, ys)]
 

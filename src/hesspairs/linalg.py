@@ -8,46 +8,101 @@ Conventions used throughout the package:
   (:class:`SubspaceBasis`), which is unique per subspace, so equality of
   subspaces is plain structural equality.
 
-Internally every entry is a raw value (``Fraction`` or int residue); the
-owning :class:`~hesspairs.fields.FieldSpec` performs the arithmetic.  Matrix
-products are rows of :meth:`~hesspairs.fields.FieldSpec.dot`, every
-echelon row reduction is one :meth:`~hesspairs.fields.FieldSpec.sub_scaled`,
-and every new echelon row is normalized by one
-:meth:`~hesspairs.fields.FieldSpec.scale`.
+Internally every entry is a raw value (``Fraction`` or int residue).  Over
+GF(p) the owning :class:`~hesspairs.fields.FieldSpec` performs the
+arithmetic: matrix products are rows of
+:meth:`~hesspairs.fields.FieldSpec.dot`, every echelon row reduction is one
+:meth:`~hesspairs.fields.PrimeField.sub_scaled`, and every new echelon row
+is normalized by one :meth:`~hesspairs.fields.FieldSpec.scale`.
+
+Over Q the work runs on integer images (fraction-free, after Bareiss
+1968): a vector is held as integers over one common denominator.  A
+matrix keeps its rows' images, formed on its first product, and each
+product entry is one ``Fraction`` of an integer ``sum(map(mul, ...))``.
+An echelon keeps each row as a primitive integer vector whose pivot entry
+is its denominator; a row operation p·x - c·y is integer arithmetic
+followed by one gcd of the row, and ``Fraction`` rows are formed only when
+the rows are read.  The choice is made once per matrix or echelon, by its
+field.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, NotSquareError
-from .fields import FieldSpec, Raw
+from .fields import FieldSpec, Rationals, Raw
 
 Vector = tuple[Raw, ...]
+
+
+def _integer_image(vec: Sequence) -> tuple[list[int], int]:
+    """(xs, den) with vec = xs/den, den the lcm of the entries' denominators.
+
+    Takes ``Fraction``s or ints (denominator 1).  The image of an RREF row,
+    whose pivot is 1, is primitive and has its pivot entry equal to den.
+    """
+    den = lcm(*[x.denominator for x in vec])
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _cancel(x: list[int], y: list[int], j: int) -> list[int]:
+    """The primitive part of y[j]·x - x[j]·y, which is zero at j.
+
+    y[j] > 0, so the result keeps x's sign on every coordinate where y is zero.
+    """
+    p, c = y[j], x[j]
+    g = gcd(p, c)
+    if g > 1:
+        p, c = p // g, c // g
+    out = [p * a - c * b for a, b in zip(x, y)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
 
 
 class _Echelon:
     """Mutable reduced-row-echelon accumulator.
 
     The workhorse behind rref, kernels, sums, intersections, spinning and
-    flag construction.  Rows are kept normalized (pivot 1), mutually
-    reduced, and sorted by pivot column, so `rows` is always a canonical
-    RREF basis of the span of everything inserted so far.  Zeros are tested
-    by truth value: a raw zero is falsy in both fields, and ``Fraction``'s
-    ``==`` is far slower than its ``bool``.
+    flag construction.  Rows are kept mutually reduced and sorted by pivot
+    column, so :meth:`values` is always a canonical RREF basis of the span
+    of everything inserted so far.  Zeros are tested by truth value.
+
+    Over GF(p) a row is a list of residues with pivot 1.  Over Q
+    (``integral``) a row is a primitive integer vector whose pivot entry,
+    positive, is its denominator: the RREF row is row/row[pivot].  Row
+    operations are then integer p·x - c·y, each followed by one gcd of the
+    row (:func:`_cancel`), and ``Fraction`` rows are formed only in
+    :meth:`values`.
     """
 
-    __slots__ = ("field", "width", "rows", "pivots")
+    __slots__ = ("field", "width", "rows", "pivots", "integral")
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
         self.rows: list[list[Raw]] = []
         self.pivots: list[int] = []
+        self.integral = isinstance(field, Rationals)
 
     def residual(self, vec: Sequence[Raw]) -> list[Raw]:
-        """Reduce ``vec`` against the current rows; returns the remainder."""
+        """Reduce ``vec`` against the current rows; returns the remainder.
+
+        Over Q the remainder is an integer vector, a positive multiple of
+        the rational one.
+        """
+        if self.integral:
+            out = _integer_image(vec)[0]
+            for row, piv in zip(self.rows, self.pivots):
+                if out[piv]:
+                    out = _cancel(out, row, piv)
+            return out
         F = self.field
         out = list(vec)
         for row, piv in zip(self.rows, self.pivots):
@@ -61,20 +116,27 @@ class _Echelon:
 
     def insert(self, vec: Sequence[Raw]) -> bool:
         """Add ``vec`` to the span.  Returns True when the span grew."""
-        F = self.field
         red = self.residual(vec)
         piv = next((j for j, x in enumerate(red) if x), None)
         if piv is None:
             return False
-        tail = red[piv:]
-        if tail[0] != F.one():
-            tail = F.scale(F.inv(tail[0]), tail)
-            red[piv:] = tail
-        # Clear the new pivot column from the existing rows.
-        for row in self.rows:
-            c = row[piv]
-            if c:
-                row[piv:] = F.sub_scaled(row[piv:], c, tail)
+        if self.integral:
+            g = gcd(*red) if red[piv] > 0 else -gcd(*red)
+            if g != 1:
+                red = [x // g for x in red]
+            # Clear the new pivot column from the existing rows.
+            self.rows = [_cancel(row, red, piv) if row[piv] else row for row in self.rows]
+        else:
+            F = self.field
+            tail = red[piv:]
+            if tail[0] != F.one():
+                tail = F.scale(F.inv(tail[0]), tail)
+                red[piv:] = tail
+            # Clear the new pivot column from the existing rows.
+            for row in self.rows:
+                c = row[piv]
+                if c:
+                    row[piv:] = F.sub_scaled(row[piv:], c, tail)
         at = bisect_left(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.rows.insert(at, red)
@@ -87,20 +149,37 @@ class _Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
+    def values(self) -> list[Sequence[Raw]]:
+        """The rows as raw field values: the canonical RREF basis, pivots 1."""
+        if self.integral:
+            return [tuple([Fraction(x, row[piv]) for x in row]) for row, piv in zip(self.rows, self.pivots)]
+        return self.rows
+
+    def load(self, rows: Sequence[Vector]) -> None:
+        """Take the rows of an RREF basis as this echelon's rows."""
+        self.pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+        if self.integral:
+            self.rows = [_integer_image(r)[0] for r in rows]
+        else:
+            self.rows = [list(r) for r in rows]
+
     def to_subspace(self) -> "SubspaceBasis":
-        return SubspaceBasis(self.field, self.width, tuple(tuple(row) for row in self.rows))
+        return SubspaceBasis(self.field, self.width, tuple(tuple(row) for row in self.values()))
 
 
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "entries", "_integral", "_images")
 
     def __init__(self, field: FieldSpec, entries: tuple[Vector, ...], ncols: int | None = None):
         self.field = field
         self.entries = entries
         self.nrows = len(entries)
         self.ncols = len(entries[0]) if entries else (ncols or 0)
+        # Over Q products run on the rows' integer images (_row_images).
+        self._integral = isinstance(field, Rationals)
+        self._images: list[tuple[list[int], int]] | None = None
 
     # construction --------------------------------------------------------
 
@@ -160,6 +239,12 @@ class Matrix:
             )
         F = self.field
         cols = tuple(zip(*other.entries)) if other.entries else ()
+        if self._integral:
+            images = [_integer_image(col) for col in cols]
+            return Matrix(F, tuple(
+                tuple([Fraction(sum(map(mul, row, xs)), den * d) for xs, d in images])
+                for row, den in self._row_images()
+            ), ncols=other.ncols)
         return Matrix(F, tuple(tuple(F.dot(row, col) for col in cols) for row in self.entries), ncols=other.ncols)
 
     def scale(self, value) -> "Matrix":
@@ -186,8 +271,28 @@ class Matrix:
         """Apply to a column vector of raw values."""
         if len(vec) != self.ncols:
             raise AmbientMismatchError("vector length does not match column count")
+        if self._integral:
+            xs, d = _integer_image(vec)
+            return tuple([Fraction(sum(map(mul, row, xs)), den * d) for row, den in self._row_images()])
         F = self.field
         return tuple([F.dot(row, vec) for row in self.entries])
+
+    def _row_images(self) -> list[tuple[list[int], int]]:
+        """The integer image (xs, den) of each row over Q; formed once and kept."""
+        if self._images is None:
+            self._images = [_integer_image(row) for row in self.entries]
+        return self._images
+
+    def integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, D): the integer matrix D·self, D the lcm of its denominators.
+
+        Over GF(p) the residues themselves, with D = 1.
+        """
+        if not self._integral:
+            return [list(row) for row in self.entries], 1
+        images = self._row_images()
+        big = lcm(*[den for _, den in images])
+        return [xs if den == big else [x * (big // den) for x in xs] for xs, den in images], big
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.entries)) if self.entries else (), ncols=self.nrows)
@@ -206,7 +311,7 @@ class Matrix:
             raise ValueError("matrix is not invertible")
         # Rows are sorted by pivot column 0..n-1, so the right halves already
         # line up with the identity on the left.
-        return Matrix(F, tuple(tuple(row[n:]) for row in ech.rows), ncols=n)
+        return Matrix(F, tuple(tuple(row[n:]) for row in ech.values()), ncols=n)
 
     # inspection -----------------------------------------------------------
 
@@ -278,8 +383,7 @@ class SubspaceBasis:
 
     def _as_echelon(self) -> _Echelon:
         ech = _Echelon(self.field, self.ambient_dim)
-        ech.rows = [list(r) for r in self.rows]
-        ech.pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
+        ech.load(self.rows)
         return ech
 
     def __eq__(self, other) -> bool:
@@ -325,7 +429,7 @@ def kernel(m: Matrix) -> SubspaceBasis:
     for f in free:
         vec = [zero] * m.ncols
         vec[f] = F.one()
-        for row, piv in zip(ech.rows, ech.pivots):
+        for row, piv in zip(ech.values(), ech.pivots):
             if row[f]:
                 vec[piv] = F.neg(row[f])
         out.insert(vec)
@@ -357,7 +461,7 @@ def subspace_intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         ech.insert(list(u) + list(u))
     for v in b.rows:
         ech.insert(list(v) + [zero] * n)
-    rows = tuple(tuple(row[n:]) for row, piv in zip(ech.rows, ech.pivots) if piv >= n)
+    rows = tuple(tuple(row[n:]) for row, piv in zip(ech.values(), ech.pivots) if piv >= n)
     return SubspaceBasis(F, n, rows)
 
 
@@ -376,8 +480,18 @@ def _shift_maps_into(m: Matrix, t: Raw, s: SubspaceBasis, target: _Echelon) -> b
     """True when (m - t·I) s ⊆ target, the span of ``target``'s rows.
 
     Tests m·u - t·u for each basis row u of ``s``; neither m - t·I nor the
-    image's echelon is formed.
+    image's echelon is formed.  Over Q, with u = xs/den and t = a/b, the
+    test vector is the integer b·(D·m)·xs - a·D·xs, a positive multiple
+    of m·u - t·u.
     """
+    if m._integral:
+        rows, big = m.integer_rows()
+        a_big, b = t.numerator * big, t.denominator
+        images = (_integer_image(u)[0] for u in s.rows)
+        return all(
+            target.contains([b * sum(map(mul, row, xs)) - a_big * x for row, x in zip(rows, xs)])
+            for xs in images
+        )
     F = m.field
     return all(target.contains(F.sub_scaled(m.mul_vec(u), t, u)) for u in s.rows)
 

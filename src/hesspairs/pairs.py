@@ -408,7 +408,10 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
     coordinates from m_d+...+m_{d-i+1} on (m_k = dim V_k).  The
     A*-eigenvectors, in those coordinates, go into one echelon in the
     order V*_0, V*_1, ...; once V*_i is in, the rows whose pivot lies in
-    that span are a basis of U_i, mapped back through P.
+    that span are a basis of U_i, mapped back through P.  The coordinates
+    P^-1·w are formed once per pair
+    (:meth:`~hesspairs.spectral.EigenStructure.eigenbasis_coordinates`);
+    an ordering pair only permutes them.
     :func:`_intersected_split` is the same candidate by d+1 intersections.
     """
     _require_diagonalizable(ord_a.eigen, ord_a_star.eigen)
@@ -418,26 +421,28 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
         )
     eigen = ord_a.eigen
     field, n = eigen.transform.field, eigen.ambient_dim
-    p, p_inv = eigen.eigenbasis
+    p, _ = eigen.eigenbasis
+    coords = eigen.eigenbasis_coordinates(ord_a_star.eigen.eigenspaces)
     starts = [0, *itertools.accumulate(eigen.dims)]
-    # Coordinate k of the read is P's column order[k].
+    # Coordinate k of the read is P's column order[k], and P's column c is
+    # coordinate back_order[c] of the read.
     order = [c for j in reversed(ord_a.perm) for c in range(starts[j], starts[j + 1])]
-    to_read = Matrix(field, tuple(p_inv.entries[c] for c in order), ncols=n)
-    from_read = Matrix(field, tuple(tuple(row[c] for c in order) for row in p.entries), ncols=n)
+    back_order = sorted(range(n), key=order.__getitem__)
     spaces_a = ord_a.eigenspaces
     d = ord_a.d
     ech = _Echelon(field, n)
     cut = 0
     subspaces = []
-    for i, space in enumerate(ord_a_star.eigenspaces):
+    for i, j in enumerate(ord_a_star.perm):
         if i:
             cut += spaces_a[d - i + 1].dim
-        for w in space.rows:
-            ech.insert(to_read.mul_vec(w))
+        for y in coords[j]:
+            ech.insert([y[c] for c in order])
         back = _Echelon(field, n)
+        # An echelon row is a multiple of its RREF row, which spans the same line.
         for row, piv in zip(ech.rows, ech.pivots):
             if piv >= cut:
-                back.insert(from_read.mul_vec(row))
+                back.insert(p.mul_vec([row[k] for k in back_order]))
         subspaces.append(back.to_subspace())
     return SplitDecomposition(
         subspaces=tuple(subspaces),

@@ -186,31 +186,37 @@ def char_poly(m: Matrix) -> Polynomial:
 
 
 def _char_poly_berkowitz(m: Matrix) -> Polynomial:
-    """det(xI - m) by the Berkowitz method; division-free, so valid over any field."""
+    """det(xI - m) by the Berkowitz method; division-free, so valid over any field.
+
+    Runs on integers: on the matrix D·m of :meth:`~hesspairs.linalg.Matrix.integer_rows`,
+    whose coefficient c_k of x^(n-k) is D^k times m's, so m's is c_k/D^k.
+    Over GF(p), D = 1 and the coefficients are reduced mod p at the end.
+    """
     F = m.field
     n = m.nrows
-    one = F.one()
     if n == 0:
         return Polynomial.one(F)
-    grid = m.entries
+    grid, den = m.integer_rows()
     # p holds the characteristic polynomial of the leading r x r principal
     # submatrix, highest coefficient first.
-    p: list[Raw] = [one, F.neg(grid[0][0])]
+    p = [1, -grid[0][0]]
     for r in range(1, n):
-        a = grid[r][r]
         row = grid[r][:r]
-        col = [grid[i][r] for i in range(r)]
         # q[k] multipliers: 1, -a, -(row col), -(row M col), -(row M^2 col)...
-        q: list[Raw] = [one, F.neg(a)]
-        vec = col
-        for _ in range(r):
-            q.append(F.neg(F.dot(row, vec)))
-            # vec has length r, so each dot reads only the leading r columns.
-            vec = [F.dot(grid[i], vec) for i in range(r)]
+        q = [1, -grid[r][r]]
+        vec = [grid[i][r] for i in range(r)]
+        for k in range(r):
+            q.append(-sum(map(mul, row, vec)))
+            if k < r - 1:
+                # vec has length r, so each product reads only the leading r columns.
+                vec = [sum(map(mul, grid[i], vec)) for i in range(r)]
         # The Toeplitz product: new p[i] = Σ_j q[i-j]·p[j].
-        p = [F.dot(q[i::-1], p) for i in range(r + 2)]
-    p.reverse()
-    return Polynomial(F, p)
+        p = [sum(map(mul, q[i::-1], p)) for i in range(r + 2)]
+    if isinstance(F, PrimeField):
+        coeffs = [c % F.p for c in p]
+    else:
+        coeffs = [Fraction(c, den**k) for k, c in enumerate(p)]
+    return Polynomial(F, coeffs[::-1])
 
 
 def _char_poly_hessenberg(m: Matrix) -> Polynomial:
@@ -556,6 +562,9 @@ class EigenStructure:
     diagonalizable: bool
     # (M', P^-1 M' P) for every M' conjugated so far; see eigenbasis_conjugate.
     _conjugates: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
+    # (eigenspaces, P^-1 w per basis row w) for every family read so far;
+    # see eigenbasis_coordinates.
+    _coordinates: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -598,6 +607,22 @@ class EigenStructure:
         self._conjugates.append((other, conj))
         return conj
 
+    def eigenbasis_coordinates(self, spaces: Sequence[SubspaceBasis]) -> tuple[tuple[tuple[Raw, ...], ...], ...]:
+        """P^-1·w for each basis row w of each subspace, P from :attr:`eigenbasis`.
+
+        The coordinates of another eigenspace family in this eigenbasis,
+        formed once per family and kept on this structure, so the split
+        reads of every ordering pair share them.
+        """
+        spaces = tuple(spaces)
+        for key, coords in self._coordinates:
+            if key == spaces:
+                return coords
+        _, p_inv = self.eigenbasis
+        coords = tuple(tuple(p_inv.mul_vec(w) for w in space.rows) for space in spaces)
+        self._coordinates.append((spaces, coords))
+        return coords
+
 
 def eigen_structure(m: Matrix) -> EigenStructure:
     """Eigenvalues in the ground field, eigenspaces, diagonalizability.
@@ -613,8 +638,9 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     eigenvalues, and q_θ = r/(x − θ), one synthetic division.  Then
     u = q_θ(m)·v has (m − θI)·u = r(m)·v.  When every eigenvalue is simple,
     r = χ and Cayley–Hamilton makes that zero; otherwise one more Krylov
-    step checks r(m)·v = 0.  Each u then lies in V_θ and costs one dot
-    product per coordinate over v, mv, …, m^(k−1)v.  An echelon of the u
+    step checks r(m)·v = 0.  Each u then lies in V_θ and is one product
+    K·q_θ, K the matrix with columns v, mv, …, m^(k−1)v, whose rows'
+    integer images over Q are formed once.  An echelon of the u
     from successive start vectors that reaches θ's multiplicity is V_θ, and
     its RREF basis is the one ``kernel(m − θI)`` gives.  Start vectors are
     formed only while an eigenvalue lacks its dimension, and at most two
@@ -654,34 +680,32 @@ def _eigenspaces(m: Matrix, chi: list[Raw], roots: list[tuple[Raw, int]]) -> lis
     """
     F = m.field
     n = m.nrows
-    field_p = F.p if isinstance(F, PrimeField) else 0
     r = chi if len(roots) == n else Polynomial.from_roots(F, [t for t, _ in roots]).coeffs[::-1]
     r_low = r[::-1]
     # A repeated eigenvalue of multiplicity above n/2 would need more than
     # n/2 start vectors, and its kernel is cheap, being of rank below n/2.
     wanted = [mult if mult == 1 or 2 * mult <= n else 0 for _, mult in roots]
     spans = [_Echelon(F, n) for _ in roots]
-    quotients = [_synthetic_division(r, t, field_p)[0][::-1] for t, _ in roots]
+    quotients = _quotients(F, r, roots, min(len(r), n))
     for j in range(max(wanted) + _SPARE_START_VECTORS):
         lacking = [i for i, want in enumerate(wanted) if spans[i].dim < want]
         if not lacking:
             break
         sequence = [_start_vector(F, n, j)]
         # v, mv, …, m^k·v for r of degree k: the last one only for the check
-        # r(m)·v = 0, which Cayley–Hamilton makes when r = χ.  A quotient has
-        # k coefficients, so its dot products read the first k of each column.
-        columns = _krylov_columns(m, sequence, min(len(r), n))
-        if len(r) <= n and any(F.dot(r_low, col) for col in columns):
+        # r(m)·v = 0, which Cayley–Hamilton makes when r = χ.
+        krylov = _krylov_columns(m, sequence, min(len(r), n))
+        if len(r) <= n and any(krylov.mul_vec(r_low)):
             # m is not diagonalizable.  From here on its simple eigenvalues
             # take lines (χ/(x - θ))(m)·v, and its repeated ones kernels.
             r = chi
-            quotients = [_synthetic_division(r, t, field_p)[0][::-1] for t, _ in roots]
+            quotients = _quotients(F, r, roots, n)
             wanted = [int(mult == 1) for _, mult in roots]
             lacking = [i for i in lacking if wanted[i]]
             if lacking:
-                columns = _krylov_columns(m, sequence, n)
+                krylov = _krylov_columns(m, sequence, n)
         for i in lacking:
-            spans[i].insert([F.dot(quotients[i], col) for col in columns])
+            spans[i].insert(krylov.mul_vec(quotients[i]))
     return [
         span.to_subspace() if span.dim == mult else kernel(m.minus_scalar(t))
         for span, (t, mult) in zip(spans, roots)
@@ -706,14 +730,25 @@ def _start_vector(field: FieldSpec, n: int, j: int) -> tuple[Raw, ...]:
     return tuple(out)
 
 
-def _krylov_columns(m: Matrix, sequence: list, length: int) -> list[tuple[Raw, ...]]:
-    """Coordinate j of each vector of ``sequence`` = [v, mv, …], for each j.
+def _krylov_columns(m: Matrix, sequence: list, length: int) -> Matrix:
+    """The matrix whose columns are the vectors of ``sequence`` = [v, mv, …].
 
-    ``sequence`` is first extended in place to ``length`` vectors.
+    ``sequence`` is first extended in place to ``length`` vectors.  The
+    matrix times a coefficient vector (c_0, c_1, …) is Σ c_k·m^k·v.
     """
     while len(sequence) < length:
         sequence.append(m.mul_vec(sequence[-1]))
-    return list(zip(*sequence))
+    return Matrix(m.field, tuple(zip(*sequence)))
+
+
+def _quotients(field: FieldSpec, r: list[Raw], roots: list[tuple[Raw, int]], width: int) -> list[list[Raw]]:
+    """r/(x - θ) for each root θ of ``r`` (high-to-low), low-to-high, zero-padded to ``width``."""
+    field_p = field.p if isinstance(field, PrimeField) else 0
+    out = []
+    for t, _ in roots:
+        q = _synthetic_division(r, t, field_p)[0][::-1]
+        out.append(q + [field.zero()] * (width - len(q)))
+    return out
 
 
 def is_decomposition(field: FieldSpec, ambient_dim: int, subspaces: Sequence[SubspaceBasis]) -> bool:

@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from hesspairs import (
     subspace_intersect,
     subspace_sum,
 )
+from hesspairs import cli, linalg, spectral
 from hesspairs.errors import AmbientMismatchError, MixedFieldsError
 
 
@@ -212,3 +216,161 @@ def test_kernel_dimension_theorem():
         assert k.dim == n - rank
         for v in k.rows:
             assert all(x == field.zero() for x in m.mul_vec(v))
+
+
+# -- Q on integer images, against a naive Fraction reference -----------------
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan on Fractions: the nonzero RREF rows, pivots 1."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return [tuple(row) for row in rows[:r]]
+
+
+def _ref_kernel(rows, ncols):
+    red = _ref_rref(rows, ncols)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in red]
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, piv in zip(red, pivots):
+            v[piv] = -row[f]
+        basis.append(v)
+    return _ref_rref(basis, ncols)
+
+
+def _ref_mul_vec(rows, v):
+    return tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def _ref_intersect(a, b, n):
+    # x = Σ α_i a_i = Σ β_j b_j: the kernel of the n x (|a| + |b|) matrix [a^T | -b^T].
+    cols = [list(u) for u in a] + [[-x for x in v] for v in b]
+    system = [[col[i] for col in cols] for i in range(n)]
+    sols = _ref_kernel(system, len(cols))
+    vecs = [[sum((s[k] * a[k][i] for k in range(len(a))), Fraction(0)) for i in range(n)] for s in sols]
+    return _ref_rref(vecs, n)
+
+
+def _ref_char_poly(rows):
+    """det(xI - M) low-to-high by Faddeev-LeVerrier."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        acc = [[sum((m[i][t] * acc[t][j] for t in range(n)), Fraction(0)) + (coeffs[n - k + 1] if i == j else 0)
+                for j in range(n)] for i in range(n)]
+        prod_trace = sum(sum(m[i][t] * acc[t][i] for t in range(n)) for i in range(n))
+        coeffs[n - k] = -prod_trace / k
+    return coeffs
+
+
+def _q_entry(rng, big):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    num = rng.randint(-(2**1000), 2**1000) if big and rng.random() < 0.2 else rng.randint(-9, 9)
+    return Fraction(num, rng.choice(_PRIMES) if rng.random() < 0.7 else 1)
+
+
+def _q_matrix(rng, nrows, ncols, big):
+    """Entries over pairwise coprime prime denominators, some zero rows and columns."""
+    grid = [[_q_entry(rng, big) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.3:
+        grid[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if ncols and rng.random() < 0.3:
+        c = rng.randrange(ncols)
+        for row in grid:
+            row[c] = Fraction(0)
+    return grid
+
+
+def _assert_canonical(values, expected):
+    assert len(values) == len(expected)
+    for x, y in zip(values, expected):
+        assert type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+        assert x == y
+
+
+def test_q_kernels_match_a_fraction_reference():
+    # Over GF(p), test_spectral's test_hessenberg_char_poly_matches_berkowitz
+    # checks the integer Berkowitz (D = 1) against the Hessenberg reduction.
+    rng = random.Random(4099)
+    for trial in range(120):
+        big = trial % 3 == 0
+        n = rng.randint(1, 6)
+        k = rng.randint(1, 6)
+        grid = _q_matrix(rng, k, n, big)
+        m = Matrix.from_rows(QQ, grid)
+        v = [_q_entry(rng, big) for _ in range(n)]
+        _assert_canonical(m.mul_vec(v), _ref_mul_vec(grid, v))
+        # Repeated products reuse the rows' images.
+        _assert_canonical(m.mul_vec(v), _ref_mul_vec(grid, v))
+        other = _q_matrix(rng, n, rng.randint(1, 4), big)
+        prod = m * Matrix.from_rows(QQ, other)
+        cols = list(zip(*other))
+        for row, ref_row in zip(prod.entries, grid):
+            _assert_canonical(row, [sum((x * y for x, y in zip(ref_row, col)), Fraction(0)) for col in cols])
+        basis, rank = rref(m)
+        expected = _ref_rref(grid, n)
+        assert rank == len(expected)
+        for row, ref_row in zip(basis.rows, expected):
+            _assert_canonical(row, ref_row)
+            assert row[next(j for j, x in enumerate(row) if x)] == 1
+        assert kernel(m).rows == tuple(_ref_kernel(grid, n))
+        for row in kernel(m).rows:
+            _assert_canonical(row, row)
+        a = _ref_rref(_q_matrix(rng, rng.randint(1, n), n, big), n)
+        b = _ref_rref(_q_matrix(rng, rng.randint(1, n), n, big), n)
+        meet = subspace_intersect(SubspaceBasis(QQ, n, tuple(a)), SubspaceBasis(QQ, n, tuple(b)))
+        assert meet.rows == tuple(_ref_intersect(a, b, n))
+        if k == n:
+            ref_poly = _ref_char_poly(grid)
+            poly = spectral._char_poly_berkowitz(m)
+            _assert_canonical(poly.coeffs, ref_poly)
+            if rank == n:
+                inv = _ref_rref([list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(grid)], 2 * n)
+                for row, ref_row in zip(m.inverse().entries, inv):
+                    _assert_canonical(row, ref_row[n:])
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in _FIXTURES.glob("pair_*gf*.json")))
+def test_gf_analysis_forms_no_integer_image(monkeypatch, capsys, name):
+    def refuse(vec):
+        raise AssertionError("integer image formed over GF(p)")
+
+    monkeypatch.setattr(linalg, "_integer_image", refuse)
+    assert cli.main(["analyze", str(_FIXTURES / name)]) == 0
+    assert '"field"' in capsys.readouterr().out
+
+
+def test_q_matrix_forms_its_image_once(monkeypatch):
+    calls = []
+    image = linalg._integer_image
+    monkeypatch.setattr(linalg, "_integer_image", lambda vec: calls.append(len(vec)) or image(vec))
+    m = Matrix.from_rows(QQ, [[1, Fraction(1, 2), 0], [Fraction(-3, 7), 2, 5], [0, 0, Fraction(1, 3)]])
+    for v in ([1, 2, 3], [Fraction(1, 2), 0, -1], [0, 0, 1]):
+        m.mul_vec([QQ.coerce(x) for x in v])
+    # Three row images, formed once, and one image per vector.
+    assert len(calls) == 3 + 3
+    calls.clear()
+    m.mul_vec((QQ.one(), QQ.zero(), QQ.zero()))
+    assert calls == [3]

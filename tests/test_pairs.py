@@ -1131,6 +1131,28 @@ def test_sl2_ladder_pair_is_tridiagonal(field, d):
         assert verify_split(a, a_star, split)
 
 
+def test_desk_scale_q_leonard_pair():
+    # The split-form Leonard pair with d = 19 over Q: A lower bidiagonal
+    # with θ_i = 3 + 2i and subdiagonal 1s, A* upper bidiagonal with
+    # θ*_i = 5 + 7i and φ_i = i(d - i + 1)/d.  Twenty eigenvalues a side
+    # is beyond the default cap, so it is lifted.
+    d = 19
+    n = d + 1
+    a = [[0] * n for _ in range(n)]
+    a_star = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i], a_star[i][i] = 3 + 2 * i, 5 + 7 * i
+        if i:
+            a[i][i - 1] = 1
+            a_star[i - 1][i] = Fraction(i * (d - i + 1), d)
+    a, a_star = Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, a_star)
+    report = analyze_pair(a, a_star, max_orderings=math.factorial(n))
+    assert report.irreducibility.status is IrreducibilityStatus.IRREDUCIBLE
+    assert len(report.hessenberg_orderings) == 4
+    assert all(split is not None and verify_split(a, a_star, split) for split in report.splits)
+    assert report.tridiagonal
+
+
 def _tridiagonal_witness_facts(a, a_star):
     """Analyze the pair and check two facts on every tridiagonal witness.
 
