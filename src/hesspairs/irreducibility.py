@@ -12,7 +12,11 @@ rungs:
    width m_i·m_j instead of one of width n^2.  The column of blocks
    𝒜E_j of the smallest eigenspace is closed first: when it has
    dimension n·m_j and one transposed spin from a coordinate vector of
-   that eigenspace fills K^n, 𝒜 = M_n and no other block is closed;
+   that eigenspace fills K^n, 𝒜 = M_n and no other block is closed.
+   When every eigenspace is a line, no block is closed at all: 𝒜 holds
+   E_jj·G·E_ii = g_ji·E_ji for each generator G, so it is spanned by the
+   E_ji with j reachable from i in the digraph of nonzero entries, and
+   the pair is irreducible when that digraph is strongly connected;
 2. Norton's criterion (Parker 1984; Holt and Rees 1994) on singular
    elements X of that algebra, one shared step per X
    (:func:`_norton_step`).  The spin of a point of ker X is either V or a
@@ -151,9 +155,32 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
     E_rs, so 𝒜 holds E_rs·X = e_r(e_s^T X) for each X ∈ 𝒜, and the rows
     e_s^T X fill K^n.  Otherwise every block is closed and the dimension is
     exact.
+
+    When every block is one coordinate (a diagonal first generator with
+    distinct entries) nothing is closed.  Each E_ii is a polynomial in
+    the first generator, so 𝒜 holds E_jj·G·E_ii = g_ji·E_ji for every
+    generator G, and the products of these give E_ji whenever j is
+    reachable from i along nonzero entries g_ji.  The span of those E_ji
+    is an algebra that holds every generator, so it is 𝒜, of dimension
+    Σ_i |reach(i)|.
     """
     field, n = _check_generators(generators)
     blocks = _coordinate_blocks(generators[0])
+    if len(blocks) == n:
+        succ = [{j for g in generators for j in range(n) if g.entries[j][i]} for i in range(n)]
+        reach = []
+        for i in range(n):
+            seen, stack = {i}, [i]
+            while stack:
+                new = succ[stack.pop()] - seen
+                seen |= new
+                stack.extend(new)
+            reach.append(seen)
+        units = _matrix_units(field, n)
+        if all(len(r) == n for r in reach):
+            return n * n, units
+        basis = tuple(units[j * n + i] for j in range(n) for i in range(n) if j in reach[i])
+        return len(basis), basis
     # movers[k]: the blocks G_IK, as rows of raw entries, with their row
     # block I, that act on block K; zero blocks and scalar diagonal blocks
     # give nothing new.  Both are recognized by truth value.

@@ -454,6 +454,44 @@ def test_oracle_catches_a_block_pattern_fault(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "OracleDisagreement"
 
 
+def test_oracle_catches_a_planted_reachability_edge(monkeypatch, capsys, tmp_path):
+    # A = diag(0, 1, 2) and an upper bidiagonal A* keep span{e0}: in A's
+    # eigenbasis the closure is read off the digraph 2 -> 1 -> 0.  One
+    # planted entry at (2, 0) adds the edge 0 -> 2, which makes the digraph
+    # strongly connected and the verdict a false "irreducible"; the
+    # enumeration comparison must catch it and the oracle exit 5.
+    from hesspairs import Matrix, algebra_closure, irreducibility
+    from hesspairs.cli import main
+
+    doc = tmp_path / "pair.json"
+    doc.write_text(json.dumps({
+        "field": {"kind": "GF", "p": 5},
+        "A": [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]],
+        "Astar": [["1", "1", "0"], ["0", "2", "1"], ["0", "0", "3"]],
+    }))
+    assert main(["oracle", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["irreducibility"]["fast"] == "reducible"
+
+    eigenbasis_generators = irreducibility._eigenbasis_generators
+    planted = []
+
+    def planting_generators(*args):
+        d, g = eigenbasis_generators(*args)
+        rows = [list(row) for row in g.entries]
+        assert not rows[2][0] and algebra_closure([d, g])[0] == 6
+        rows[2][0] = 1
+        g = Matrix.from_rows(g.field, rows)
+        planted.append(algebra_closure([d, g])[0])
+        return [d, g]
+
+    monkeypatch.setattr(irreducibility, "_eigenbasis_generators", planting_generators)
+    assert main(["oracle", str(doc)]) == 5
+    assert planted == [9]
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "OracleDisagreement"
+    assert "irreducibility" in error["message"]
+
+
 def test_analyze_deterministic_byte_identical():
     for fixture in ANALYZABLE:
         first = run_cli("analyze", str(fixture))

@@ -113,8 +113,10 @@ def _random_side(field, n, rng):
 def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypatch):
     # The block closure in an eigenbasis against the one-block closure of
     # the same pair conjugated to a non-diagonal first generator.  Pairs
-    # with more than one block either take the full-algebra shortcut (the
-    # dual spin from the smallest block fills K^n) or close every block.
+    # with more than one block either read the algebra off the digraph of
+    # nonzero entries (every block one coordinate: no echelon, no spin),
+    # take the full-algebra shortcut (the dual spin from the smallest
+    # block fills K^n) or close every block.
     from hesspairs import irreducibility
 
     rng = random.Random(f"closure:{field!r}")
@@ -122,14 +124,21 @@ def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypa
     blocked = 0
     paths = Counter()
     dual_spins = []
+    echelons = []
 
     def recording_spin(v, generators):
         space = spin(v, generators)
         dual_spins.append(space.dim == space.ambient_dim)
         return space
 
+    class RecordingEchelon(irreducibility._Echelon):
+        def __init__(self, field, width):
+            super().__init__(field, width)
+            echelons.append(width)
+
     monkeypatch.setattr(irreducibility, "spin", recording_spin)
-    for _ in range(50):
+    monkeypatch.setattr(irreducibility, "_Echelon", RecordingEchelon)
+    for _ in range(150):
         n = rng.randint(1, 6)
         a, b = _random_side(field, n, rng), _random_side(field, n, rng)
         eigs = [_try_eigen(a), _try_eigen(b)]
@@ -144,15 +153,179 @@ def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypa
             if len(_coordinate_blocks(oracle[0])) == 1:
                 break
         dual_spins.clear()
-        assert algebra_closure(gens)[0] == algebra_closure(oracle)[0]
+        echelons.clear()
+        dim = algebra_closure(gens)[0]
+        reachability = not echelons and not dual_spins
+        assert reachability == (len(_coordinate_blocks(gens[0])) == n)
+        assert dim == algebra_closure(oracle)[0]
         # Only the first closure has more than one block and can spin.
         assert multi or dual_spins == []
         if multi:
-            paths["shortcut" if dual_spins == [True] else "fallback"] += 1
+            paths["reachability" if reachability else "shortcut" if dual_spins == [True] else "fallback"] += 1
     assert min(sides.values()) >= 5 and len(sides) == 3, sides
     assert blocked >= 15, blocked
-    # Measured: 5-30 shortcuts and 4-17 fallbacks per field.
+    # Measured: 12-46 reachability reads, 9-35 shortcuts and 6-45 fallbacks per field.
+    assert paths["reachability"] >= 10, paths
     assert paths["shortcut"] >= 5 and paths["fallback"] >= 4, paths
+
+
+def _flat_rank(field, mats):
+    """The rank of the n×n matrices ``mats`` as flattened rows: the dimension of their span."""
+    return rref(Matrix(field, tuple(tuple(x for row in m.entries for x in row) for m in mats)))[1]
+
+
+def _reachability_generators(field, n, rng, values):
+    """A kind of support and [D, G] or [D, G, H], D diagonal with distinct entries from ``values``.
+
+    Every G shares one random support on its off-diagonal entries:
+    "dense", "triangular" after a random relabelling of the coordinates
+    (acyclic, so with a source and a sink), or "isolated", sparse with
+    at least one coordinate that has no off-diagonal entry in its row or
+    column.  The last two are never strongly connected for n > 1.
+    """
+    kind = rng.choice(["dense", "triangular", "isolated"])
+    rank = rng.sample(range(n), n)
+    isolated = set(rng.sample(range(n), rng.randint(1, n)))
+
+    def edge(j, i):
+        if kind == "triangular":
+            return rank[j] < rank[i] and rng.random() < 0.8
+        if kind == "isolated":
+            return not {i, j} & isolated and rng.random() < 0.5
+        return rng.random() < 0.6
+
+    gens = [Matrix.diagonal(field, rng.sample(values, n))]
+    for _ in range(rng.randint(1, 2)):
+        gens.append(Matrix.from_rows(field, [[rng.randint(-2, 2) if i == j else rng.choice([1, -1]) if edge(j, i) else 0
+                                              for i in range(n)] for j in range(n)]))
+    return kind, gens
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), GF(2**31 - 1), QQ], ids=repr)
+def test_reachability_closure_is_exact_randomized(field):
+    # A diagonal first generator with distinct entries: the closure is read
+    # off the digraph of nonzero entries.  Its dimension and span must equal
+    # the one-block closure of the same generators after a unimodular
+    # change of basis P, its basis transported to P^-1·m·P.
+    rng = random.Random(f"reachability:{field!r}")
+    values = list(range(field.p)) if field.is_finite and field.p < 10 else list(range(-20, 21))
+    seen = Counter()
+    for _ in range(40):
+        n = rng.randint(1, min(6, len(values)))
+        kind, gens = _reachability_generators(field, n, rng, values)
+        dim, basis = algebra_closure(gens)
+        while True:
+            p = _unimodular(field, n, rng)
+            p_inv = p.inverse()
+            oracle = [p_inv * g * p for g in gens]
+            if len(_coordinate_blocks(oracle[0])) == 1:
+                break
+        one_dim, one_basis = algebra_closure(oracle)
+        moved = [p_inv * m * p for m in basis]
+        assert dim == one_dim == len(basis) == _flat_rank(field, moved)
+        assert _flat_rank(field, moved + list(one_basis)) == dim
+        if kind != "dense" and n > 1:
+            assert dim < n * n
+        seen[kind, "full" if dim == n * n else "proper"] += 1
+        seen["n", n == 1] += 1
+        seen["extra", len(gens) - 1] += 1
+    assert seen["n", True] and seen["extra", 1] and seen["extra", 2], seen
+    assert seen["triangular", "proper"] and seen["isolated", "proper"], seen
+    assert seen["dense", "full"], seen
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=repr)
+def test_ladder_agrees_with_enumeration_on_a_multiplicity_free_side(field, monkeypatch):
+    # One side is diagonalizable with distinct eigenvalues, so rung 1 reads
+    # the closure off the digraph.  A third of the other sides are dense,
+    # half of the pairs are conjugated, and in half the multiplicity-free
+    # side is A*.
+    from hesspairs import irreducibility
+
+    reads = []
+
+    def recording_closure(generators):
+        reads.append(len(_coordinate_blocks(generators[0])) == generators[0].nrows)
+        return algebra_closure(generators)
+
+    monkeypatch.setattr(irreducibility, "algebra_closure", recording_closure)
+    rng = random.Random(f"multiplicity-free:{field!r}")
+    counts = Counter()
+    for i in range(100):
+        n = 1 + i // 4 % field.p
+        _, (a, b, *_) = _reachability_generators(field, n, rng, list(range(field.p)))
+        if i % 3 == 0:
+            b = rand_matrix(field, n, rng)
+        if i % 2:
+            p = rand_invertible(field, n, rng)
+            a, b = p * a * p.inverse(), p * b * p.inverse()
+        if i % 4 >= 2:
+            a, b = b, a
+        reads.clear()
+        fast = decide_irreducible(a, b)
+        slow = decide_irreducible_by_enumeration(a, b)
+        assert reads == [True]
+        assert fast.status == slow.status
+        if fast.status is IrreducibilityStatus.REDUCIBLE:
+            assert 0 < fast.witness.dim < n
+            assert verify_invariant(fast.witness, a, b)
+        counts[fast.status, n > 1] += 1
+    # Measured: 38-56 reducible and 8-10 irreducible pairs with n > 1 per field.
+    assert counts[IrreducibilityStatus.REDUCIBLE, True] >= 20, counts
+    assert counts[IrreducibilityStatus.IRREDUCIBLE, True] >= 5, counts
+
+
+def _refuse(*args):
+    raise AssertionError("the closure of a multiplicity-free side ran an echelon or a spin")
+
+
+def test_multiplicity_free_side_closes_no_echelon_and_spins_nothing(monkeypatch):
+    # An irreducible conjugated split-form pair with simple eigenvalues, and
+    # a reducible one (A* upper triangular in A's eigenbasis, then
+    # conjugated): both closures are reachability reads.
+    from hesspairs import irreducibility
+
+    field = GF(101)
+    inst = conjugate(gen_split_form(field, (1,) * 6, range(6), range(10, 16), seed=3), seed=4)
+    rng = random.Random(41)
+    p = rand_invertible(field, 6, rng)
+    upper = Matrix.from_rows(field, [[rng.randint(1, 9) if i >= j else 0 for i in range(6)] for j in range(6)])
+    reducible = (p * Matrix.diagonal(field, range(6)) * p.inverse(), p * upper * p.inverse())
+    pairs = [(inst.a, inst.a_star), reducible]
+    gens = [_eigenbasis_generators(a, b, _try_eigen(a), _try_eigen(b)) for a, b in pairs]
+    monkeypatch.setattr(irreducibility, "_Echelon", _refuse)
+    monkeypatch.setattr(irreducibility, "spin", _refuse)
+    assert algebra_closure(gens[0])[0] == 36
+    # Coordinate i reaches every j <= i of the upper triangle, in some order.
+    dim, basis = algebra_closure(gens[1])
+    assert dim == len(basis) == 6 * 7 // 2
+    assert decide_irreducible(inst.a, inst.a_star) == IrreducibilityVerdict(
+        IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.ALGEBRA_DIMENSION
+    )
+
+
+def test_one_coordinate_block_takes_the_echelon_path(monkeypatch):
+    # A = diag(1, 1) is one block: its digraph is a single vertex, trivially
+    # strongly connected, yet the pair is reducible.  Its closure must run
+    # an echelon.  decide_irreducible closes in the eigenbasis of A*, which
+    # has Σm³ = 2 against A's 8, and must still find a witness.
+    from hesspairs import irreducibility
+
+    a, b = Matrix.diagonal(QQ, [1, 1]), Matrix.diagonal(QQ, [1, 2])
+    widths = []
+
+    class RecordingEchelon(irreducibility._Echelon):
+        def __init__(self, field, width):
+            super().__init__(field, width)
+            widths.append(width)
+
+    monkeypatch.setattr(irreducibility, "_Echelon", RecordingEchelon)
+    assert _coordinate_blocks(a) == [(0, 1)]
+    assert algebra_closure([a, b])[0] == 2
+    assert widths
+    verdict = decide_irreducible(a, b)
+    assert verdict.status is IrreducibilityStatus.REDUCIBLE
+    assert verify_invariant(verdict.witness, a, b)
 
 
 def test_block_closure_echelons_stay_as_narrow_as_the_eigenspaces(monkeypatch):
@@ -202,15 +375,12 @@ def test_block_closure_basis_spans_the_one_block_algebra():
     assert _coordinate_blocks(d) == [(0, 2), (1, 4), (3,)]
     assert _coordinate_blocks(b) == [(0, 1, 2, 3, 4)]
 
-    def flat_rank(mats):
-        return rref(Matrix(field, tuple(tuple(x for row in m.entries for x in row) for m in mats)))[1]
-
     dim, basis = algebra_closure([d, b])
     one_dim, one_basis = algebra_closure([b, d])
     assert dim == one_dim < 25
     assert len(basis) == dim and all(m.nrows == m.ncols == 5 for m in basis)
-    assert flat_rank(basis) == dim
-    assert flat_rank(basis + one_basis) == dim
+    assert _flat_rank(field, basis) == dim
+    assert _flat_rank(field, basis + one_basis) == dim
 
 
 def test_full_column_block_without_a_full_dual_spin_is_not_the_full_algebra():
