@@ -61,10 +61,9 @@ from .pairs import (
     PairAnalysisReport,
     SplitDecomposition,
     _admissible_side_orderings,
+    _echelon_side_orderings,
     _intersected_split,
     _ordering_pairs,
-    _scan_orderings,
-    _side_condition_holds,
     _three_term_side_holds,
     _three_term_side_orderings,
     analyze_pair,
@@ -488,19 +487,25 @@ def cmd_oracle(args) -> int:
     eig_a_star = eigen_structure(a_star)
     result: dict = {"ordering_search": None, "tridiagonal_search": None, "split": None, "irreducibility": None}
     if eig_a.diagonalizable and eig_a_star.diagonalizable:
-        # What analyze reports, against the echelon scans of all orderings.
+        # What analyze reports, against the same search with echelon tests.
         per_side = ((eig_a, a_star), (eig_a_star, a))
         sides = [_admissible_side_orderings(eig, m, args.max_orderings) for eig, m in per_side]
         pairs = _ordering_pairs(eig_a, eig_a_star, *sides, args.max_orderings)
-        agrees = sides == [_scan_orderings(eig, m, _side_condition_holds) for eig, m in per_side]
+        echelon = [_echelon_side_orderings(eig, m, args.max_orderings) for eig, m in per_side]
+        agrees = sides == echelon
         result["ordering_search"] = {"agrees": agrees, "pairs": len(pairs)}
         if not agrees:
-            raise OracleDisagreementError("block-pattern ordering search disagrees with the echelon scan")
+            raise OracleDisagreementError("block-pattern ordering search disagrees with the echelon search")
+        # Every three-term ordering is admissible, so filtering the echelon
+        # search's orderings finds them all, with no appeal to reversal.
         tri = [_three_term_side_orderings(side) for side in sides]
-        agrees = tri == [_scan_orderings(eig, m, _three_term_side_holds) for eig, m in per_side]
+        agrees = tri == [
+            [p for p in side if _three_term_side_holds(m, EigenOrdering(eig, p))]
+            for side, (eig, m) in zip(echelon, per_side)
+        ]
         result["tridiagonal_search"] = {"agrees": agrees, "orderings": [len(side) for side in tri]}
         if not agrees:
-            raise OracleDisagreementError("reversal closure disagrees with the echelon three-term scan")
+            raise OracleDisagreementError("reversal closure disagrees with the echelon three-term filter")
         if eig_a.d == eig_a_star.d:
             # The eigenbasis read analyze uses, against the flag intersections.
             agrees = all(split_from_flags(oa, ob).subspaces == _intersected_split(oa, ob) for oa, ob in pairs)

@@ -82,7 +82,7 @@ class NotDiagonalizableError(HesspairsError):
 
 
 class SearchBudgetExceededError(HesspairsError):
-    """The eigenspace-ordering search would exceed the configured cap."""
+    """The eigenspace-ordering search passed its budget of stops, or its ordering pairs the cap."""
 
 
 class NotHessenbergError(HesspairsError):

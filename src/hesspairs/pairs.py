@@ -15,15 +15,17 @@ orderings of a side are the admissible orderings whose reversal is also
 admissible, so the tridiagonal witnesses are the Hessenberg ordering
 pairs whose two orderings are both three-term.
 
-The admissible search reads one block pattern per side: written in an
-eigenbasis of A, A* has block (j, i) zero exactly when A* V_i has no
-V_j-component, so each inclusion is a test on sets of eigenspace
-indices.  The (d+1)! scans ``_scan_orderings(eigen, acting,
-_side_condition_holds)`` and ``_scan_orderings(eigen, acting,
-_three_term_side_holds)`` check the inclusions with echelons instead and
-are kept as oracles for ``hesspairs oracle`` and the tests; the two
-chains differ only in their window of eigenspaces, so both run one loop,
-:func:`_window_inclusions_hold`.
+There is one ordering search, :func:`_search_orderings`: a depth-first
+search that takes the inclusion test as an argument and counts its stops
+against one budget.  ``analyze`` passes the block-pattern test: written
+in an eigenbasis of A, A* has block (j, i) zero exactly when A* V_i has
+no V_j-component, so each inclusion is a test on sets of eigenspace
+indices.  ``hesspairs oracle`` passes an echelon test in the standard
+basis instead (:func:`_echelon_side_orderings`), which forms neither
+P^-1 nor a block pattern.  The echelon test, :func:`_maps_into`, also
+checks the Hessenberg and three-term chains of a given ordering
+(:func:`_window_inclusions_hold`); the two chains differ only in their
+window of eigenspaces.
 
 :func:`analyze_pair` computes each eigen structure and each side's
 eigenbasis conjugate once and makes one ordering search,
@@ -47,8 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import factorial
-from typing import Collection, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .errors import (
     DDeltaMismatchError,
@@ -71,7 +72,10 @@ from .irreducibility import (
 from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, subspace_intersect
 from .spectral import EigenStructure, eigen_structure, is_decomposition
 
-#: Default cap on (d+1)! orderings explored per side.
+#: Default budget of stops per side's ordering search, and cap on the
+#: reported ordering pairs.  8! = 40320 admits a side of 8 eigenspaces
+#: that every ordering satisfies; a side of an irreducible pair stops at
+#: most (d+1)^3 times, so every irreducible pair up to d = 33 fits.
 DEFAULT_MAX_ORDERINGS = 40320
 
 
@@ -143,30 +147,27 @@ def _prefix_flags(spaces: Sequence[SubspaceBasis], field: FieldSpec, n: int) -> 
     return out
 
 
+def _maps_into(acting: Matrix, space: SubspaceBasis, window: Iterable[SubspaceBasis]) -> bool:
+    """Does ``acting`` map ``space`` into the sum of the ``window`` spaces?
+
+    The echelon test, in the standard basis: it forms neither an
+    eigenbasis nor a block pattern.
+    """
+    ech = _Echelon(acting.field, acting.ncols)
+    for w in window:
+        ech.insert_all(w.rows)
+    return _shift_maps_into(acting, 0, space, ech)
+
+
 def _window_inclusions_hold(acting: Matrix, ordering: EigenOrdering, back: int) -> bool:
     """Does ``acting`` map each V_i into V_{i-back} + ... + V_{i+1}?
 
     Indices outside 0..d are dropped, so ``back`` >= d gives the window
     V_0 + ... + V_{i+1} of the Hessenberg chain and ``back`` = 1 the
-    window V_{i-1} + V_i + V_{i+1} of the three-term chain.  The echelon
-    oracle for both chains: it works in the standard basis, independently
-    of the block pattern.  While the window starts at V_0 its echelon is
-    extended by V_{i+1} alone; once the low end moves it is rebuilt.
+    window V_{i-1} + V_i + V_{i+1} of the three-term chain.
     """
     spaces = ordering.eigenspaces
-    ech = _Echelon(acting.field, acting.ncols)
-    ech.insert_all(spaces[0].rows)
-    for i, space in enumerate(spaces):
-        low = i - back
-        if low > 0:
-            ech = _Echelon(acting.field, acting.ncols)
-            for w in spaces[low:i + 2]:
-                ech.insert_all(w.rows)
-        elif i + 1 < len(spaces):
-            ech.insert_all(spaces[i + 1].rows)
-        if not all(ech.contains(acting.mul_vec(v)) for v in space.rows):
-            return False
-    return True
+    return all(_maps_into(acting, v, spaces[max(i - back, 0):i + 2]) for i, v in enumerate(spaces))
 
 
 def _side_condition_holds(acting: Matrix, ordering: EigenOrdering) -> bool:
@@ -187,18 +188,6 @@ def is_hessenberg_wrt(
     return _side_condition_holds(a_star, ord_a) and _side_condition_holds(a, ord_a_star)
 
 
-def _scan_orderings(eigen: EigenStructure, acting: Matrix, side_holds) -> list[tuple[int, ...]]:
-    """The orderings for which ``side_holds(acting, ordering)``, each checked on its own.
-
-    The echelon oracle for the block-pattern search: (d+1)! checks.
-    """
-    return [
-        p
-        for p in itertools.permutations(range(len(eigen.eigenvalues)))
-        if side_holds(acting, EigenOrdering(eigen, p))
-    ]
-
-
 def _block_support(eigen: EigenStructure, acting: Matrix) -> list[set[int]]:
     """support[i]: the j whose block (j, i) of P^-1 · acting · P is nonzero.
 
@@ -216,6 +205,41 @@ def _block_support(eigen: EigenStructure, acting: Matrix) -> list[set[int]]:
     return support
 
 
+def _search_orderings(count: int, settled: Callable[[list[int]], bool], budget: int) -> list[tuple[int, ...]]:
+    """The orderings of ``count`` eigenspace indices that ``settled`` never rejects.
+
+    A depth-first search that extends a prefix only while
+    ``settled(prefix)`` holds; ``settled`` tests the inclusion at position
+    len(prefix) - 2, which the last placed index has just fixed.
+    Orderings come out in lexicographic order.  A *stop* is a prefix where
+    the search ends: a rejected prefix or a complete ordering.  No stop
+    extends another, so stops stand for disjoint sets of orderings and
+    number at most count!; each other node is a proper prefix of a stop,
+    so there are at most ``count`` times as many of them.  Past ``budget``
+    stops the search raises
+    :class:`~hesspairs.errors.SearchBudgetExceededError`.
+    """
+    found: list[tuple[int, ...]] = []
+    stops = 0
+
+    def extend(prefix: list[int]) -> None:
+        nonlocal stops
+        rejected = len(prefix) >= 2 and not settled(prefix)
+        if rejected or len(prefix) == count:
+            stops += 1
+            if stops > budget:
+                raise SearchBudgetExceededError(f"ordering search of {count} eigenspaces exceeds {budget} stops")
+            if not rejected:
+                found.append(tuple(prefix))
+            return
+        for nxt in range(count):
+            if nxt not in prefix:
+                extend(prefix + [nxt])
+
+    extend([])
+    return found
+
+
 def _admissible_side_orderings(
     eigen: EigenStructure, acting: Matrix, max_orderings: int
 ) -> list[tuple[int, ...]]:
@@ -223,31 +247,36 @@ def _admissible_side_orderings(
 
     The inclusions are read off the side's block pattern
     (:func:`_block_support`): acting V_perm[i] ⊆ V_perm[0] + ... +
-    V_perm[i+1] exactly when support[perm[i]] ⊆ {perm[0], ..., perm[i+1]}.
-    A depth-first search that never extends a prefix whose last-settled
-    inclusion already fails; orderings come out in lexicographic order.
+    V_perm[i+1] exactly when support[perm[i]] ⊆ {perm[0], ..., perm[i+1]},
+    the test :func:`_search_orderings` makes at each prefix, with
+    ``max_orderings`` as its budget of stops.
+
+    On an irreducible pair the search is small.  A set S of indices with
+    support[j] ⊆ S for every j in S spans a subspace Σ_{j∈S} V_j that A
+    (a sum of its eigenspaces) and ``acting`` both keep; this is also the
+    fact behind the reachability read of
+    :func:`~hesspairs.irreducibility.algebra_closure`.  When a prefix
+    perm[0..i], i < d, passes the test, each support[perm[k]] with k < i
+    lies in perm[0..i], so support[perm[i]] must hold an index outside
+    the prefix, or the pair is reducible.  A child survives only when it
+    is that index and no other lies outside: each prefix has at most one
+    surviving child, a side at most d+1 orderings, and the search at most
+    (d+1)^3 stops.
     """
-    count = len(eigen.eigenvalues)
-    if factorial(count) > max_orderings:
-        raise SearchBudgetExceededError(
-            f"({count})! orderings exceed the cap of {max_orderings}"
-        )
     support = _block_support(eigen, acting)
-    results: list[tuple[int, ...]] = []
+    return _search_orderings(len(support), lambda pre: support[pre[-2]].issubset(pre), max_orderings)
 
-    def extend(prefix: list[int]) -> None:
-        # The inclusion at the next-to-last position involves the prefix
-        # through the last position, which is now fully known.
-        if len(prefix) >= 2 and not support[prefix[-2]].issubset(prefix):
-            return
-        if len(prefix) == count:
-            results.append(tuple(prefix))
-        for nxt in range(count):
-            if nxt not in prefix:
-                extend(prefix + [nxt])
 
-    extend([])
-    return results
+def _echelon_side_orderings(eigen: EigenStructure, acting: Matrix, max_orderings: int) -> list[tuple[int, ...]]:
+    """:func:`_admissible_side_orderings` by echelons: the oracle for the block pattern.
+
+    The same search, testing acting·V_pre[-2] ⊆ Σ_{j∈pre} V_j with
+    :func:`_maps_into` in the standard basis.
+    """
+    spaces = eigen.eigenspaces
+    return _search_orderings(
+        len(spaces), lambda pre: _maps_into(acting, spaces[pre[-2]], [spaces[j] for j in pre]), max_orderings
+    )
 
 
 def _ordering_pairs(
@@ -753,7 +782,7 @@ def analyze_pair(
     Raises :class:`~hesspairs.errors.EigenvaluesOutsideFieldError` when a
     spectrum does not lie in the ground field and
     :class:`~hesspairs.errors.SearchBudgetExceededError` when the ordering
-    search would blow the cap.  With ``require_irreducible`` an
+    search passes its budget.  With ``require_irreducible`` an
     undetermined irreducibility verdict becomes an error instead of a
     degraded report.
     """

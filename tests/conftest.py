@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from hesspairs import EigenOrdering, Matrix, SubspaceBasis, eigen_structure, rref, subspace_contains
+import itertools
+from fractions import Fraction
+
+from hesspairs import QQ, EigenOrdering, Matrix, SubspaceBasis, eigen_structure, rref, subspace_contains
 
 
 def rand_matrix(field, n, rng):
@@ -81,3 +84,32 @@ def sl2_pair(field, d):
     a = Matrix(field, tuple(tuple(r) for r in grid), ncols=n)
     a_star = Matrix.diagonal(field, [d - 2 * i for i in range(n)])
     return a, a_star
+
+
+def q_leonard_pair(d):
+    """The split-form Leonard pair over Q with d + 1 eigenvalues a side.
+
+    A is lower bidiagonal with θ_i = 3 + 2i and subdiagonal 1s, A* upper
+    bidiagonal with θ*_i = 5 + 7i and φ_i = i(d - i + 1)/d.
+    """
+    n = d + 1
+    a = [[0] * n for _ in range(n)]
+    a_star = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i], a_star[i][i] = 3 + 2 * i, 5 + 7 * i
+        if i:
+            a[i][i - 1] = 1
+            a_star[i - 1][i] = Fraction(i * (d - i + 1), d)
+    return Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, a_star)
+
+
+def scan_orderings(eigen, acting, side_holds):
+    """The orderings for which ``side_holds(acting, ordering)``, each of the (d+1)! checked on its own.
+
+    The brute-force reference for the pruned ordering search.
+    """
+    return [
+        p
+        for p in itertools.permutations(range(len(eigen.eigenvalues)))
+        if side_holds(acting, EigenOrdering(eigen, p))
+    ]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import in_span, rand_diagonalizable, rand_matrix, rand_subspace, remix_basis
+from conftest import in_span, rand_diagonalizable, rand_matrix, rand_subspace, remix_basis, scan_orderings
 from hesspairs import (
     GF,
     QQ,
@@ -55,7 +55,6 @@ from hesspairs.pairs import (
     DEFAULT_MAX_ORDERINGS,
     _admissible_side_orderings,
     _ordering_pairs,
-    _scan_orderings,
     _side_condition_holds,
     _three_term_side_holds,
 )
@@ -399,7 +398,7 @@ def test_criterion_8_ordering_oracle(corpus):
     for a, b in pairs:
         eig_a, eig_b = eigen_structure(a), eigen_structure(b)
         fast = find_hessenberg_orderings_of(a, b, eig_a, eig_b)
-        sides = (_scan_orderings(eig_a, b, _side_condition_holds), _scan_orderings(eig_b, a, _side_condition_holds))
+        sides = (scan_orderings(eig_a, b, _side_condition_holds), scan_orderings(eig_b, a, _side_condition_holds))
         slow = _ordering_pairs(eig_a, eig_b, *sides, DEFAULT_MAX_ORDERINGS)
         key = lambda p: (p[0].perm, p[1].perm)  # noqa: E731
         assert sorted(fast, key=key) == sorted(slow, key=key)

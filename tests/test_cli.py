@@ -398,8 +398,9 @@ def test_oracle_agrees_on_shipped_corpus(fixture):
     verdict = json.loads(r.stdout)
     ordering = verdict["ordering_search"]
     assert ordering.get("agrees", True) is True
-    # The reversal closure against the echelon (d+1)! three-term scan, on
-    # both sides; skipped exactly when the ordering search is.
+    # The reversal closure against the echelon search's orderings filtered
+    # by the three-term inclusions, on both sides; skipped exactly when the
+    # ordering search is.
     tri = verdict["tridiagonal_search"]
     assert ("skipped" in tri) == ("skipped" in ordering)
     if "skipped" not in tri:
@@ -436,7 +437,7 @@ def test_oracle_catches_a_split_read_fault(monkeypatch, capsys):
 
 def test_oracle_catches_a_block_pattern_fault(monkeypatch, capsys):
     # Dropping one nonzero off-diagonal block from a side's pattern admits
-    # orderings the echelon scan refuses; the oracle must exit 5.
+    # orderings the echelon search refuses; the oracle must exit 5.
     from hesspairs import pairs
     from hesspairs.cli import main
 

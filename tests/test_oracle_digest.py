@@ -1,7 +1,7 @@
 """Pin the exact `oracle` and `check-split` output on the fixtures.
 
 `hesspairs oracle` prints what the fast paths report next to the
-brute-force oracles (the echelon scans of all orderings, the flag
+independent oracles (the ordering search under echelon tests, the flag
 intersections, subspace enumeration), and `check-split` prints the
 verdict on a split candidate.  The sha256 of every exit code, stdout and
 stderr is pinned: `oracle` on every file in `tests/fixtures/`,

@@ -65,25 +65,30 @@ def _corpus():
         a, a_star = sl2_pair(field, d)
         docs.append(_pair_doc(a, a_star))
         docs.append(_pair_doc(*_conjugated_pair(a, a_star, seed=600 + k)))
-    # Error exits: a non-diagonalizable side, a spectrum outside Q, a
-    # spectrum outside GF(7), and a search over the ordering cap.
+    # Error exits: a non-diagonalizable side, a spectrum outside Q and a
+    # spectrum outside GF(7).
     docs.append(_pair_doc(Matrix.from_rows(GF(7), [[1, 1], [0, 1]]), Matrix.diagonal(GF(7), [0, 1])))
     docs.append(_pair_doc(Matrix.from_rows(QQ, [[0, -1], [1, 0]]), Matrix.diagonal(QQ, [0, 1])))
     docs.append(_pair_doc(Matrix.from_rows(GF(7), [[0, 3], [1, 0]]), Matrix.diagonal(GF(7), [0, 1])))
+    # Nine simple eigenvalues a side: the irreducible split-form pair is
+    # within the search budget; two diagonal matrices, each of whose 9!
+    # orderings per side is admissible, exceed it (exit 4).
     big = gen_split_form(GF(101), (1,) * 9, range(9), range(10, 19), seed=700)
     docs.append(instance_to_document(big))
+    docs.append(_pair_doc(Matrix.diagonal(GF(101), range(9)), Matrix.diagonal(GF(101), range(10, 19))))
     return docs
 
 
 # sha256 over every (exit code, stdout, stderr) of `analyze` on the corpus,
-# in json and text, recorded from the echelon-based ordering searches; the
-# block-pattern searches must reproduce it byte for byte.
-DIGEST = "e341e477d3cb85407538dec201fc53f7ca4d57dac1b97cd5505f996269ba5cde"
+# in json and text.  The nine-eigenvalue split-form pair is the one
+# document whose bytes depend on the search budget being counted in stops
+# rather than as (d+1)! orderings: the latter refused it.
+DIGEST = "c41a9e2b995feb58294d4f5fb7b94845698c074358d6e6182c5f2ffcc1d7490c"
 
 
 def test_analyze_output_digest(tmp_path, capsys):
     docs = _corpus()
-    assert len(docs) == 44
+    assert len(docs) == 45
     digest = hashlib.sha256()
     for k, doc in enumerate(docs):
         path = tmp_path / f"doc{k}.json"

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ordering_for, rand_diagonalizable, rand_invertible, remix_basis, sl2_pair
+from conftest import (
+    ordering_for,
+    q_leonard_pair,
+    rand_diagonalizable,
+    rand_invertible,
+    remix_basis,
+    scan_orderings,
+    sl2_pair,
+)
 from hesspairs import (
     GF,
     QQ,
@@ -55,7 +63,6 @@ from hesspairs.pairs import (
     DEFAULT_MAX_ORDERINGS,
     _admissible_side_orderings,
     _ordering_pairs,
-    _scan_orderings,
     _side_condition_holds,
     _three_term_side_holds,
     _three_term_side_orderings,
@@ -83,7 +90,7 @@ def swap_pair():
 def echelon_scan_pairs(a, a_star):
     """The Hessenberg ordering pairs by the echelon oracle: every ordering of each side checked."""
     ea, eb = eigen_structure(a), eigen_structure(a_star)
-    sides = (_scan_orderings(ea, a_star, _side_condition_holds), _scan_orderings(eb, a, _side_condition_holds))
+    sides = (scan_orderings(ea, a_star, _side_condition_holds), scan_orderings(eb, a, _side_condition_holds))
     return _ordering_pairs(ea, eb, *sides, DEFAULT_MAX_ORDERINGS)
 
 
@@ -211,7 +218,7 @@ def test_pruned_three_term_search_equals_brute_force_randomized():
     for a, b in pairs:
         for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
             fast = _three_term_side_orderings(_admissible_side_orderings(eig, acting, DEFAULT_MAX_ORDERINGS))
-            assert fast == _scan_orderings(eig, acting, _three_term_side_holds)
+            assert fast == scan_orderings(eig, acting, _three_term_side_holds)
             partial += 0 < len(fast) < math.factorial(eig.d + 1)
     assert partial >= 20
 
@@ -272,9 +279,106 @@ def test_block_pattern_search_equals_echelon_scan_randomized():
     for a, b in _search_test_pairs():
         for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a)):
             fast = _admissible_side_orderings(eig, acting, DEFAULT_MAX_ORDERINGS)
-            assert fast == _scan_orderings(eig, acting, _side_condition_holds)
+            assert fast == scan_orderings(eig, acting, _side_condition_holds)
             partial += 0 < len(fast) < math.factorial(eig.d + 1)
     assert partial >= 20
+
+
+def _brute_force_sides():
+    """(eigen, acting) for both sides of small pairs over GF(2), GF(3), GF(7) and Q, d <= 5.
+
+    Sparse split-form pairs, conjugated reducible sums, and pairs whose
+    A* is scalar, so that every ordering of A's side is admissible.
+    """
+    from hesspairs.generators import conjugate
+
+    rng = random.Random(37)
+    fields = [GF(2), GF(3), GF(7), QQ]
+    pairs = []
+    for seed in range(32):
+        field = fields[seed % 4]
+        values = range(-5, 6) if field is QQ else range(field.p)
+        k = rng.randint(2, min(6, len(values)))
+        va, vb = rng.sample(values, k), rng.sample(values, k)
+        dims = tuple(rng.randint(1, 2) for _ in range(k))
+        inst = gen_split_form(field, dims, va, vb, seed=seed, allow_zero_entries=True)
+        pairs.append((inst.a, inst.a_star))
+        k = min(k, 4)
+        inner = [tuple(rng.randint(1, 2) for _ in range(k)) for _ in range(2)]
+        inst = conjugate(gen_reducible(field, inner, va[:k], vb[:k], seed), seed + 1)
+        pairs.append((inst.a, inst.a_star))
+    for field in fields:
+        values = range(-5, 6) if field is QQ else range(field.p)
+        k = min(6, len(values))
+        p = rand_invertible(field, k, rng)
+        a = p * Matrix.diagonal(field, rng.sample(values, k)) * p.inverse()
+        pairs.append((a, Matrix.scalar(field, k, rng.choice(values))))
+    return [
+        (eig, acting)
+        for a, b in pairs
+        for eig, acting in ((eigen_structure(a), b), (eigen_structure(b), a))
+    ]
+
+
+def test_one_search_under_both_tests_equals_brute_force(monkeypatch):
+    # The one ordering search, under the block-pattern test analyze passes
+    # and under the echelon test the oracle passes, against the scan of all
+    # (d+1)! orderings.  A stop (a rejected prefix or a complete ordering)
+    # stands for a set of orderings disjoint from every other stop's, so a
+    # side stops at most (d+1)! times, and exactly that often when the
+    # acting side is scalar.  The budget admits exactly the stops made.
+    from hesspairs import pairs
+
+    search, stops = pairs._search_orderings, []
+
+    def counting_search(count, settled, budget):
+        rejected = 0
+
+        def counted(prefix):
+            nonlocal rejected
+            held = settled(prefix)
+            rejected += not held
+            return held
+
+        found = search(count, counted, budget)
+        stops.append(rejected + len(found))
+        return found
+
+    monkeypatch.setattr(pairs, "_search_orderings", counting_search)
+    partial = scalar = 0
+    fields = set()
+    for eig, acting in _brute_force_sides():
+        reference = scan_orderings(eig, acting, _side_condition_holds)
+        count = math.factorial(eig.d + 1)
+        made = []
+        for side_search in (pairs._admissible_side_orderings, pairs._echelon_side_orderings):
+            stops.clear()
+            assert side_search(eig, acting, DEFAULT_MAX_ORDERINGS) == reference
+            made += stops
+            assert side_search(eig, acting, stops[0]) == reference
+            with pytest.raises(SearchBudgetExceededError):
+                side_search(eig, acting, stops[0] - 1)
+        assert made[0] == made[1] <= count
+        if eigen_structure(acting).d == 0:
+            assert made[0] == count == len(reference)
+            scalar += eig.d >= 4
+        partial += 0 < len(reference) < count
+        fields.add(acting.field)
+    assert partial >= 20 and scalar >= 2 and len(fields) == 4
+
+
+def test_budget_admits_every_ordering_of_eight_eigenspaces_and_refuses_nine():
+    # The identity keeps every eigenspace, so each ordering of A's
+    # eigenspaces is a stop: the default budget admits the 8! = 40320
+    # orderings of 8 eigenvalues, as the (d+1)! cap did, and refuses 9.
+    def search(k):
+        return _admissible_side_orderings(
+            eigen_structure(Matrix.diagonal(QQ, list(range(k)))), Matrix.identity(QQ, k), DEFAULT_MAX_ORDERINGS
+        )
+
+    assert search(8) == list(itertools.permutations(range(8)))
+    with pytest.raises(SearchBudgetExceededError, match="exceeds 40320 stops"):
+        search(9)
 
 
 def _first_failing_window(acting, ordering, back):
@@ -292,11 +396,11 @@ def _first_failing_window(acting, ordering, back):
 
 
 def test_window_inclusions_match_fresh_window_reference():
-    # The oracle extends one echelon while the window starts at V_0 and
-    # rebuilds it once the low end moves; the reference sums every window
-    # afresh.  Both chains are checked on every ordering, and orderings
-    # failing at the first, a middle and the last window that can fail are
-    # each counted.
+    # The oracle tests each window with one echelon (_maps_into); the
+    # reference sums every window as a subspace and maps it with apply.
+    # Both chains are checked on every ordering, and orderings failing at
+    # the first, a middle and the last window that can fail are each
+    # counted.
     rng = random.Random(36)
     pairs = []
     for _ in range(24):
@@ -491,6 +595,8 @@ def test_analyze_pair_conjugates_once_per_side(monkeypatch, fixture):
     monkeypatch.setattr(pairs, "_side_condition_holds", refuse)
     monkeypatch.setattr(pairs, "_three_term_side_holds", refuse)
     monkeypatch.setattr(pairs, "_window_inclusions_hold", refuse)
+    monkeypatch.setattr(pairs, "_maps_into", refuse)
+    monkeypatch.setattr(pairs, "_echelon_side_orderings", refuse)
     report = analyze_pair(a, a_star)
     assert report.eigen_a.diagonalizable and report.eigen_a_star.diagonalizable
     assert report.tridiagonal is not None
@@ -1132,25 +1238,47 @@ def test_sl2_ladder_pair_is_tridiagonal(field, d):
 
 
 def test_desk_scale_q_leonard_pair():
-    # The split-form Leonard pair with d = 19 over Q: A lower bidiagonal
-    # with θ_i = 3 + 2i and subdiagonal 1s, A* upper bidiagonal with
-    # θ*_i = 5 + 7i and φ_i = i(d - i + 1)/d.  Twenty eigenvalues a side
-    # is beyond the default cap, so it is lifted.
-    d = 19
-    n = d + 1
-    a = [[0] * n for _ in range(n)]
-    a_star = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i], a_star[i][i] = 3 + 2 * i, 5 + 7 * i
-        if i:
-            a[i][i - 1] = 1
-            a_star[i - 1][i] = Fraction(i * (d - i + 1), d)
-    a, a_star = Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, a_star)
-    report = analyze_pair(a, a_star, max_orderings=math.factorial(n))
+    # The split-form Leonard pair with d = 19 over Q (conftest): twenty
+    # eigenvalues a side, searched at the default budget.
+    a, a_star = q_leonard_pair(19)
+    report = analyze_pair(a, a_star)
     assert report.irreducibility.status is IrreducibilityStatus.IRREDUCIBLE
     assert len(report.hessenberg_orderings) == 4
     assert all(split is not None and verify_split(a, a_star, split) for split in report.splits)
     assert report.tridiagonal
+
+
+def test_desk_scale_leonard_oracle_output(tmp_path, capsys):
+    # hesspairs oracle on the d = 19 Leonard pair: the echelon search runs
+    # under the same default budget as the block-pattern search, and agrees.
+    from hesspairs.cli import main, rows_to_json
+
+    a, a_star = q_leonard_pair(19)
+    doc = tmp_path / "leonard.json"
+    doc.write_text(json.dumps({"field": {"kind": "Q"}, "A": rows_to_json(QQ, a.entries),
+                               "Astar": rows_to_json(QQ, a_star.entries)}))
+    assert main(["oracle", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "ordering_search": {"agrees": True, "pairs": 4},
+        "tridiagonal_search": {"agrees": True, "orderings": [2, 2]},
+        "split": {"agrees": True, "pairs": 4},
+        "irreducibility": {"skipped": "field infinite or subspace count over limit"},
+    }
+
+
+def test_desk_scale_conjugated_gf101_pair_at_the_default_budget():
+    # Thirty simple eigenvalues a side: A has 1..30, A* has 40..69,
+    # generator seed 1, conjugation seed 2.  Irreducible, so each side
+    # stops at most (d+1)^3 times.
+    from hesspairs.generators import conjugate
+
+    inst = conjugate(gen_split_form(GF(101), (1,) * 30, range(1, 31), range(40, 70), seed=1), seed=2)
+    report = analyze_pair(inst.a, inst.a_star)
+    assert report.irreducibility.status is IrreducibilityStatus.IRREDUCIBLE
+    assert len(report.hessenberg_orderings) == 1
+    assert report.splits[0] is not None and verify_split(inst.a, inst.a_star, report.splits[0])
+    for eig, acting in ((report.eigen_a, inst.a_star), (report.eigen_a_star, inst.a)):
+        assert len(_admissible_side_orderings(eig, acting, (eig.d + 1) ** 3)) == 1
 
 
 def _tridiagonal_witness_facts(a, a_star):
