@@ -128,7 +128,7 @@ def spin(v: Sequence[Raw], generators: Sequence[Matrix]) -> SubspaceBasis:
     while queue:
         w = queue.pop()
         for g in generators:
-            u = g.mul_vec(w)
+            u = g.mul_line(w)
             if ech.insert(u):
                 queue.append(u)
                 if ech.dim == n:

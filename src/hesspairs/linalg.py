@@ -17,13 +17,16 @@ is normalized by one :meth:`~hesspairs.fields.FieldSpec.scale`.
 
 Over Q the work runs on integer images (fraction-free, after Bareiss
 1968): a vector is held as integers over one common denominator.  A
-matrix keeps its rows' images, formed on its first product, and each
-product entry is one ``Fraction`` of an integer ``sum(map(mul, ...))``.
-An echelon keeps each row as a primitive integer vector whose pivot entry
-is its denominator; a row operation p·x - c·y is integer arithmetic
-followed by one gcd of the row, and ``Fraction`` rows are formed only when
-the rows are read.  The choice is made once per matrix or echelon, by its
-field.
+matrix m keeps one image, the integer matrix D·m with D the lcm of its
+denominators (:meth:`Matrix.integer_rows`), formed on its first product.
+Each entry of a product that is read is one ``Fraction`` of an integer
+``sum(map(mul, ...))``; a product that goes straight into an echelon is
+:meth:`Matrix.mul_line`, the integer vector (D·m)·xs for v = xs/den, a
+positive multiple of m·v that forms no ``Fraction``.  An echelon keeps
+each row as a primitive integer vector whose pivot entry is its
+denominator; a row operation p·x - c·y is integer arithmetic followed by
+one gcd of the row, and ``Fraction`` rows are formed only when the rows
+are read.  The choice is made once per matrix or echelon, by its field.
 """
 
 from __future__ import annotations
@@ -145,6 +148,14 @@ class _Echelon:
     def insert_all(self, vectors: Iterable[Sequence[Raw]]) -> int:
         return sum(1 for v in vectors if self.insert(v))
 
+    def copy(self) -> "_Echelon":
+        """An independent echelon of the same span, to be extended on its own."""
+        out = _Echelon(self.field, self.width)
+        # GF(p) rows are reduced in place by insert; Q rows are replaced.
+        out.rows = self.rows[:] if self.integral else [row[:] for row in self.rows]
+        out.pivots = self.pivots[:]
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -170,16 +181,16 @@ class _Echelon:
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "_integral", "_images")
+    __slots__ = ("field", "nrows", "ncols", "entries", "_integral", "_image")
 
     def __init__(self, field: FieldSpec, entries: tuple[Vector, ...], ncols: int | None = None):
         self.field = field
         self.entries = entries
         self.nrows = len(entries)
         self.ncols = len(entries[0]) if entries else (ncols or 0)
-        # Over Q products run on the rows' integer images (_row_images).
+        # Over Q products run on one integer image D·self (integer_rows).
         self._integral = isinstance(field, Rationals)
-        self._images: list[tuple[list[int], int]] | None = None
+        self._image: tuple[list[list[int]], int] | None = None
 
     # construction --------------------------------------------------------
 
@@ -241,9 +252,10 @@ class Matrix:
         cols = tuple(zip(*other.entries)) if other.entries else ()
         if self._integral:
             images = [_integer_image(col) for col in cols]
+            rows, big = self.integer_rows()
             return Matrix(F, tuple(
-                tuple([Fraction(sum(map(mul, row, xs)), den * d) for xs, d in images])
-                for row, den in self._row_images()
+                tuple([Fraction(sum(map(mul, row, xs)), big * d) for xs, d in images])
+                for row in rows
             ), ncols=other.ncols)
         return Matrix(F, tuple(tuple(F.dot(row, col) for col in cols) for row in self.entries), ncols=other.ncols)
 
@@ -269,30 +281,47 @@ class Matrix:
 
     def mul_vec(self, vec: Sequence[Raw]) -> Vector:
         """Apply to a column vector of raw values."""
+        if self._integral:
+            ys, den = self._integer_product(vec)
+            return tuple([Fraction(y, den) for y in ys])
         if len(vec) != self.ncols:
             raise AmbientMismatchError("vector length does not match column count")
-        if self._integral:
-            xs, d = _integer_image(vec)
-            return tuple([Fraction(sum(map(mul, row, xs)), den * d) for row, den in self._row_images()])
         F = self.field
         return tuple([F.dot(row, vec) for row in self.entries])
 
-    def _row_images(self) -> list[tuple[list[int], int]]:
-        """The integer image (xs, den) of each row over Q; formed once and kept."""
-        if self._images is None:
-            self._images = [_integer_image(row) for row in self.entries]
-        return self._images
+    def mul_line(self, vec: Sequence[Raw]) -> Sequence[Raw]:
+        """m·v up to a nonzero scalar: for products that go straight into an echelon.
 
-    def integer_rows(self) -> tuple[list[list[int]], int]:
+        Over Q the integer vector (D·m)·xs, where D·m is :meth:`integer_rows`
+        and xs/den = v with den the lcm of v's denominators, so D·den times
+        m·v, and exactly (D·m)·v when v is an integer vector.  Over GF(p)
+        :meth:`mul_vec`.
+        """
+        if self._integral:
+            return self._integer_product(vec)[0]
+        return self.mul_vec(vec)
+
+    def _integer_product(self, vec: Sequence[Raw]) -> tuple[list[int], int]:
+        """(ys, c) with m·v = ys/c over Q: ys = (D·m)·xs and c = D·den, as in :meth:`mul_line`."""
+        if len(vec) != self.ncols:
+            raise AmbientMismatchError("vector length does not match column count")
+        rows, big = self.integer_rows()
+        xs, den = _integer_image(vec)
+        return [sum(map(mul, row, xs)) for row in rows], big * den
+
+    def integer_rows(self) -> tuple[Sequence[Sequence[int]], int]:
         """(rows, D): the integer matrix D·self, D the lcm of its denominators.
 
-        Over GF(p) the residues themselves, with D = 1.
+        Over Q formed once, on the first product, and kept: the rows must
+        not be changed.  Over GF(p) the residues themselves, with D = 1.
         """
         if not self._integral:
-            return [list(row) for row in self.entries], 1
-        images = self._row_images()
-        big = lcm(*[den for _, den in images])
-        return [xs if den == big else [x * (big // den) for x in xs] for xs, den in images], big
+            return self.entries, 1
+        if self._image is None:
+            images = [_integer_image(row) for row in self.entries]
+            big = lcm(*[den for _, den in images])
+            self._image = [xs if den == big else [x * (big // den) for x in xs] for xs, den in images], big
+        return self._image
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.entries)) if self.entries else (), ncols=self.nrows)
@@ -482,14 +511,14 @@ def _shift_maps_into(m: Matrix, t: Raw, s: SubspaceBasis, target: _Echelon) -> b
     Tests m·u - t·u for each basis row u of ``s``; neither m - t·I nor the
     image's echelon is formed.  Over Q, with u = xs/den and t = a/b, the
     test vector is the integer b·(D·m)·xs - a·D·xs, a positive multiple
-    of m·u - t·u.
+    of m·u - t·u, with (D·m)·xs from :meth:`Matrix.mul_line`.
     """
     if m._integral:
-        rows, big = m.integer_rows()
+        big = m.integer_rows()[1]
         a_big, b = t.numerator * big, t.denominator
         images = (_integer_image(u)[0] for u in s.rows)
         return all(
-            target.contains([b * sum(map(mul, row, xs)) - a_big * x for row, x in zip(rows, xs)])
+            target.contains([b * y - a_big * x for y, x in zip(m.mul_line(xs), xs)])
             for xs in images
         )
     F = m.field
@@ -503,5 +532,5 @@ def apply(m: Matrix, s: SubspaceBasis) -> SubspaceBasis:
         raise AmbientMismatchError("matrix column count does not match ambient dimension")
     ech = _Echelon(m.field, m.nrows)
     for v in s.rows:
-        ech.insert(m.mul_vec(v))
+        ech.insert(m.mul_line(v))
     return ech.to_subspace()

@@ -22,8 +22,9 @@ in an eigenbasis of A, A* has block (j, i) zero exactly when A* V_i has
 no V_j-component, so each inclusion is a test on sets of eigenspace
 indices.  ``hesspairs oracle`` passes an echelon test in the standard
 basis instead (:func:`_echelon_side_orderings`), which forms neither
-P^-1 nor a block pattern.  The echelon test, :func:`_maps_into`, also
-checks the Hessenberg and three-term chains of a given ordering
+P^-1 nor a block pattern and extends one echelon per level of the
+search.  The same echelon test, :func:`_maps_into`, checks the
+Hessenberg and three-term chains of a given ordering
 (:func:`_window_inclusions_hold`); the two chains differ only in their
 window of eigenspaces.
 
@@ -270,13 +271,30 @@ def _admissible_side_orderings(
 def _echelon_side_orderings(eigen: EigenStructure, acting: Matrix, max_orderings: int) -> list[tuple[int, ...]]:
     """:func:`_admissible_side_orderings` by echelons: the oracle for the block pattern.
 
-    The same search, testing acting·V_pre[-2] ⊆ Σ_{j∈pre} V_j with
-    :func:`_maps_into` in the standard basis.
+    The same search, testing acting·V_pre[-2] ⊆ Σ_{j∈pre} V_j in the
+    standard basis.  The images acting·u of the basis rows u of each V_j
+    are formed once (up to scale, :meth:`~hesspairs.linalg.Matrix.mul_line`),
+    and each DFS level keeps the echelon of its prefix's sum; a child
+    extends a copy of its parent's by the newly placed space.
     """
     spaces = eigen.eigenspaces
-    return _search_orderings(
-        len(spaces), lambda pre: _maps_into(acting, spaces[pre[-2]], [spaces[j] for j in pre]), max_orderings
-    )
+    images = [[acting.mul_line(u) for u in space.rows] for space in spaces]
+    # levels[k] = (pre[k], echelon of V_pre[0] + ... + V_pre[k]), kept for
+    # the longest common prefix with the prefix tested last.
+    levels: list[tuple[int, _Echelon]] = []
+
+    def settled(pre: list[int]) -> bool:
+        keep = 0
+        while keep < min(len(levels), len(pre) - 1) and levels[keep][0] == pre[keep]:
+            keep += 1
+        del levels[keep:]
+        for j in pre[keep:]:
+            ech = levels[-1][1].copy() if levels else _Echelon(acting.field, acting.ncols)
+            ech.insert_all(spaces[j].rows)
+            levels.append((j, ech))
+        return all(levels[-1][1].contains(y) for y in images[pre[-2]])
+
+    return _search_orderings(len(spaces), settled, max_orderings)
 
 
 def _ordering_pairs(
@@ -437,8 +455,10 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
     coordinates from m_d+...+m_{d-i+1} on (m_k = dim V_k).  The
     A*-eigenvectors, in those coordinates, go into one echelon in the
     order V*_0, V*_1, ...; once V*_i is in, the rows whose pivot lies in
-    that span are a basis of U_i, mapped back through P.  The coordinates
-    P^-1·w are formed once per pair
+    that span are a basis of U_i, mapped back through P.  Both maps only
+    feed echelons, so they are taken up to scale
+    (:meth:`~hesspairs.linalg.Matrix.mul_line`).  The coordinates P^-1·w
+    are formed once per pair
     (:meth:`~hesspairs.spectral.EigenStructure.eigenbasis_coordinates`);
     an ordering pair only permutes them.
     :func:`_intersected_split` is the same candidate by d+1 intersections.
@@ -471,7 +491,7 @@ def split_from_flags(ord_a: EigenOrdering, ord_a_star: EigenOrdering) -> SplitDe
         # An echelon row is a multiple of its RREF row, which spans the same line.
         for row, piv in zip(ech.rows, ech.pivots):
             if piv >= cut:
-                back.insert(p.mul_vec([row[k] for k in back_order]))
+                back.insert(p.mul_line([row[k] for k in back_order]))
         subspaces.append(back.to_subspace())
     return SplitDecomposition(
         subspaces=tuple(subspaces),

@@ -28,9 +28,11 @@ of zero remainders is its multiplicity.
 Eigenspaces are read from Krylov sequences v, Mv, … of fixed start
 vectors: with r = ∏(x - θ) over the distinct eigenvalues, the vectors
 (r/(x - θ))(M)·v lie in V_θ whenever r(M)·v = 0, and enough of them span
-it, at O(n²) per vector and eigenvalue.  A non-diagonalizable M keeps
-lines (χ/(x - θ))(M)·v for its simple eigenvalues and takes the kernel of
-M - θI for its repeated ones.
+it, at O(n²) per vector and eigenvalue.  Over Q they run on ints, as the
+sequences of B·M at its integer eigenvalues B·θ (B the lcm of the
+eigenvalues' denominators), each vector over its least denominator.  A
+non-diagonalizable M keeps lines (χ/(x - θ))(M)·v for its simple
+eigenvalues and takes the kernel of M - θI for its repeated ones.
 
 If the characteristic polynomial does not split into linear factors over
 the field, :func:`eigen_structure` raises
@@ -522,7 +524,7 @@ def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]
     zero remainders is its multiplicity, and the one exact root test: a
     candidate that divides zero times is dropped.
     """
-    field_p = poly.field.p if isinstance(poly.field, PrimeField) else 0
+    field_p = _prime(poly.field)
     if field_p:
         g, lcm, p = list(poly.coeffs), 1, field_p
     else:
@@ -562,7 +564,7 @@ class EigenStructure:
     diagonalizable: bool
     # (M', P^-1 M' P) for every M' conjugated so far; see eigenbasis_conjugate.
     _conjugates: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
-    # (eigenspaces, P^-1 w per basis row w) for every family read so far;
+    # (eigenspaces, P^-1 w up to scale per basis row w) for every family read so far;
     # see eigenbasis_coordinates.
     _coordinates: list = dc_field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -607,19 +609,21 @@ class EigenStructure:
         self._conjugates.append((other, conj))
         return conj
 
-    def eigenbasis_coordinates(self, spaces: Sequence[SubspaceBasis]) -> tuple[tuple[tuple[Raw, ...], ...], ...]:
-        """P^-1·w for each basis row w of each subspace, P from :attr:`eigenbasis`.
+    def eigenbasis_coordinates(self, spaces: Sequence[SubspaceBasis]) -> tuple[tuple[Sequence[Raw], ...], ...]:
+        """P^-1·w up to a nonzero scalar for each basis row w of each subspace.
 
-        The coordinates of another eigenspace family in this eigenbasis,
-        formed once per family and kept on this structure, so the split
-        reads of every ordering pair share them.
+        The coordinates of another eigenspace family in this eigenbasis (P
+        from :attr:`eigenbasis`), as :meth:`~hesspairs.linalg.Matrix.mul_line`
+        gives them to the split read's echelons.  Formed once per family
+        and kept on this structure, so the split reads of every ordering
+        pair share them.
         """
         spaces = tuple(spaces)
         for key, coords in self._coordinates:
             if key == spaces:
                 return coords
         _, p_inv = self.eigenbasis
-        coords = tuple(tuple(p_inv.mul_vec(w) for w in space.rows) for space in spaces)
+        coords = tuple(tuple(p_inv.mul_line(w) for w in space.rows) for space in spaces)
         self._coordinates.append((spaces, coords))
         return coords
 
@@ -639,12 +643,15 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     u = q_θ(m)·v has (m − θI)·u = r(m)·v.  When every eigenvalue is simple,
     r = χ and Cayley–Hamilton makes that zero; otherwise one more Krylov
     step checks r(m)·v = 0.  Each u then lies in V_θ and is one product
-    K·q_θ, K the matrix with columns v, mv, …, m^(k−1)v, whose rows'
-    integer images over Q are formed once.  An echelon of the u
-    from successive start vectors that reaches θ's multiplicity is V_θ, and
-    its RREF basis is the one ``kernel(m − θI)`` gives.  Start vectors are
-    formed only while an eigenvalue lacks its dimension, and at most two
-    beyond the largest multiplicity.
+    K·q_θ, K the matrix with columns v, mv, …, m^(k−1)v.  Over Q these
+    are the sequences of B·m, B the lcm of the eigenvalues' denominators,
+    at its integer eigenvalues B·θ; each vector is an integer vector over
+    its least denominator and K holds them over one, so q_θ and K are
+    integer and K·q_θ is a nonzero multiple of u.  Over GF(p) B = 1.  An
+    echelon of the u from successive start vectors that reaches θ's
+    multiplicity is V_θ, and its RREF basis is the one ``kernel(m − θI)``
+    gives.  Start vectors are formed only while an eigenvalue lacks its
+    dimension, and at most two beyond the largest multiplicity.
 
     When r(m)·v ≠ 0, m is not diagonalizable: its simple eigenvalues then
     take lines (χ/(x − θ))(m)·v, from sequences of length n, and its
@@ -663,7 +670,7 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     total_mult = sum(mult for _, mult in roots)
     if total_mult < n:
         raise EigenvaluesOutsideFieldError(n - total_mult)
-    spaces = _eigenspaces(m, poly.coeffs[::-1], roots)
+    spaces = _eigenspaces(m, roots)
     return EigenStructure(
         transform=m,
         eigenvalues=tuple(FieldElement(F, r) for r, _ in roots),
@@ -672,48 +679,70 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     )
 
 
-def _eigenspaces(m: Matrix, chi: list[Raw], roots: list[tuple[Raw, int]]) -> list[SubspaceBasis]:
+def _eigenspaces(m: Matrix, roots: list[tuple[Raw, int]]) -> list[SubspaceBasis]:
     """The eigenspace of each root, from Krylov sequences of fixed start vectors.
 
-    ``chi`` is the characteristic polynomial high-to-low, and ``roots`` its
-    (root, multiplicity) pairs, which together account for its degree.
+    ``roots`` are the (root, multiplicity) pairs of m's characteristic
+    polynomial, which together account for its degree.  The sequences are
+    those of N = B·m, B the lcm of the roots' denominators (1 over GF(p)),
+    whose eigenvalues B·θ are integers.  Every polynomial, Krylov vector
+    and product K·q is then on ints, reduced mod p over GF(p).
     """
     F = m.field
     n = m.nrows
-    r = chi if len(roots) == n else Polynomial.from_roots(F, [t for t, _ in roots]).coeffs[::-1]
+    p = _prime(F)
+    scale = math.lcm(*[t.denominator for t, _ in roots])
+    values = [t.numerator * (scale // t.denominator) for t, _ in roots]
+    scaled = m if scale == 1 else m.scale(scale)
+    r = _from_roots(values, p)
     r_low = r[::-1]
     # A repeated eigenvalue of multiplicity above n/2 would need more than
     # n/2 start vectors, and its kernel is cheap, being of rank below n/2.
     wanted = [mult if mult == 1 or 2 * mult <= n else 0 for _, mult in roots]
     spans = [_Echelon(F, n) for _ in roots]
-    quotients = _quotients(F, r, roots, min(len(r), n))
+    quotients = _quotients(r, values, min(len(r), n), p)
     for j in range(max(wanted) + _SPARE_START_VECTORS):
         lacking = [i for i, want in enumerate(wanted) if spans[i].dim < want]
         if not lacking:
             break
-        sequence = [_start_vector(F, n, j)]
-        # v, mv, …, m^k·v for r of degree k: the last one only for the check
-        # r(m)·v = 0, which Cayley–Hamilton makes when r = χ.
-        krylov = _krylov_columns(m, sequence, min(len(r), n))
-        if len(r) <= n and any(krylov.mul_vec(r_low)):
+        sequence = _Krylov(_start_vector(F, n, j))
+        # v, Nv, …, N^k·v for r of degree k: the last one only for the
+        # check r(N)·v = 0, which Cayley–Hamilton makes when r = χ.
+        krylov = _krylov_columns(scaled, sequence, min(len(r), n))
+        if len(r) <= n and any(krylov.mul_line(r_low)):
             # m is not diagonalizable.  From here on its simple eigenvalues
-            # take lines (χ/(x - θ))(m)·v, and its repeated ones kernels.
-            r = chi
-            quotients = _quotients(F, r, roots, n)
+            # take lines (χ/(x - θ))(N)·v, and its repeated ones kernels.
+            r = _from_roots([t for t, (_, mult) in zip(values, roots) for _ in range(mult)], p)
+            quotients = _quotients(r, values, n, p)
             wanted = [int(mult == 1) for _, mult in roots]
             lacking = [i for i in lacking if wanted[i]]
             if lacking:
-                krylov = _krylov_columns(m, sequence, n)
+                krylov = _krylov_columns(scaled, sequence, n)
         for i in lacking:
-            spans[i].insert(krylov.mul_vec(quotients[i]))
+            spans[i].insert(krylov.mul_line(quotients[i]))
     return [
         span.to_subspace() if span.dim == mult else kernel(m.minus_scalar(t))
         for span, (t, mult) in zip(spans, roots)
     ]
 
 
-def _start_vector(field: FieldSpec, n: int, j: int) -> tuple[Raw, ...]:
-    """Start vector j of the Krylov sequences.
+def _prime(field: FieldSpec) -> int:
+    """The field's prime over GF(p); 0 over Q."""
+    return field.p if isinstance(field, PrimeField) else 0
+
+
+def _from_roots(values: Sequence[int], p: int) -> list[int]:
+    """∏(x - t) over ``values``, high-to-low, on ints; reduced mod p when p is nonzero."""
+    out = [1]
+    for t in values:
+        out = [a - t * b for a, b in zip(out + [0], [0] + out)]
+        if p:
+            out = [c % p for c in out]
+    return out
+
+
+def _start_vector(field: FieldSpec, n: int, j: int) -> tuple[int, ...]:
+    """Start vector j of the Krylov sequences, on ints (residues over GF(p)).
 
     j = 0 gives (1, 2, …, n).  Every later one has entries in -3…3, read
     from the high bits of a fixed 64-bit linear congruential stream
@@ -721,33 +750,54 @@ def _start_vector(field: FieldSpec, n: int, j: int) -> tuple[Raw, ...]:
     over Q and do not repeat with the coordinate index mod a small p.
     """
     if not j:
-        return tuple(field.coerce(i + 1) for i in range(n))
-    out = []
-    x = j
-    for _ in range(n):
-        x = (x * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
-        out.append(field.coerce((x >> 32) % 7 - 3))
-    return tuple(out)
+        out = range(1, n + 1)
+    else:
+        out = []
+        x = j
+        for _ in range(n):
+            x = (x * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+            out.append((x >> 32) % 7 - 3)
+    p = _prime(field)
+    return tuple(x % p for x in out) if p else tuple(out)
 
 
-def _krylov_columns(m: Matrix, sequence: list, length: int) -> Matrix:
-    """The matrix whose columns are the vectors of ``sequence`` = [v, mv, …].
+class _Krylov(list):
+    """A Krylov sequence v, mv, m²v, … on ints: m^k·v is ``self[k] / dens[k]``, in lowest terms."""
 
-    ``sequence`` is first extended in place to ``length`` vectors.  The
-    matrix times a coefficient vector (c_0, c_1, …) is Σ c_k·m^k·v.
+    def __init__(self, start: Sequence[int]):
+        super().__init__([start])
+        self.dens = [1]
+
+
+def _krylov_columns(m: Matrix, sequence: _Krylov, length: int) -> Matrix:
+    """The matrix K whose columns are the vectors of ``sequence``, over one denominator.
+
+    ``sequence`` is first extended in place to ``length`` vectors of m's
+    sequence.  A step is one :meth:`~hesspairs.linalg.Matrix.mul_line`,
+    which is (D·m)·y for an integer y, and one gcd that puts it in lowest
+    terms, so over Q the entries grow with m^k·v and not with D^k.
+    K·(c_0, c_1, …) is then L·Σ c_k·m^k·v, L the lcm of the denominators,
+    exactly, by ``K.mul_line``.
     """
+    big = m.integer_rows()[1]
+    dens = sequence.dens
     while len(sequence) < length:
-        sequence.append(m.mul_vec(sequence[-1]))
-    return Matrix(m.field, tuple(zip(*sequence)))
+        ys = m.mul_line(sequence[-1])
+        den = big * dens[-1]
+        g = math.gcd(den, *ys)
+        sequence.append([y // g for y in ys] if g > 1 else ys)
+        dens.append(den // g)
+    common = math.lcm(*dens)
+    columns = [v if d == common else [x * (common // d) for x in v] for v, d in zip(sequence, dens)]
+    return Matrix(m.field, tuple(zip(*columns)))
 
 
-def _quotients(field: FieldSpec, r: list[Raw], roots: list[tuple[Raw, int]], width: int) -> list[list[Raw]]:
-    """r/(x - θ) for each root θ of ``r`` (high-to-low), low-to-high, zero-padded to ``width``."""
-    field_p = field.p if isinstance(field, PrimeField) else 0
+def _quotients(r: list[int], values: list[int], width: int, p: int) -> list[list[int]]:
+    """r/(x - t) for each root t of ``r`` (high-to-low), low-to-high, zero-padded to ``width``."""
     out = []
-    for t, _ in roots:
-        q = _synthetic_division(r, t, field_p)[0][::-1]
-        out.append(q + [field.zero()] * (width - len(q)))
+    for t in values:
+        q = _synthetic_division(r, t, p)[0][::-1]
+        out.append(q + [0] * (width - len(q)))
     return out
 
 

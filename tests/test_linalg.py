@@ -374,3 +374,73 @@ def test_q_matrix_forms_its_image_once(monkeypatch):
     calls.clear()
     m.mul_vec((QQ.one(), QQ.zero(), QQ.zero()))
     assert calls == [3]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(2**31 - 1)], ids=repr)
+def test_mul_line_is_mul_vec_up_to_a_nonzero_scalar(field):
+    # Over Q, m.mul_line(v) is an integer vector and a nonzero integer
+    # multiple of m.mul_vec(v), also on vectors with mixed denominators and
+    # on zero; on an integer v it is exactly (D·m)·v, D·m the integer image.
+    # Over GF(p) it is m.mul_vec(v).
+    rng = random.Random(f"line:{field!r}")
+    for n in range(1, 7):
+        m = rand_matrix(field, n, rng)
+        vectors = [[field.rand(rng) for _ in range(n)] for _ in range(4)]
+        vectors.append([field.zero()] * n)
+        vectors.append([field.coerce(rng.randint(-9, 9)) for _ in range(n)])
+        if field is QQ:
+            vectors.append([Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7, 10**6))) for _ in range(n)])
+            # Plain ints, as in the Krylov sequences of spectral._eigenspaces.
+            vectors.append([rng.randint(-9, 9) for _ in range(n)])
+        for v in vectors:
+            line, exact = m.mul_line(v), m.mul_vec(v)
+            if field.is_finite:
+                assert tuple(line) == exact
+                continue
+            assert all(type(y) is int for y in line)
+            nonzero = [j for j, x in enumerate(exact) if x]
+            if not nonzero:
+                assert not any(line)
+                continue
+            scale = line[nonzero[0]] / exact[nonzero[0]]
+            assert scale.denominator == 1 and scale
+            assert list(line) == [scale * x for x in exact]
+            if all(x.denominator == 1 for x in v):
+                rows, _ = m.integer_rows()
+                assert list(line) == [sum(a * int(x) for a, x in zip(row, v)) for row in rows]
+    with pytest.raises(AmbientMismatchError):
+        m.mul_line([field.one()] * (n + 1))
+
+
+def test_q_matrix_forms_its_image_once_across_shift_tests(monkeypatch):
+    # _shift_maps_into reads D·m from the one image a Q matrix keeps: the
+    # rows' images are formed on the first call only.
+    m = Matrix.from_rows(QQ, [[1, Fraction(1, 2), 0], [Fraction(-3, 7), 2, 5], [0, 0, Fraction(1, 3)]])
+    row_images = []
+    image = linalg._integer_image
+    monkeypatch.setattr(
+        linalg, "_integer_image", lambda vec: row_images.append(any(vec is row for row in m.entries)) or image(vec)
+    )
+    s = span(QQ, 3, [1, 0, 0], [0, 1, Fraction(2, 5)])
+    everything = SubspaceBasis.full(QQ, 3)._as_echelon()
+    nothing = linalg._Echelon(QQ, 3)
+    for t in (0, Fraction(1, 2), Fraction(-7, 3)) * 3:
+        assert linalg._shift_maps_into(m, QQ.coerce(t), s, everything)
+        assert not linalg._shift_maps_into(m, QQ.coerce(t), s, nothing)
+    assert row_images.count(True) == 3
+    assert m.integer_rows() is m.integer_rows()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_echelon_copy_extends_on_its_own(field):
+    # A copy spans the same space, and inserting into it leaves the
+    # original untouched (over GF(p) insert reduces rows in place).
+    ech = linalg._Echelon(field, 3)
+    ech.insert([field.coerce(x) for x in (1, 2, 3)])
+    ech.insert([field.coerce(x) for x in (0, 0, 1)])
+    before = ech.to_subspace()
+    twin = ech.copy()
+    assert twin.to_subspace() == before
+    assert twin.insert([field.coerce(x) for x in (0, 1, 1)])
+    assert ech.to_subspace() == before and ech.dim == 2
+    assert twin.to_subspace() == SubspaceBasis.full(field, 3)

@@ -394,6 +394,100 @@ def test_eigenspace_blocks_match_kernels(field, monkeypatch):
     assert not missed or field.is_finite and field.p <= 3, (missed, served)
 
 
+def test_q_eigenspaces_with_large_denominators_match_kernels(monkeypatch):
+    # Q matrices P·T·P⁻¹ whose eigenvalues and conjugators have denominators
+    # up to 10^6: diagonal T with repeated eigenvalues, among them 0 and
+    # negative ones; T with a Jordan block (not diagonalizable); and T with
+    # one eigenvalue of multiplicity above n/2.  Every eigenspace equals
+    # kernel(M - θI), and every vector _eigenspaces puts into an echelon is
+    # a list of ints: the Krylov sequences run on B·M at the integers B·θ,
+    # B the lcm of the eigenvalues' denominators.
+    inserted = []
+
+    class RecordingEchelon(spectral._Echelon):
+        def insert(self, vec):
+            inserted.append(vec)
+            return super().insert(vec)
+
+    monkeypatch.setattr(spectral, "_Echelon", RecordingEchelon)
+    rng = random.Random("q-denominators")
+    big = 10**6
+
+    def rational(sign):
+        return sign * Fraction(rng.randint(1, big), rng.randint(1, big))
+
+    shapes = Counter()
+    for shape in ("repeated", "jordan", "dominant") * 4:
+        values = [Fraction(0), rational(-1), rational(-1), rational(1)]
+        n = rng.randint(5, 7)
+        if shape == "dominant":
+            diag = [values[1]] * (n // 2 + 1) + rng.sample(values[2:], n - n // 2 - 1)
+        else:
+            diag = values + [rng.choice(values) for _ in range(n - len(values))]
+        counts = Counter(diag)
+        # Most repeated first, so a Jordan block at T[0][1] joins equal eigenvalues.
+        diag.sort(key=lambda x: (counts[x], x), reverse=True)
+        jordan = 2 if shape == "jordan" else 0
+        t = [[QQ.zero()] * n for _ in range(n)]
+        for i, x in enumerate(diag):
+            t[i][i] = x
+        if jordan:
+            t[0][1] = QQ.one()
+        while True:
+            p = Matrix(QQ, tuple(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, big)) for _ in range(n)) for _ in range(n)
+            ))
+            if kernel(p).is_zero:
+                break
+        m = p * Matrix(QQ, tuple(map(tuple, t))) * p.inverse()
+        assert m.integer_rows()[1] > big
+        thetas = sorted(counts)
+        eig = eigen_structure(m)
+        assert [v.value for v in eig.eigenvalues] == thetas
+        assert eig.eigenspaces == tuple(kernel(m.minus_scalar(x)) for x in thetas), (shape, diag)
+        assert eig.diagonalizable == (not jordan)
+        assert (shape == "dominant") == any(2 * c > n for c in counts.values())
+        shapes[shape] += any(c > 1 for c in counts.values())
+    assert shapes == {"repeated": 4, "jordan": 4, "dominant": 4}
+    assert inserted and all(type(v) is list and all(type(x) is int for x in v) for v in inserted)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_krylov_vectors_stay_in_lowest_terms(field):
+    # A Krylov step of m·v on ints keeps m^k·v as an integer vector over
+    # its least denominator, so over Q the entries follow m^k·v rather than
+    # D^k (D the lcm of m's denominators, here above 10^12).  K's columns
+    # are the vectors over one common denominator.
+    rng = random.Random(f"krylov:{field!r}")
+    n = 6
+    while True:
+        p = Matrix(field, tuple(
+            tuple(field.rand(rng) if field.is_finite else Fraction(rng.randint(-9, 9), rng.randint(1, 10**6))
+                  for _ in range(n))
+            for _ in range(n)
+        ))
+        if kernel(p).is_zero:
+            break
+    m = p * Matrix.diagonal(field, range(1, n + 1)) * p.inverse()
+    sequence = spectral._Krylov(spectral._start_vector(field, n, 1))
+    krylov = spectral._krylov_columns(m, sequence, n)
+    assert len(sequence) == n
+    exact = sequence[0]
+    for ys, den in zip(sequence, sequence.dens):
+        assert all(type(y) is int for y in ys)
+        if field.is_finite:
+            assert den == 1 and tuple(ys) == tuple(exact)
+        else:
+            assert den == math.lcm(*(x.denominator for x in exact))
+            assert [Fraction(y, den) for y in ys] == list(exact)
+        exact = m.mul_vec(exact)
+    common = math.lcm(*sequence.dens)
+    columns = [[y * (common // den) for y in ys] for ys, den in zip(sequence, sequence.dens)]
+    assert krylov.entries == tuple(zip(*columns))
+    if not field.is_finite:
+        assert m.integer_rows()[1] > 10**12 and max(sequence.dens).bit_length() < 2 * m.integer_rows()[1].bit_length()
+
+
 def test_start_vectors_are_fixed_and_do_not_repeat_mod_small_p():
     # v_0 = (1, 2, …, n); the later start vectors are the same on every
     # call, have entries in -3…3, and repeat with no period below n/2 in
