@@ -454,11 +454,12 @@ def kernel(m: Matrix) -> SubspaceBasis:
     ech.insert_all(m.entries)
     pivots = set(ech.pivots)
     free = [j for j in range(m.ncols) if j not in pivots]
+    basis = list(zip(ech.values(), ech.pivots))
     out = _Echelon(F, m.ncols)
     for f in free:
         vec = [zero] * m.ncols
         vec[f] = F.one()
-        for row, piv in zip(ech.values(), ech.pivots):
+        for row, piv in basis:
             if row[f]:
                 vec[piv] = F.neg(row[f])
         out.insert(vec)

@@ -12,18 +12,18 @@ only*:
   bound of g.
 
 On both fields the candidate residues are all of them when p <= 64·deg
-and, for larger p, the roots of the linear part of the square-free part
-of the polynomial mod p, extracted via gcd with x^(p+1) - x^2 (the root 0
-divided out first), then equal-degree splitting with
-(x + a)^((p+1)/2) - (x + a).  The probe a = 0 comes free from the chain
-of x^(p+1), and for p = 3 (mod 4) a quadratic factor is solved in closed
-form; the other factors take random probes.  The powers are taken on
-packed residues (Kronecker substitution: one big-integer product per
-squaring); for a Mersenne p, p + 1 is a power of two, so they are
-squarings only, after one step by the linear base.  One exact count on
-integer coefficients is the root test: synthetic division, mod p or over
-Z, divides each candidate out of one shrinking quotient, and the number
-of zero remainders is its multiplicity.
+and, for larger p (odd, and above the degree), the roots of the linear
+part of the square-free part of the polynomial mod p, extracted via gcd
+with x^(p+1) - x^2 (the root 0 divided out first), then equal-degree
+splitting with (x + a)^((p+1)/2) - (x + a).  The probe a = 0 comes free
+from the chain of x^(p+1), and for p = 3 (mod 4) a quadratic factor is
+solved in closed form; the other factors take random probes.  The
+powers are taken on packed residues (Kronecker substitution: one
+big-integer product per squaring); for a Mersenne p, p + 1 is a power
+of two, so they are squarings only, after one step by the linear base.
+One exact count on integer coefficients is the root test: synthetic
+division, mod p or over Z, divides each candidate out of one shrinking
+quotient, and the number of zero remainders is its multiplicity.
 
 Eigenspaces are read from Krylov sequences v, Mv, … of fixed start
 vectors: with r = ∏(x - θ) over the distinct eigenvalues, the vectors
@@ -390,12 +390,16 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p) via gcd with x^(p+1) - x^2 and equal-degree splitting.
 
+    ``p`` must be an odd prime above deg f.  The one caller,
+    :func:`_in_field_roots_with_multiplicity`, passes only p > _SCAN_FACTOR·deg;
+    smaller primes take its residue scan.
+
     Once x^k is divided out, f(0) != 0, so gcd(f, x^p - x) equals
     g = gcd(f, x^(p+1) - x^2), and a factor h splits at
     gcd(h, (x + a)^((p+1)/2) - (x + a)), which vanishes where r + a is a
-    square or zero.  For odd p, x^(p+1) is the square of s = x^((p+1)/2),
-    so the probe a = 0, gcd(g, s - x), costs no power of its own: it splits
-    g into its roots that are squares and those that are not.  When
+    square or zero.  x^(p+1) is the square of s = x^((p+1)/2), so the
+    probe a = 0, gcd(g, s - x), costs no power of its own: it splits g
+    into its roots that are squares and those that are not.  When
     p = 3 (mod 4), a quadratic factor is then solved in closed form,
     because disc^((p+1)/4) is a square root of its discriminant; larger
     factors, and quadratics for other p, split at random probes.  For a
@@ -410,23 +414,17 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     f = _poly_monic(f[k:], p)
     if len(f) <= 1:
         return roots
-    # f / gcd(f, f') has the same roots, each once, unless p <= deg f: then
-    # f' can vanish on a factor (x - r)^p and the quotient would lose r.
-    if p >= len(f):
-        f = _poly_divmod(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)[0]
-    if p == 2:
-        # p + 1 = 3 is odd, so the chain of x^3 has no square root of it;
-        # and g divides x^(p-1) - 1 = x - 1, so it never needs a split.
-        xp = _poly_pow_linear(0, 3, f, 2)
-    else:
-        half = _poly_pow_linear(0, (p + 1) // 2, f, p)
-        packed = _PackedModulus(f, p)
-        xp = packed.unpack(packed.mul(packed.pack(half), packed.pack(half)))
+    # f / gcd(f, f') has the same roots, each once: as p > deg f, a root of
+    # f of multiplicity m is one of f' of multiplicity m - 1.
+    f = _poly_divmod(f, _poly_gcd(f, [i * c % p for i, c in enumerate(f)][1:], p), p)[0]
+    half = _poly_pow_linear(0, (p + 1) // 2, f, p)
+    packed = _PackedModulus(f, p)
+    xp = packed.unpack(packed.mul(packed.pack(half), packed.pack(half)))
     xp += [0] * (3 - len(xp))
     xp[2] = (xp[2] - 1) % p
     g = _poly_gcd(f, xp, p)
     stack = [g]
-    if p > 2 and len(g) > 2:
+    if len(g) > 2:
         # The probe a = 0 on g, from the power already raised modulo f.
         w = _probe_gcd(g, half, 0, p)
         if 0 < len(w) - 1 < len(g) - 1:
@@ -448,8 +446,6 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
             s = pow((b * b - 4 * c) % p, (p + 1) // 4, p)
             roots += [(s - b) * inv2 % p, (-s - b) * inv2 % p]
             continue
-        # d >= 2 needs p >= 3: g divides x^(p-1) - 1, which over GF(2) is
-        # x - 1, and there (p + 1)//2 = 1 would make every probe zero.
         while True:
             a = rng.randrange(p)
             w = _probe_gcd(h, _poly_pow_linear(a, (p + 1) // 2, h, p), a, p)
@@ -653,11 +649,12 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     gives.  Start vectors are formed only while an eigenvalue lacks its
     dimension, and at most two beyond the largest multiplicity.
 
-    When r(m)·v ≠ 0, m is not diagonalizable: its simple eigenvalues then
-    take lines (χ/(x − θ))(m)·v, from sequences of length n, and its
-    repeated ones ``kernel(m − θI)``.  The kernel also serves an eigenvalue
-    that every start vector misses, and a repeated one of multiplicity
-    above n/2, whose kernel has rank below n/2.
+    When r(m)·v ≠ 0, m is not diagonalizable: r becomes χ, its simple
+    eigenvalues take lines (χ/(x − θ))(m)·v, from sequences of length n,
+    the first one again from that v, and its repeated ones
+    ``kernel(m − θI)``.  The kernel also serves an eigenvalue that every
+    start vector misses, and a repeated one of multiplicity above n/2,
+    whose kernel has rank below n/2.
     """
     if not m.is_square:
         raise NotSquareError("eigen structure of a non-square matrix")
@@ -687,6 +684,14 @@ def _eigenspaces(m: Matrix, roots: list[tuple[Raw, int]]) -> list[SubspaceBasis]
     those of N = B·m, B the lcm of the roots' denominators (1 over GF(p)),
     whose eigenvalues B·θ are integers.  Every polynomial, Krylov vector
     and product K·q is then on ints, reduced mod p over GF(p).
+
+    The loop state is (r, wanted, quotients).  The first start vector
+    whose r(N)·v is nonzero switches it to r = χ with only the simple
+    roots wanted, and its sequence is formed again at length n, unless
+    it already has n vectors (k + 1 = n): on a non-diagonalizable m at
+    most k + 1 Krylov steps are formed twice.  The number of start
+    vectors is bounded once, before the loop, by the largest multiplicity
+    first wanted plus the spares.
     """
     F = m.field
     n = m.nrows
@@ -695,7 +700,6 @@ def _eigenspaces(m: Matrix, roots: list[tuple[Raw, int]]) -> list[SubspaceBasis]
     values = [t.numerator * (scale // t.denominator) for t, _ in roots]
     scaled = m if scale == 1 else m.scale(scale)
     r = _from_roots(values, p)
-    r_low = r[::-1]
     # A repeated eigenvalue of multiplicity above n/2 would need more than
     # n/2 start vectors, and its kernel is cheap, being of rank below n/2.
     wanted = [mult if mult == 1 or 2 * mult <= n else 0 for _, mult in roots]
@@ -705,19 +709,21 @@ def _eigenspaces(m: Matrix, roots: list[tuple[Raw, int]]) -> list[SubspaceBasis]
         lacking = [i for i, want in enumerate(wanted) if spans[i].dim < want]
         if not lacking:
             break
-        sequence = _Krylov(_start_vector(F, n, j))
+        start = _start_vector(F, n, j)
         # v, Nv, …, N^k·v for r of degree k: the last one only for the
         # check r(N)·v = 0, which Cayley–Hamilton makes when r = χ.
-        krylov = _krylov_columns(scaled, sequence, min(len(r), n))
-        if len(r) <= n and any(krylov.mul_line(r_low)):
-            # m is not diagonalizable.  From here on its simple eigenvalues
-            # take lines (χ/(x - θ))(N)·v, and its repeated ones kernels.
+        krylov = _krylov_columns(scaled, start, min(len(r), n))
+        if len(r) <= n and any(krylov.mul_line(r[::-1])):
+            # m is not diagonalizable.  From here on r = χ: its simple
+            # eigenvalues take lines (χ/(x - θ))(N)·v from sequences of
+            # length n, this start vector's first, and its repeated ones
+            # kernels.
             r = _from_roots([t for t, (_, mult) in zip(values, roots) for _ in range(mult)], p)
             quotients = _quotients(r, values, n, p)
             wanted = [int(mult == 1) for _, mult in roots]
             lacking = [i for i in lacking if wanted[i]]
-            if lacking:
-                krylov = _krylov_columns(scaled, sequence, n)
+            if lacking and krylov.ncols < n:
+                krylov = _krylov_columns(scaled, start, n)
         for i in lacking:
             spans[i].insert(krylov.mul_line(quotients[i]))
     return [
@@ -761,26 +767,18 @@ def _start_vector(field: FieldSpec, n: int, j: int) -> tuple[int, ...]:
     return tuple(x % p for x in out) if p else tuple(out)
 
 
-class _Krylov(list):
-    """A Krylov sequence v, mv, m²v, … on ints: m^k·v is ``self[k] / dens[k]``, in lowest terms."""
+def _krylov_columns(m: Matrix, start: Sequence[int], length: int) -> Matrix:
+    """The matrix K with columns v, mv, …, m^(length-1)·v over one denominator.
 
-    def __init__(self, start: Sequence[int]):
-        super().__init__([start])
-        self.dens = [1]
-
-
-def _krylov_columns(m: Matrix, sequence: _Krylov, length: int) -> Matrix:
-    """The matrix K whose columns are the vectors of ``sequence``, over one denominator.
-
-    ``sequence`` is first extended in place to ``length`` vectors of m's
-    sequence.  A step is one :meth:`~hesspairs.linalg.Matrix.mul_line`,
-    which is (D·m)·y for an integer y, and one gcd that puts it in lowest
-    terms, so over Q the entries grow with m^k·v and not with D^k.
-    K·(c_0, c_1, …) is then L·Σ c_k·m^k·v, L the lcm of the denominators,
-    exactly, by ``K.mul_line``.
+    ``start`` is v, on ints.  A step is one
+    :meth:`~hesspairs.linalg.Matrix.mul_line`, which is (D·m)·y for an
+    integer y, and one gcd that puts it in lowest terms, so over Q the
+    entries grow with m^k·v and not with D^k.  K·(c_0, c_1, …) is then
+    L·Σ c_k·m^k·v, L the lcm of the denominators, exactly, by
+    ``K.mul_line``.
     """
     big = m.integer_rows()[1]
-    dens = sequence.dens
+    sequence, dens = [start], [1]
     while len(sequence) < length:
         ys = m.mul_line(sequence[-1])
         den = big * dens[-1]

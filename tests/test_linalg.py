@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,32 @@ def test_kernel_zero_matrix_is_full():
 def test_kernel_rank_one():
     k = kernel(Matrix.from_rows(QQ, [[1, 1], [1, 1]]))
     assert k == span(QQ, 2, [1, -1])
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=str)
+def test_kernel_reads_its_echelon_once(field, monkeypatch):
+    # kernel takes the RREF rows of m's echelon once, not once per free
+    # column: over Q each read forms rank·n Fractions.  Reads made through
+    # to_subspace, for the kernel's own basis, are not counted.
+    values = linalg._Echelon.values
+    reads = []
+
+    def counted(self):
+        if sys._getframe(1).f_code is linalg.kernel.__code__:
+            reads.append(self.dim)
+        return values(self)
+
+    monkeypatch.setattr(linalg._Echelon, "values", counted)
+    rng = random.Random(30)
+    for n, rank in ((1, 1), (4, 4), (6, 3), (7, 1), (8, 5)):
+        left = rand_matrix(field, n, rng).entries
+        right = rand_matrix(field, n, rng).entries[:rank]
+        m = Matrix(field, tuple(row[:rank] for row in left)) * Matrix(field, right)
+        reads.clear()
+        k = kernel(m)
+        assert reads == [rref(m)[1]] and k.dim == n - reads[0], (n, rank)
+    reads.clear()
+    assert kernel(Matrix.zeros(field, 3, 3)).dim == 3 and reads == [0]
 
 
 def test_sum_of_axes():

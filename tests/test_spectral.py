@@ -303,7 +303,7 @@ def test_eigenline_falls_back_to_the_kernel_when_the_start_vector_misses(monkeyp
             krylov = _counting(monkeypatch, "_krylov_columns")
             eig = eigen_structure(m)
             assert _kernel_eigenvalues(kernels, m, [1, 2, 3, 4]) == ([1] if j == 3 else []), (field, j)
-            assert [args[1][0] for args in krylov] == vs[:j + 1]
+            assert [args[1] for args in krylov] == vs[:j + 1]
             assert eig.eigenspaces == tuple(kernel(m.minus_scalar(t)) for t in (1, 2, 3, 4))
             column = q.inverse().transpose().entries[0]
             assert eig.eigenspaces[0] == SubspaceBasis.from_vectors(field, 4, [column])
@@ -457,7 +457,7 @@ def test_krylov_vectors_stay_in_lowest_terms(field):
     # A Krylov step of m·v on ints keeps m^k·v as an integer vector over
     # its least denominator, so over Q the entries follow m^k·v rather than
     # D^k (D the lcm of m's denominators, here above 10^12).  K's columns
-    # are the vectors over one common denominator.
+    # are L·v, L·mv, …, L the lcm of the exact vectors' denominators.
     rng = random.Random(f"krylov:{field!r}")
     n = 6
     while True:
@@ -469,23 +469,19 @@ def test_krylov_vectors_stay_in_lowest_terms(field):
         if kernel(p).is_zero:
             break
     m = p * Matrix.diagonal(field, range(1, n + 1)) * p.inverse()
-    sequence = spectral._Krylov(spectral._start_vector(field, n, 1))
-    krylov = spectral._krylov_columns(m, sequence, n)
-    assert len(sequence) == n
-    exact = sequence[0]
-    for ys, den in zip(sequence, sequence.dens):
-        assert all(type(y) is int for y in ys)
-        if field.is_finite:
-            assert den == 1 and tuple(ys) == tuple(exact)
-        else:
-            assert den == math.lcm(*(x.denominator for x in exact))
-            assert [Fraction(y, den) for y in ys] == list(exact)
-        exact = m.mul_vec(exact)
-    common = math.lcm(*sequence.dens)
-    columns = [[y * (common // den) for y in ys] for ys, den in zip(sequence, sequence.dens)]
-    assert krylov.entries == tuple(zip(*columns))
-    if not field.is_finite:
-        assert m.integer_rows()[1] > 10**12 and max(sequence.dens).bit_length() < 2 * m.integer_rows()[1].bit_length()
+    start = spectral._start_vector(field, n, 1)
+    krylov = spectral._krylov_columns(m, start, n)
+    exact = [start]
+    while len(exact) < n:
+        exact.append(m.mul_vec(exact[-1]))
+    lcm = math.lcm(*(Fraction(x).denominator for v in exact for x in v))
+    assert all(type(y) is int for row in krylov.entries for y in row)
+    for k, v in enumerate(exact):
+        assert [row[k] for row in krylov.entries] == [x * lcm for x in v], k
+    if field.is_finite:
+        assert lcm == 1
+    else:
+        assert m.integer_rows()[1] > 10**12 and lcm.bit_length() < 2 * m.integer_rows()[1].bit_length()
 
 
 def test_start_vectors_are_fixed_and_do_not_repeat_mod_small_p():
@@ -1027,12 +1023,18 @@ def test_square_free_gcd_finder_matches_scan(p):
         (5, [1, 2, 2, 3, 3, 3, 4]),
     ],
 )
-def test_gcd_finder_keeps_roots_when_p_le_degree(p, roots):
-    # p <= deg: a multiplicity divisible by p hides its root from f', so the
-    # square-free step is skipped and every root must still be found.
+def test_gcd_finder_keeps_roots_when_p_le_degree(p, roots, monkeypatch):
+    # p <= deg: a multiplicity divisible by p hides its root from f', and
+    # the gcd finder needs an odd p above the degree, so these primes go to
+    # the residue scan, which must find every root with its multiplicity.
     poly = Polynomial.from_roots(GF(p), roots)
     assert poly.degree >= p
-    assert sorted(spectral._roots_large_prime(list(poly.coeffs), p)) == sorted(set(roots))
+    monkeypatch.setattr(spectral, "_roots_large_prime", _no_finder)
+    assert _in_field_roots_with_multiplicity(poly) == sorted(Counter(roots).items())
+
+
+def _no_finder(coeffs, p):
+    raise AssertionError(f"gcd finder called with p = {p}, degree {len(coeffs) - 1}")
 
 
 def test_x_to_the_p_plus_one_squares_modulo_the_square_free_part(monkeypatch):
@@ -1141,14 +1143,58 @@ def test_frobenius_exponents_match_sympy(p, monkeypatch):
     "roots, extra",
     [([0, 0, 0, 1, 1], [1, 1, 1]), ([], [1, 1, 1]), ([1, 1, 1], []), ([0, 0], []), ([0, 1], [1, 0, 1])],
 )
-def test_frobenius_split_terminates_over_gf2(roots, extra):
-    # Over GF(2), (p + 1)/2 = 1 and the splitting probe (x + a) - (x + a) is
-    # zero, so the finder must never need a split: once x^k is divided out,
-    # gcd(f, x^3 - x^2) has degree at most 1.  ``extra`` multiplies in
-    # x^2 + x + 1 (no roots) or x^2 + 1 = (x + 1)^2.
+def test_frobenius_split_terminates_over_gf2(roots, extra, monkeypatch):
+    # Over GF(2), (p + 1)/2 = 1 would make every splitting probe
+    # (x + a) - (x + a) zero.  The gcd finder needs an odd p above the
+    # degree and never sees p = 2: the residue scan finds the roots with
+    # their multiplicities.  ``extra`` multiplies in x^2 + x + 1 (no roots)
+    # or x^2 + 1 = (x + 1)^2.
     field = GF(2)
     poly = Polynomial.from_roots(field, roots)
+    planted = Counter(roots)
     if extra:
         poly = poly * Polynomial(field, extra)
-    expected = [c for c in range(2) if poly.eval(c) == 0]
-    assert sorted(spectral._roots_large_prime(list(poly.coeffs), 2)) == expected
+    if extra == [1, 0, 1]:
+        planted[1] += 2
+    monkeypatch.setattr(spectral, "_roots_large_prime", _no_finder)
+    assert _in_field_roots_with_multiplicity(poly) == sorted(planted.items())
+    assert _field_division_count(poly, range(2)) == sorted(planted.items())
+
+
+def test_gcd_finder_gets_only_odd_primes_above_the_scan_bound(monkeypatch):
+    # The gcd finder assumes an odd prime p above the degree and checks
+    # nothing itself; eigen_structure must call it only with
+    # p > _SCAN_FACTOR·deg, on seeded matrices with and without in-field
+    # spectra, over small and large fields.  Every large field must reach
+    # it: GF(65537) and GF(2^31 - 1) by their own prime, Q by the Mersenne
+    # prime of a 4×4 diagonal with 1000-bit entries.
+    finder = spectral._roots_large_prime
+    calls = []
+
+    def checked(coeffs, p):
+        deg = len(coeffs) - 1
+        assert p % 2 == 1 and p > deg and p > spectral._SCAN_FACTOR * deg, (p, deg)
+        calls.append(p)
+        return finder(coeffs, p)
+
+    monkeypatch.setattr(spectral, "_roots_large_prime", checked)
+    rng = random.Random(30)
+    for field in (GF(2), GF(3), GF(101), GF(65537), GF(2**31 - 1), QQ):
+        calls.clear()
+        pool = range(-9, 10) if field == QQ else range(field.p)
+        for n in (1, 2, 3, 5, 8):
+            diag = [field.coerce(rng.choice(pool)) for _ in range(n)]
+            eigen_structure(_triangular_conjugate(field, diag, rng))
+            if n > 1:
+                # One Jordan block of size 2.
+                eigen_structure(_triangular_conjugate(field, [diag[0], diag[0], *diag[2:]], rng, jordan=2))
+            try:
+                eigen_structure(rand_matrix(field, n, rng))
+            except EigenvaluesOutsideFieldError:
+                pass
+        if field == QQ:
+            big = [rng.choice((-1, 1)) * (rng.getrandbits(999) | 1 << 999) for _ in range(4)]
+            eig = eigen_structure(Matrix.diagonal(QQ, big))
+            assert [v.value for v in eig.eigenvalues] == sorted(big)
+        if field in (GF(65537), GF(2**31 - 1), QQ):
+            assert calls, field
