@@ -7,13 +7,21 @@ only*:
 
 * over GF(p), the roots are sought among the residues mod p itself;
 * over Q, the polynomial is scaled to a monic integer g whose rational
-  roots are integers, and they are sought among the symmetric lifts of
-  the residues mod a Mersenne prime p that exceeds twice Fujiwara's root
-  bound of g.
+  roots are integers.  Its roots mod a small prime p above 2·deg, each
+  with its multiplicity m mod p, are lifted p-adically: Newton's
+  iteration on the (m-1)-th derivative of g, modulo p, p², p⁴, …, until
+  p^k exceeds twice Fujiwara's root bound of g (Loos 1983; von zur
+  Gathen and Gerhard, *Modern Computer Algebra*, ch. 15).  A prime is
+  kept only when every root mod p is accounted for: simple ones lift
+  uniquely, and a repeated one must lift to a rational root of the same
+  multiplicity.  When a few primes in a row fail, as on
+  ((x² - 2)(x² - 3)(x² - 6))², the candidates are the symmetric lifts of
+  the roots of g mod a Mersenne prime above twice the root bound.
 
-On both fields the candidate residues are all of them when p <= 64·deg
-and, for larger p (odd, and above the degree), the roots of the linear
-part of the square-free part of the polynomial mod p, extracted via gcd
+On both fields, and for each prime p over Q, the candidate residues mod
+p are all of them when p <= 64·deg and, for larger p (odd, and above the
+degree), the roots of the linear part of the square-free part of the
+polynomial mod p, extracted via gcd
 with x^(p+1) - x^2 (the root 0 divided out first), then equal-degree
 splitting with (x + a)^((p+1)/2) - (x + a).  The probe a = 0 comes free
 from the chain of x^(p+1), and for p = 3 (mod 4) a quadratic factor is
@@ -43,6 +51,7 @@ analysis is meaningless without the full spectrum.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -62,8 +71,9 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, PrimeField, Raw
 from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 
-# A polynomial of degree n has its roots mod p (the field's prime, or the
-# Mersenne prime over Q) found by trying every residue when
+# A polynomial of degree n has its roots mod p (the field's prime, or over
+# Q a lifting prime or the fallback Mersenne prime) found by trying every
+# residue when
 # p <= _SCAN_FACTOR·n, and by gcd-based linear-factor extraction above.
 # The scan costs about p·n Horner steps and the gcd finder about
 # n²·log p products, so the crossover grows with the degree.
@@ -75,8 +85,14 @@ _SCAN_FACTOR = 64
 # of the misses before the kernel has to.
 _SPARE_START_VECTORS = 2
 
-# Exponents e of the Mersenne primes 2^e - 1: the moduli in which rational
-# roots are found.
+# Primes above 2·deg tried, in increasing order, for the rational roots of
+# a polynomial over Q before it falls back to the Mersenne prime.  Each
+# costs one residue count and a lift per root mod p, and a prime fails
+# when a repeated root mod p is not one repeated rational root.
+_LIFT_PRIMES = 8
+
+# Exponents e of the Mersenne primes 2^e - 1: the fallback moduli in which
+# rational roots are found.
 _MERSENNE_EXPONENTS = (
     3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
     4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
@@ -391,8 +407,8 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p) via gcd with x^(p+1) - x^2 and equal-degree splitting.
 
     ``p`` must be an odd prime above deg f.  The one caller,
-    :func:`_in_field_roots_with_multiplicity`, passes only p > _SCAN_FACTOR·deg;
-    smaller primes take its residue scan.
+    :func:`_residue_candidates`, passes only p > _SCAN_FACTOR·deg; smaller
+    primes take its residue scan.
 
     Once x^k is divided out, f(0) != 0, so gcd(f, x^p - x) equals
     g = gcd(f, x^(p+1) - x^2), and a factor h splits at
@@ -467,27 +483,116 @@ def _probe_gcd(h: list[int], power: list[int], a: int, p: int) -> list[int]:
     return _poly_gcd(h, power, p)
 
 
-def _integer_candidates(poly: Polynomial) -> tuple[list[int], int, int]:
-    """(g, L, p) for a monic ``poly`` over Q: g integer, p a Mersenne prime.
+def _integer_scaling(poly: Polynomial) -> tuple[list[int], int, int]:
+    """(g, L, b) for a monic ``poly`` over Q: g monic on ints, every integer root |y| <= 2^(b+1).
 
     With L the lcm of the denominators, g(y) = L^n poly(y/L) is monic with
     integer coefficients, so its rational roots are integers y, and the
     roots of ``poly`` are the y/L.  Fujiwara's bound puts them in
-    |y| <= 2^(b+1), so modulo a prime p > 2^(b+2) they stay distinct and
-    lift back from (-p/2, p/2): every integer root of g is the symmetric
-    lift of one root of g mod p.
+    |y| <= 2^(b+1), so they are the symmetric residues of their images
+    modulo any q > 2^(b+2).
     """
     n = poly.degree
     lcm = math.lcm(*(c.denominator for c in poly.coeffs))
-    g = [int(c * lcm ** (n - i)) for i, c in enumerate(poly.coeffs)]
+    g = [c.numerator * (lcm ** (n - i) // c.denominator) for i, c in enumerate(poly.coeffs)]
     b = max((-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1])), default=0)
+    return g, lcm, b
+
+
+def _mersenne_prime(b: int) -> int:
+    """The smallest listed Mersenne prime above 2^(b+2), the fallback modulus over Q.
+
+    Modulo it the integer roots of :func:`_integer_scaling`'s g stay
+    distinct, and each is the symmetric lift of one root of g mod p.
+    """
     e = next((e for e in _MERSENNE_EXPONENTS if e > b + 2), None)
     if e is None:
         raise HesspairsError(
             f"characteristic polynomial too large: its rational root bound 2^{b + 1} "
             f"exceeds the largest supported bound 2^{_MERSENNE_EXPONENTS[-1] - 2}"
         )
-    return g, lcm, 2**e - 1
+    return 2**e - 1
+
+
+def _primes_above(n: int):
+    """The primes above n, in increasing order."""
+    q = max(n, 1)
+    while True:
+        q += 1
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            yield q
+
+
+def _lift_moduli(p: int, b: int) -> list[int]:
+    """The moduli p^j of Newton's iteration from p up to the least p^k > 2^(b+2), increasing.
+
+    The precisions j are k, ⌈k/2⌉, ⌈k/4⌉, … down to 2, so each step about
+    doubles the last; empty when p itself is above 2^(b+2).
+    """
+    k = max(1, math.ceil((b + 2) / math.log2(p)))
+    while p**k <= 1 << (b + 2):
+        k += 1
+    moduli = []
+    while k > 1:
+        moduli.append(p**k)
+        k = (k + 1) // 2
+    return moduli[::-1]
+
+
+def _lift_root(h: list[int], dh: list[int], r: int, p: int, moduli: list[int]) -> int:
+    """The symmetric residue mod the last modulus of the p-adic root of h above r.
+
+    ``h`` and its derivative ``dh`` are on ints, high-to-low, and r is a
+    simple root of h mod p.  Newton's iteration y <- y - h(y)/h'(y) lifts
+    it modulo each of :func:`_lift_moduli`'s ``moduli`` in turn.  The
+    inverse s of h'(y) is carried along, s <- s(2 - h'(y)s), so the only
+    modular inverse is the one mod p.  With no moduli the result is r's
+    symmetric residue mod p.
+    """
+    y, q = r, p
+    s = pow(_synthetic_division(dh, y, p)[1], -1, p)
+    for i, q in enumerate(moduli):
+        y = (y - _synthetic_division(h, y, q)[1] * s) % q
+        if i + 1 < len(moduli):
+            s = s * (2 - _synthetic_division(dh, y, q)[1] * s) % q
+    return y - q if y > q // 2 else y
+
+
+def _lifted_roots(g: list[int], b: int) -> list[tuple[int, int]] | None:
+    """(y, multiplicity) for every integer root y of a monic g, or None.
+
+    ``b`` is :func:`_integer_scaling`'s bound.  The primes above 2·deg g are
+    tried in increasing order, at most _LIFT_PRIMES of them.  Each root r
+    of multiplicity m of g mod p, from the GF(p) count, is a simple root of
+    g^(m-1) mod p, as p > deg g >= m.  :func:`_lift_root` lifts it until
+    p^k > 2^(b+2), and the result y is divided out of one shrinking
+    quotient over Z; the repeated residues come first.  A prime is kept
+    only when every root mod p is accounted for: a simple one lifts
+    uniquely, so y is the only integer root that can reduce to r, and a
+    repeated one must lift to a y that divides g exactly m times, as the m
+    roots of g in its residue class then all equal y.  Distinct roots
+    congruent mod p, and repeated irrational factors, fail that, and the
+    next prime is tried.  None when every prime tried fails.
+    """
+    n = len(g) - 1
+    # g, g', g'', …, high-to-low, formed as the multiplicities need them.
+    derivatives = [g[::-1]]
+    for p in itertools.islice(_primes_above(2 * n), _LIFT_PRIMES):
+        pairs = sorted(_roots_mod([c % p for c in g], p), key=lambda rm: rm[1] == 1)
+        while len(derivatives) <= max((m for _, m in pairs), default=0):
+            h = derivatives[-1]
+            derivatives.append([c * i for i, c in zip(range(len(h) - 1, 0, -1), h)])
+        moduli = _lift_moduli(p, b)
+        lifts = (_lift_root(derivatives[m - 1], derivatives[m], r, p, moduli) for r, m in pairs)
+        found = []
+        for (_, m), (y, mult) in zip(pairs, _multiplicities(g, lifts, 0)):
+            if m > 1 and mult != m:
+                break
+            if mult:
+                found.append((y, mult))
+        else:
+            return sorted(found)
+    return None
 
 
 def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int]:
@@ -507,39 +612,59 @@ def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int
     return out, rem
 
 
-def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
-    """All (root, multiplicity) pairs with the root in the ground field, roots ascending.
+def _multiplicities(g: list[int], candidates, p: int):
+    """Yield (r, multiplicity in g) for each candidate r, in the order given.
 
-    Works on integer coefficients g and a prime p: over GF(p) the residues
-    of ``poly``; over Q, g, L and the Mersenne prime p of
-    :func:`_integer_candidates`, where a root y of g is the root y/L of
-    ``poly``.  The residues tried are every residue when p <= _SCAN_FACTOR·deg
-    and the gcd finder's roots of g mod p above; over Q the candidates are
-    their symmetric lifts.  Each candidate, in ascending order, is divided
-    out of one shrinking quotient, mod p or exactly over Z.  The number of
-    zero remainders is its multiplicity, and the one exact root test: a
-    candidate that divides zero times is dropped.
+    ``g`` is on ints, low-to-high; mod p when p is nonzero, exact over Z
+    when p is 0.  Each candidate is divided out of one shrinking quotient
+    until the remainder is nonzero: the number of zero remainders is its
+    multiplicity, and the one exact root test.  Candidates must be
+    distinct.
     """
-    field_p = _prime(poly.field)
-    if field_p:
-        g, lcm, p = list(poly.coeffs), 1, field_p
-    else:
-        g, lcm, p = _integer_candidates(poly)
-    residues = range(p) if p <= _SCAN_FACTOR * poly.degree else _roots_large_prime(g, p)
-    found = residues if field_p else [r - p if r > p // 2 else r for r in residues]
-    out = []
     quo = g[::-1]
-    for r in sorted(found):
+    for r in candidates:
         mult = 0
         while True:
-            q, rem = _synthetic_division(quo, r, field_p)
+            q, rem = _synthetic_division(quo, r, p)
             if rem:
                 break
             quo = q
             mult += 1
-        if mult:
-            out.append((r if field_p else Fraction(r, lcm), mult))
-    return out
+        yield r, mult
+
+
+def _residue_candidates(g: list[int], p: int):
+    """Every residue when p <= _SCAN_FACTOR·deg g, else the gcd finder's roots of g mod p."""
+    return range(p) if p <= _SCAN_FACTOR * (len(g) - 1) else _roots_large_prime(g, p)
+
+
+def _roots_mod(g: list[int], p: int) -> list[tuple[int, int]]:
+    """(root, multiplicity) of the residues ``g`` mod p, roots ascending."""
+    return [(r, mult) for r, mult in _multiplicities(g, sorted(_residue_candidates(g, p)), p) if mult]
+
+
+def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
+    """All (root, multiplicity) pairs with the root in the ground field, roots ascending.
+
+    Over GF(p), :func:`_roots_mod` on the residues of ``poly``.  Over Q, g,
+    L and b of :func:`_integer_scaling`, where a root y of g is the root
+    y/L of ``poly``: the integer roots come from :func:`_lifted_roots`, and
+    when no small prime resolves g, from the Mersenne prime p of
+    :func:`_mersenne_prime`, whose candidates are the symmetric lifts of
+    every residue when p <= _SCAN_FACTOR·deg and of the gcd finder's roots
+    above.  Either way each candidate is counted exactly over Z by
+    :func:`_multiplicities`, and one that divides zero times is dropped.
+    """
+    field_p = _prime(poly.field)
+    if field_p:
+        return _roots_mod(list(poly.coeffs), field_p)
+    g, lcm, b = _integer_scaling(poly)
+    found = _lifted_roots(g, b)
+    if found is None:
+        p = _mersenne_prime(b)
+        lifts = sorted(r - p if r > p // 2 else r for r in _residue_candidates(g, p))
+        found = [(y, mult) for y, mult in _multiplicities(g, lifts, 0) if mult]
+    return [(Fraction(y, lcm), mult) for y, mult in found]
 
 
 # -- eigen structure ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -726,13 +727,25 @@ def test_integer_root_count_matches_field_division(field):
         decoys = [field.coerce(rng.randint(-50, 50)) for _ in range(5)]
         decoys += [field.neg(r) for r in planted] + [field.add(r, field.one()) for r in planted]
         if field == QQ:
-            g, lcm, q = spectral._integer_candidates(poly)
-            lifts = [y - q if y > q // 2 else y for y in spectral._roots_large_prime(g, q)]
+            # The lifts of every root of g mod a prime above 2·deg at which
+            # 2 is a square, each of multiplicity m from g^(m-1).
+            g, lcm, b = spectral._integer_scaling(poly)
+            q = next(q for q in spectral._primes_above(2 * poly.degree) if q % 8 in (1, 7))
+            derivatives = [g[::-1]]
+            while len(derivatives[-1]) > 1:
+                h = derivatives[-1]
+                derivatives.append([c * i for i, c in zip(range(len(h) - 1, 0, -1), h)])
+            moduli = spectral._lift_moduli(q, b)
+            lifts = [
+                spectral._lift_root(derivatives[m - 1], derivatives[m], r, q, moduli)
+                for r, m in spectral._roots_mod([c % q for c in g], q)
+            ]
             decoys += [Fraction(y, lcm) for y in lifts]
             decoys += [Fraction(y) for y in lifts]  # L forgotten
             if sqrt2 in extras:
-                # x^2 - 2 has roots modulo the Mersenne prime: two lifts to drop.
-                assert len(lifts) >= len(planted) + 2
+                # x^2 - 2 has roots modulo that prime, whose lifts are not
+                # roots: decoys to drop.
+                assert any(Fraction(y, lcm) not in planted for y in lifts)
             assert all(
                 type(r) is Fraction and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
                 for r, _ in found
@@ -781,9 +794,25 @@ def test_large_rational_eigenvalues(values):
     assert eig.diagonalizable
 
 
-def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys):
+def _no_small_prime_poly():
+    """((x^2 - 2)(x^2 - 3)(x^2 - 6))^2, which no lifting prime resolves.
+
+    For every prime p above 3 one of 2, 3 and 6 is a square mod p, so g
+    mod p has a double root that is no double rational root.
+    """
+    f = Polynomial.from_coefficients(QQ, [-36, 0, 36, 0, -11, 0, 1])
+    return f * f
+
+
+def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys, monkeypatch):
+    # Only the Mersenne fallback has a largest modulus, 2^132049 - 1, and
+    # refuses a root bound beyond it.  With the lifting primes switched off,
+    # the 1×1 matrix of 10^40000 takes the fallback; eigen_structure and
+    # analyze report its HesspairsError.  With them, the lift finds the
+    # root (test_root_bound_above_the_mersenne_cap_is_lifted).
     from hesspairs.cli import main
 
+    monkeypatch.setattr(spectral, "_LIFT_PRIMES", 0)
     with pytest.raises(HesspairsError, match="root bound"):
         eigen_structure(Matrix.from_rows(QQ, [["1e40000"]]))
     doc = tmp_path / "huge.json"
@@ -792,6 +821,124 @@ def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "HesspairsError"
+
+
+def test_root_bound_above_the_mersenne_cap_is_lifted(monkeypatch):
+    # diag(x, -x) with x = 2^133000 + 12345: y^2 - x^2 has its root bound
+    # above the largest Mersenne modulus, and its roots ±x lift from p = 5
+    # (0.3 s on a 2-vCPU VM, CPython 3.11).  The fallback is not taken.
+    x = 2**133000 + 12345
+    fallback = _counting(monkeypatch, "_mersenne_prime")
+    eig = eigen_structure(Matrix.diagonal(QQ, [x, -x]))
+    assert [v.value for v in eig.eigenvalues] == [-x, x]
+    assert eig.dims == (1, 1)
+    eig = eigen_structure(Matrix.from_rows(QQ, [["1e40000"]]))
+    assert [v.value for v in eig.eigenvalues] == [10**40000]
+    assert not fallback
+
+
+def _huge_diagonal(bits):
+    """Four rationals with ``bits``-bit numerators over odd bits/2-bit denominators."""
+    rng = random.Random(5)
+    return [Fraction(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.getrandbits(bits // 2) | 1) for _ in range(4)]
+
+
+@pytest.mark.parametrize("bits", [1000, 2000, 4000])
+def test_huge_rational_diagonals_are_lifted(bits, monkeypatch):
+    # The Mersenne prime above the root bound took 1.7 s, 42 s and 69 s on
+    # the 1000-, 2000- and 4000-bit diagonals; lifting from small primes
+    # takes 0.004, 0.011 and 0.039 s (CPU, 2-vCPU VM, CPython 3.11).  The
+    # fallback is not taken.
+    values = _huge_diagonal(bits)
+    fallback = _counting(monkeypatch, "_mersenne_prime")
+    start = time.perf_counter()
+    eig = eigen_structure(Matrix.diagonal(QQ, values))
+    assert time.perf_counter() - start < 5
+    assert [v.value for v in eig.eigenvalues] == sorted(values)
+    assert not fallback
+
+
+def test_lifted_roots_match_sympy(monkeypatch):
+    # The lifting path against sympy, on seeded integer polynomials and on
+    # planted ones: repeated roots, the root 0, and extra factors without
+    # rational roots.  None of them reaches the fallback.
+    sympy = pytest.importorskip("sympy")
+    fallback = _counting(monkeypatch, "_mersenne_prime")
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        coeffs = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)]
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.randint(1, 12), rng.randint(-10**6, 10**6)
+            coeffs = [a * v + b * u for a, b in zip(coeffs + [0], [0] + coeffs)]
+        cases.append(coeffs)
+    for _ in range(40):
+        roots = [Fraction(rng.randint(-(2**40), 2**40), rng.randint(1, 30)) for _ in range(rng.randint(1, 3))]
+        roots += roots[: rng.randint(0, 2)] + [0] * rng.choice([0, 0, 1, 2])
+        poly = Polynomial.from_roots(QQ, roots)
+        if rng.random() < 0.4:
+            poly = poly * Polynomial.from_coefficients(QQ, [-2, 0, 1])
+        if rng.random() < 0.4:
+            poly = poly * _rootless_quadratic(rng)
+        den = math.lcm(*(c.denominator for c in poly.coeffs))
+        cases.append([int(c * den) for c in poly.coeffs])
+    for coeffs in cases:
+        lead = Fraction(coeffs[-1])
+        poly = Polynomial(QQ, [Fraction(c) / lead for c in coeffs])
+        assert _in_field_roots_with_multiplicity(poly) == _sympy_rational_roots(sympy, coeffs), coeffs
+    assert not fallback
+
+
+def test_lifting_prime_rejected_when_a_repeated_root_mod_p_is_not_rational(monkeypatch):
+    # The first prime tried is the first above 2·deg.  It is rejected, and
+    # the next one kept, when two distinct rational roots are congruent
+    # modulo it, or when x^2 - 2 has a double root modulo it.  (x^2 - 2)^2
+    # (x - 1) has its first prime 11 kept, at which 2 is not a square.
+    # sympy agrees on every case, and the fallback is not taken.
+    sympy = pytest.importorskip("sympy")
+    sqrt2 = Polynomial.from_coefficients(QQ, [-2, 0, 1])
+    cases = [
+        # Degree 4, first prime 11: 3 and 14 meet mod 11.
+        (Polynomial.from_roots(QQ, [3, 14, -5, 0]), [11, 13]),
+        # Scaled by L = 2, the roots are 3, 25 and 14 twice: all meet mod 11.
+        (Polynomial.from_roots(QQ, [Fraction(3, 2), Fraction(25, 2), 7, 7]), [11, 13]),
+        # Degree 7, first prime 17: 2 is a square mod 17, not mod 19.
+        (sqrt2 * sqrt2 * Polynomial.from_roots(QQ, [1, 0, 0]), [17, 19]),
+        (sqrt2 * sqrt2 * Polynomial.from_roots(QQ, [1]), [11]),
+    ]
+    for poly, primes in cases:
+        tried = _counting(monkeypatch, "_roots_mod")
+        fallback = _counting(monkeypatch, "_mersenne_prime")
+        den = math.lcm(*(c.denominator for c in poly.coeffs))
+        expected = _sympy_rational_roots(sympy, [int(c * den) for c in poly.coeffs])
+        assert _in_field_roots_with_multiplicity(poly) == expected, poly
+        assert [q for _, q in tried] == primes, poly
+        assert not fallback
+        monkeypatch.undo()
+
+
+def test_fallback_runs_when_no_small_prime_resolves(monkeypatch):
+    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 has a double root modulo each of the
+    # 60 primes above 24, so every lifting prime is rejected and the
+    # Mersenne path runs.  Like sympy it finds no rational root, and with
+    # rational factors multiplied in, exactly those.
+    sympy = pytest.importorskip("sympy")
+    poly = _no_small_prime_poly()
+    g = [int(c) for c in poly.coeffs]
+    primes = list(itertools.islice(spectral._primes_above(24), 60))
+    assert all(max(m for _, m in spectral._roots_mod([c % q for c in g], q)) >= 2 for q in primes)
+    for extra, expected in (([], []), ([5, 5, Fraction(1, 3)], [(Fraction(1, 3), 1), (Fraction(5), 2)])):
+        full = poly * Polynomial.from_roots(QQ, extra)
+        tried = _counting(monkeypatch, "_roots_mod")
+        fallback = _counting(monkeypatch, "_mersenne_prime")
+        den = math.lcm(*(c.denominator for c in full.coeffs))
+        assert _sympy_rational_roots(sympy, [int(c * den) for c in full.coeffs]) == expected
+        assert _in_field_roots_with_multiplicity(full) == expected
+        assert len(fallback) == 1
+        assert [q for _, q in tried] == list(
+            itertools.islice(spectral._primes_above(2 * full.degree), spectral._LIFT_PRIMES)
+        )
+        monkeypatch.undo()
 
 
 def _ref_trim(c):
@@ -954,17 +1101,22 @@ def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [31, 127, 8191])
 def test_rational_scan_matches_finder_and_sympy(p):
-    # Over Q the residue scan is taken when the Mersenne prime p is at most
-    # _SCAN_FACTOR·deg; its candidates are the symmetric lifts of every
-    # residue.  On planted integer polynomials whose prime is p (repeated
-    # roots, the root 0, and x^2 - 2, which has roots mod p but not in Q),
-    # the default rule, the forced scan, the forced gcd finder and sympy
-    # must agree.  With p forced below the prime of the root bound, roots
-    # at ±⌊p/2⌋ test the ends of the lift.
+    # Over Q the roots mod each lifting prime, the first above 2·deg, come
+    # from the GF(p) count, and the Mersenne fallback takes the residue scan
+    # when its prime p is at most _SCAN_FACTOR·deg, with the symmetric lifts
+    # of every residue as candidates.  On planted integer polynomials whose
+    # fallback prime is p (repeated roots, the root 0, and x^2 - 2, which has
+    # roots mod p but not in Q), the lifting path, the fallback forced by
+    # _LIFT_PRIMES = 0, each under the default rule, the forced scan and the
+    # forced gcd finder, and sympy must agree.  The lifting path starts at
+    # the first prime above 2·deg and never asks for the Mersenne prime; the
+    # fallback calls the gcd finder with p exactly when p > _SCAN_FACTOR·deg.
+    # With p forced below the prime of the root bound, roots at ±⌊p/2⌋ test
+    # the ends of the fallback's lift.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(p)
     height = {31: 2, 127: 6, 8191: 200}[p]
-    integer_candidates, finder = spectral._integer_candidates, spectral._roots_large_prime
+    mersenne_prime, finder, roots_mod = spectral._mersenne_prime, spectral._roots_large_prime, spectral._roots_mod
     cases = []
     while len(cases) < 12:
         roots = [rng.randint(-height, height) for _ in range(rng.randint(1, 4))]
@@ -974,23 +1126,32 @@ def test_rational_scan_matches_finder_and_sympy(p):
         poly = Polynomial.from_roots(QQ, roots)
         if rng.random() < 0.3:
             poly = poly * Polynomial.from_coefficients(QQ, [-2, 0, 1])
-        if integer_candidates(poly)[2] == p:
+        if mersenne_prime(spectral._integer_scaling(poly)[2]) == p:
             cases.append((poly, False))
     half = p // 2
     for roots in ([half, -half], [half, half, 0, -half, 1], [-half, -half, -half]):
         cases.append((Polynomial.from_roots(QQ, roots), True))
     for poly, forced in cases:
         expected = _sympy_rational_roots(sympy, [int(c) for c in poly.coeffs])
-        with pytest.MonkeyPatch.context() as mp:
-            if forced:
-                mp.setattr(spectral, "_integer_candidates", lambda f: (*integer_candidates(f)[:2], p))
-            calls = []
-            mp.setattr(spectral, "_roots_large_prime", lambda g, q: calls.append(q) or finder(g, q))
-            assert _in_field_roots_with_multiplicity(poly) == expected, poly
-            assert calls == ([] if p <= spectral._SCAN_FACTOR * poly.degree else [p])
-            for factor in (p, 0):
-                mp.setattr(spectral, "_SCAN_FACTOR", factor)
-                assert _in_field_roots_with_multiplicity(poly) == expected, (poly, factor)
+        for lift_primes in (spectral._LIFT_PRIMES, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "_LIFT_PRIMES", lift_primes)
+                primes, mersennes, calls = [], [], []
+                mp.setattr(spectral, "_roots_mod", lambda g, q: primes.append(q) or roots_mod(g, q))
+                mp.setattr(
+                    spectral, "_mersenne_prime", lambda b: mersennes.append(b) or (p if forced else mersenne_prime(b))
+                )
+                mp.setattr(spectral, "_roots_large_prime", lambda g, q: calls.append(q) or finder(g, q))
+                assert _in_field_roots_with_multiplicity(poly) == expected, poly
+                if lift_primes:
+                    assert primes[:1] == [next(spectral._primes_above(2 * poly.degree))], poly
+                    assert mersennes == calls == [], poly
+                else:
+                    assert primes == [] and len(mersennes) == 1, poly
+                    assert calls == ([] if p <= spectral._SCAN_FACTOR * poly.degree else [p])
+                for factor in (p, 0):
+                    mp.setattr(spectral, "_SCAN_FACTOR", factor)
+                    assert _in_field_roots_with_multiplicity(poly) == expected, (poly, factor, lift_primes)
 
 
 @pytest.mark.parametrize("p", [13, 101, 1009, 2**31 - 1])
@@ -1166,8 +1327,9 @@ def test_gcd_finder_gets_only_odd_primes_above_the_scan_bound(monkeypatch):
     # nothing itself; eigen_structure must call it only with
     # p > _SCAN_FACTOR·deg, on seeded matrices with and without in-field
     # spectra, over small and large fields.  Every large field must reach
-    # it: GF(65537) and GF(2^31 - 1) by their own prime, Q by the Mersenne
-    # prime of a 4×4 diagonal with 1000-bit entries.
+    # it: GF(65537) and GF(2^31 - 1) by their own prime, Q through the
+    # Mersenne fallback, with prime 2^61 - 1, of the companion matrix of
+    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 (x - 2^40).
     finder = spectral._roots_large_prime
     calls = []
 
@@ -1193,8 +1355,11 @@ def test_gcd_finder_gets_only_odd_primes_above_the_scan_bound(monkeypatch):
             except EigenvaluesOutsideFieldError:
                 pass
         if field == QQ:
-            big = [rng.choice((-1, 1)) * (rng.getrandbits(999) | 1 << 999) for _ in range(4)]
-            eig = eigen_structure(Matrix.diagonal(QQ, big))
-            assert [v.value for v in eig.eigenvalues] == sorted(big)
+            assert not calls
+            poly = _no_small_prime_poly() * Polynomial.from_roots(QQ, [2**40])
+            with pytest.raises(EigenvaluesOutsideFieldError) as err:
+                eigen_structure(companion(QQ, poly.coeffs))
+            assert err.value.unfactored_degree == 12
+            assert calls == [2**61 - 1]
         if field in (GF(65537), GF(2**31 - 1), QQ):
             assert calls, field
