@@ -353,15 +353,14 @@ def cmd_analyze(args) -> int:
             continue
         try:
             report = _analyze_document(args, line)
-        except HesspairsError as exc:
-            name, code = _classify_error(exc)
-            out = json.dumps({**_error_json(name, str(exc)), "line": k}, sort_keys=True)
-            worst = max(worst, code)
-        else:
             if args.format == "json":
                 out = json.dumps(report_to_json(report), sort_keys=True)
             else:
                 out = report_to_text(report)
+        except HesspairsError as exc:
+            name, code = _classify_error(exc)
+            out = json.dumps({**_error_json(name, str(exc)), "line": k}, sort_keys=True)
+            worst = max(worst, code)
         sys.stdout.write(out + "\n")
     return worst
 

@@ -28,6 +28,7 @@ the Berkowitz recurrence and echelons run on integer images instead
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -36,6 +37,7 @@ from typing import Iterable, Union
 
 from .errors import (
     DivisionByZeroError,
+    HesspairsError,
     InfiniteFieldError,
     MixedFieldsError,
     NotPrimeError,
@@ -132,8 +134,19 @@ class FieldSpec:
         raise NotImplementedError
 
     def format(self, value: Raw) -> str:
-        """Canonical text form ("n" or "n/d" over Q, residue over GF(p))."""
-        return str(value)
+        """Canonical text form ("n" or "n/d" over Q, residue over GF(p)).
+
+        A scalar with more digits than the interpreter converts to text
+        (``sys.get_int_max_str_digits()``, 4300 by default) raises
+        :class:`~hesspairs.errors.HesspairsError`, so an output that holds
+        one fails as a structured error.
+        """
+        try:
+            return str(value)
+        except ValueError as exc:
+            raise HesspairsError(
+                f"scalar too large to print: more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
 
     def element(self, x) -> "FieldElement":
         return FieldElement(self, self.coerce(x))

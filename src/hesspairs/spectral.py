@@ -10,8 +10,9 @@ only*:
   roots are integers.  Its roots mod a small prime p above 2·deg, each
   with its multiplicity m mod p, are lifted p-adically: Newton's
   iteration on the (m-1)-th derivative of g, modulo p, p², p⁴, …, until
-  p^k exceeds twice Fujiwara's root bound of g (Loos 1983; von zur
-  Gathen and Gerhard, *Modern Computer Algebra*, ch. 15).  A prime is
+  p^k exceeds twice the bound on a root of multiplicity m: Fujiwara's,
+  or Landau's ||g||_2^(1/m) when smaller (Loos 1983; von zur Gathen and
+  Gerhard, *Modern Computer Algebra*, ch. 15).  A prime is
   kept only when every root mod p is accounted for: simple ones lift
   uniquely, and a repeated one must lift to a rational root of the same
   multiplicity.  When a few primes in a row fail, as on
@@ -68,7 +69,7 @@ from .errors import (
     NotDiagonalizableError,
     NotSquareError,
 )
-from .fields import FieldElement, FieldSpec, PrimeField, Raw
+from .fields import FieldElement, FieldSpec, PrimeField, Raw, _is_prime
 from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 
 # A polynomial of degree n has its roots mod p (the field's prime, or over
@@ -516,11 +517,7 @@ def _mersenne_prime(b: int) -> int:
 
 def _primes_above(n: int):
     """The primes above n, in increasing order."""
-    q = max(n, 1)
-    while True:
-        q += 1
-        if all(q % d for d in range(2, math.isqrt(q) + 1)):
-            yield q
+    return (q for q in itertools.count(n + 1) if _is_prime(q))
 
 
 def _lift_moduli(p: int, b: int) -> list[int]:
@@ -565,16 +562,22 @@ def _lifted_roots(g: list[int], b: int) -> list[tuple[int, int]] | None:
     tried in increasing order, at most _LIFT_PRIMES of them.  Each root r
     of multiplicity m of g mod p, from the GF(p) count, is a simple root of
     g^(m-1) mod p, as p > deg g >= m.  :func:`_lift_root` lifts it until
-    p^k > 2^(b+2), and the result y is divided out of one shrinking
-    quotient over Z; the repeated residues come first.  A prime is kept
-    only when every root mod p is accounted for: a simple one lifts
-    uniquely, so y is the only integer root that can reduce to r, and a
-    repeated one must lift to a y that divides g exactly m times, as the m
-    roots of g in its residue class then all equal y.  Distinct roots
+    p^k is above twice the bound on a root of multiplicity m: Fujiwara's
+    2^(b+1), or Landau's ||g||_2^(1/m) when smaller (a root y of g of
+    multiplicity m has |y|^m <= M(g) <= ||g||_2, M the Mahler measure).
+    The result y is divided out of one shrinking quotient over Z; the
+    repeated residues come first, so a prime is rejected before its simple
+    residues are lifted.  A prime is kept only when every root mod p is
+    accounted for: a simple one lifts uniquely, so y is the only integer
+    root that can reduce to r, and a repeated one must lift to a y that
+    divides g exactly m times, as the m roots of g in its residue class
+    then all equal y.  Distinct roots
     congruent mod p, and repeated irrational factors, fail that, and the
     next prime is tried.  None when every prime tried fails.
     """
     n = len(g) - 1
+    # ||g||_2^2 < 2^norm_bits, so a root of multiplicity m is below 2^⌈norm_bits/2m⌉.
+    norm_bits = sum(c * c for c in g).bit_length()
     # g, g', g'', …, high-to-low, formed as the multiplicities need them.
     derivatives = [g[::-1]]
     for p in itertools.islice(_primes_above(2 * n), _LIFT_PRIMES):
@@ -582,8 +585,8 @@ def _lifted_roots(g: list[int], b: int) -> list[tuple[int, int]] | None:
         while len(derivatives) <= max((m for _, m in pairs), default=0):
             h = derivatives[-1]
             derivatives.append([c * i for i, c in zip(range(len(h) - 1, 0, -1), h)])
-        moduli = _lift_moduli(p, b)
-        lifts = (_lift_root(derivatives[m - 1], derivatives[m], r, p, moduli) for r, m in pairs)
+        moduli = {m: _lift_moduli(p, min(b, -(-norm_bits // (2 * m)) - 1)) for m in {m for _, m in pairs}}
+        lifts = (_lift_root(derivatives[m - 1], derivatives[m], r, p, moduli[m]) for r, m in pairs)
         found = []
         for (_, m), (y, mult) in zip(pairs, _multiplicities(g, lifts, 0)):
             if m > 1 and mult != m:

@@ -727,25 +727,28 @@ def test_integer_root_count_matches_field_division(field):
         decoys = [field.coerce(rng.randint(-50, 50)) for _ in range(5)]
         decoys += [field.neg(r) for r in planted] + [field.add(r, field.one()) for r in planted]
         if field == QQ:
-            # The lifts of every root of g mod a prime above 2·deg at which
-            # 2 is a square, each of multiplicity m from g^(m-1).
             g, lcm, b = spectral._integer_scaling(poly)
+            q = spectral._mersenne_prime(b)
+            lifts = [y - q if y > q // 2 else y for y in spectral._roots_large_prime(g, q)]
+            # The p-adic lifts of every root of g mod a small prime at which
+            # 2 is a square, each of multiplicity m from g^(m-1), are decoys too.
             q = next(q for q in spectral._primes_above(2 * poly.degree) if q % 8 in (1, 7))
             derivatives = [g[::-1]]
             while len(derivatives[-1]) > 1:
                 h = derivatives[-1]
                 derivatives.append([c * i for i, c in zip(range(len(h) - 1, 0, -1), h)])
             moduli = spectral._lift_moduli(q, b)
-            lifts = [
+            small_lifts = [
                 spectral._lift_root(derivatives[m - 1], derivatives[m], r, q, moduli)
                 for r, m in spectral._roots_mod([c % q for c in g], q)
             ]
-            decoys += [Fraction(y, lcm) for y in lifts]
-            decoys += [Fraction(y) for y in lifts]  # L forgotten
+            decoys += [Fraction(y, lcm) for y in lifts + small_lifts]
+            decoys += [Fraction(y) for y in lifts + small_lifts]  # L forgotten
             if sqrt2 in extras:
-                # x^2 - 2 has roots modulo that prime, whose lifts are not
-                # roots: decoys to drop.
-                assert any(Fraction(y, lcm) not in planted for y in lifts)
+                # x^2 - 2 has roots modulo the Mersenne prime: two lifts to drop.
+                assert len(lifts) >= len(planted) + 2
+                # And modulo the small prime: at least one lift to drop.
+                assert any(Fraction(y, lcm) not in planted for y in small_lifts)
             assert all(
                 type(r) is Fraction and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
                 for r, _ in found
@@ -804,23 +807,39 @@ def _no_small_prime_poly():
     return f * f
 
 
-def test_root_bound_beyond_largest_modulus_is_refused(tmp_path, capsys, monkeypatch):
+def test_root_bound_beyond_largest_modulus_is_refused(monkeypatch):
     # Only the Mersenne fallback has a largest modulus, 2^132049 - 1, and
     # refuses a root bound beyond it.  With the lifting primes switched off,
-    # the 1×1 matrix of 10^40000 takes the fallback; eigen_structure and
-    # analyze report its HesspairsError.  With them, the lift finds the
-    # root (test_root_bound_above_the_mersenne_cap_is_lifted).
-    from hesspairs.cli import main
-
+    # the 1×1 matrix of 10^40000 takes the fallback and eigen_structure
+    # reports its HesspairsError.  With them, the lift finds the root
+    # (test_root_bound_above_the_mersenne_cap_is_lifted).
     monkeypatch.setattr(spectral, "_LIFT_PRIMES", 0)
     with pytest.raises(HesspairsError, match="root bound"):
         eigen_structure(Matrix.from_rows(QQ, [["1e40000"]]))
-    doc = tmp_path / "huge.json"
-    doc.write_text(json.dumps({"field": {"kind": "Q"}, "A": [["1e40000"]], "Astar": [["0"]]}))
-    assert main(["analyze", str(doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"]["type"] == "HesspairsError"
+
+
+@pytest.mark.parametrize("entry", ["1e40000", "1e4400"])
+def test_eigenvalue_too_long_to_print_is_a_structured_error(entry, tmp_path, capsys):
+    # Both eigenvalues are found, and have more digits than the interpreter
+    # turns into text (4300 by default): analyze reports a HesspairsError
+    # with exit 1 in json and text, and a batch fails that line only.
+    from hesspairs.cli import main
+
+    doc = {"field": {"kind": "Q"}, "A": [[entry]], "Astar": [["0"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("json", "text"):
+        assert main(["analyze", "--format", fmt, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "HesspairsError" and "too large to print" in error["message"]
+    small = {"field": {"kind": "Q"}, "A": [["2"]], "Astar": [["0"]]}
+    path.write_text(json.dumps(doc) + "\n" + json.dumps(small) + "\n")
+    assert main(["analyze", "--batch", str(path)]) == 1
+    first, second = capsys.readouterr().out.splitlines()
+    assert json.loads(first)["line"] == 1 and json.loads(first)["error"]["type"] == "HesspairsError"
+    assert json.loads(second)["eigen"]["a"]["eigenvalues"] == ["2"]
 
 
 def test_root_bound_above_the_mersenne_cap_is_lifted(monkeypatch):
@@ -939,6 +958,23 @@ def test_fallback_runs_when_no_small_prime_resolves(monkeypatch):
             itertools.islice(spectral._primes_above(2 * full.degree), spectral._LIFT_PRIMES)
         )
         monkeypatch.undo()
+
+
+def test_rejected_lifting_primes_lift_below_the_multiplicity_bound(monkeypatch):
+    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 (x - 10^40000): every lifting prime
+    # is rejected on a double residue, lifted once per prime, and then the
+    # fallback refuses the root bound 2^132879.  A double root y has
+    # |y|^2 <= ||g||_2, so the lift stops near 2^66445 instead of
+    # 2^132881: 3.9 s CPU instead of 9.3 s (2-vCPU Xeon VM, CPython 3.11).
+    poly = _no_small_prime_poly() * Polynomial.from_roots(QQ, [10**40000])
+    b = spectral._integer_scaling(poly)[2]
+    lifts = _counting(monkeypatch, "_lift_root")
+    start = time.process_time()
+    with pytest.raises(HesspairsError, match="too large"):
+        _in_field_roots_with_multiplicity(poly)
+    assert time.process_time() - start < 30
+    assert len(lifts) == spectral._LIFT_PRIMES
+    assert all(moduli[-1].bit_length() < b // 2 + 64 for *_, moduli in lifts)
 
 
 def _ref_trim(c):
