@@ -7,17 +7,14 @@ only*:
 
 * over GF(p), the roots are sought among the residues mod p itself;
 * over Q, the polynomial is scaled to a monic integer g whose rational
-  roots are integers.  Its roots mod a small prime p above 2·deg, each
-  with its multiplicity m mod p, are lifted p-adically: Newton's
-  iteration on the (m-1)-th derivative of g, modulo p, p², p⁴, …, until
-  p^k exceeds twice the bound on a root of multiplicity m: Fujiwara's,
-  or Landau's ||g||_2^(1/m) when smaller (Loos 1983; von zur Gathen and
-  Gerhard, *Modern Computer Algebra*, ch. 15).  A prime is
-  kept only when every root mod p is accounted for: simple ones lift
-  uniquely, and a repeated one must lift to a rational root of the same
-  multiplicity.  When a few primes in a row fail, as on
-  ((x² - 2)(x² - 3)(x² - 6))², the candidates are the symmetric lifts of
-  the roots of g mod a Mersenne prime above twice the root bound.
+  roots are integers.  When g mod p has a repeated root, g gives way to
+  its square-free part h = g / gcd(g, g'), with the gcd taken modulo
+  word primes and combined by CRT (von zur Gathen and Gerhard, *Modern
+  Computer Algebra*, ch. 6).  The prime p is the first above 2·deg at
+  which every root of g mod p is a simple root of h, and each is lifted
+  p-adically: Newton's iteration on h, modulo p, p², p⁴, …, until p^k
+  exceeds twice Fujiwara's bound on the roots (Loos 1983; ibid.,
+  ch. 15).  Each lift is counted exactly on g, as below.
 
 On both fields, and for each prime p over Q, the candidate residues mod
 p are all of them when p <= 64·deg and, for larger p (odd, and above the
@@ -63,7 +60,6 @@ from typing import Sequence
 from .errors import (
     DuplicateEigenvalueError,
     EigenvaluesOutsideFieldError,
-    HesspairsError,
     LengthMismatchError,
     NotADecompositionError,
     NotDiagonalizableError,
@@ -73,8 +69,7 @@ from .fields import FieldElement, FieldSpec, PrimeField, Raw, _is_prime
 from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
 
 # A polynomial of degree n has its roots mod p (the field's prime, or over
-# Q a lifting prime or the fallback Mersenne prime) found by trying every
-# residue when
+# Q a lifting prime) found by trying every residue when
 # p <= _SCAN_FACTOR·n, and by gcd-based linear-factor extraction above.
 # The scan costs about p·n Horner steps and the gcd finder about
 # n²·log p products, so the crossover grows with the degree.
@@ -85,20 +80,6 @@ _SCAN_FACTOR = 64
 # with probability about 1/p; over GF(2) and GF(3) the spares catch most
 # of the misses before the kernel has to.
 _SPARE_START_VECTORS = 2
-
-# Primes above 2·deg tried, in increasing order, for the rational roots of
-# a polynomial over Q before it falls back to the Mersenne prime.  Each
-# costs one residue count and a lift per root mod p, and a prime fails
-# when a repeated root mod p is not one repeated rational root.
-_LIFT_PRIMES = 8
-
-# Exponents e of the Mersenne primes 2^e - 1: the fallback moduli in which
-# rational roots are found.
-_MERSENNE_EXPONENTS = (
-    3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
-    4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
-)
-
 
 class Polynomial:
     """Polynomial over an exact field, coefficients stored low-to-high.
@@ -408,8 +389,8 @@ def _roots_large_prime(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p) via gcd with x^(p+1) - x^2 and equal-degree splitting.
 
     ``p`` must be an odd prime above deg f.  The one caller,
-    :func:`_residue_candidates`, passes only p > _SCAN_FACTOR·deg; smaller
-    primes take its residue scan.
+    :func:`_roots_mod`, passes only p > _SCAN_FACTOR·deg; smaller primes
+    take its residue scan.
 
     Once x^k is divided out, f(0) != 0, so gcd(f, x^p - x) equals
     g = gcd(f, x^(p+1) - x^2), and a factor h splits at
@@ -500,24 +481,20 @@ def _integer_scaling(poly: Polynomial) -> tuple[list[int], int, int]:
     return g, lcm, b
 
 
-def _mersenne_prime(b: int) -> int:
-    """The smallest listed Mersenne prime above 2^(b+2), the fallback modulus over Q.
-
-    Modulo it the integer roots of :func:`_integer_scaling`'s g stay
-    distinct, and each is the symmetric lift of one root of g mod p.
-    """
-    e = next((e for e in _MERSENNE_EXPONENTS if e > b + 2), None)
-    if e is None:
-        raise HesspairsError(
-            f"characteristic polynomial too large: its rational root bound 2^{b + 1} "
-            f"exceeds the largest supported bound 2^{_MERSENNE_EXPONENTS[-1] - 2}"
-        )
-    return 2**e - 1
-
-
 def _primes_above(n: int):
     """The primes above n, in increasing order."""
     return (q for q in itertools.count(n + 1) if _is_prime(q))
+
+
+@functools.cache
+def _word_prime(i: int) -> int:
+    """The i-th prime above 2^30, from i = 0: the moduli of :func:`_square_free_part`.
+
+    Kept once found, as its primality test costs about as much as a small
+    gcd mod it.  Called for i = 0, 1, 2, … in turn, each call recurses at
+    most one level.
+    """
+    return next(_primes_above(_word_prime(i - 1) if i else 1 << 30))
 
 
 def _lift_moduli(p: int, b: int) -> list[int]:
@@ -555,47 +532,77 @@ def _lift_root(h: list[int], dh: list[int], r: int, p: int, moduli: list[int]) -
     return y - q if y > q // 2 else y
 
 
-def _lifted_roots(g: list[int], b: int) -> list[tuple[int, int]] | None:
-    """(y, multiplicity) for every integer root y of a monic g, or None.
+def _square_free_part(g: list[int]) -> list[int]:
+    """g / gcd(g, g') for a monic g on ints, low-to-high.
+
+    D = gcd(g, g') is monic on ints (Gauss's lemma).  Modulo a prime q
+    above deg g, D mod q divides gcd(g mod q, g' mod q), so that image has
+    degree >= deg D, and equality makes it D mod q; only the q dividing a
+    subresultant of g and g' give more (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 6).  Images mod the primes above 2^30 are
+    combined by CRT, an image of higher degree than the lowest seen is
+    dropped, and one of lower degree starts over.  The symmetric lift is
+    tried after the first image and whenever a new image leaves it
+    unchanged, and taken once it divides g and g' exactly: every common
+    divisor divides D, so a monic one of degree >= deg D is D itself.
+    """
+    dg = [i * c for i, c in enumerate(g)][1:]
+    crt, trial = None, None
+    for q in map(_word_prime, itertools.count()):
+        image = _poly_gcd([c % q for c in g], [c % q for c in dg], q)
+        if crt is None or len(image) < len(crt):
+            crt, modulus, trial = [0] * len(image), 1, None
+        elif len(image) > len(crt):
+            continue
+        u = pow(modulus, -1, q)
+        crt = [a + modulus * ((c - a) * u % q) for a, c in zip(crt, image)]
+        modulus *= q
+        lift = [a - modulus if 2 * a > modulus else a for a in crt]
+        if trial is None or lift == trial:
+            h = _exact_quotient(g, lift)
+            if h is not None and _exact_quotient(dg, lift) is not None:
+                return h
+        trial = lift
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b over Z for a monic b, both low-to-high, or None when b does not divide a."""
+    r, k = a[:], len(b) - 1
+    # Long division in place: r[top] is the quotient's coefficient of x^(top-k).
+    for top in range(len(a) - 1, k - 1, -1):
+        for j, y in enumerate(b[:k], top - k):
+            r[j] -= r[top] * y
+    return None if any(r[:k]) else r[k:]
+
+
+def _lifted_roots(g: list[int], b: int) -> list[tuple[int, int]]:
+    """(y, multiplicity) for every integer root y of a monic g, y ascending.
 
     ``b`` is :func:`_integer_scaling`'s bound.  The primes above 2·deg g are
-    tried in increasing order, at most _LIFT_PRIMES of them.  Each root r
-    of multiplicity m of g mod p, from the GF(p) count, is a simple root of
-    g^(m-1) mod p, as p > deg g >= m.  :func:`_lift_root` lifts it until
-    p^k is above twice the bound on a root of multiplicity m: Fujiwara's
-    2^(b+1), or Landau's ||g||_2^(1/m) when smaller (a root y of g of
-    multiplicity m has |y|^m <= M(g) <= ||g||_2, M the Mahler measure).
-    The result y is divided out of one shrinking quotient over Z; the
-    repeated residues come first, so a prime is rejected before its simple
-    residues are lifted.  A prime is kept only when every root mod p is
-    accounted for: a simple one lifts uniquely, so y is the only integer
-    root that can reduce to r, and a repeated one must lift to a y that
-    divides g exactly m times, as the m roots of g in its residue class
-    then all equal y.  Distinct roots
-    congruent mod p, and repeated irrational factors, fail that, and the
-    next prime is tried.  None when every prime tried fails.
+    tried in increasing order.  Once g mod p has a repeated root, g gives
+    way to its square-free part h (:func:`_square_free_part`), whose roots
+    mod p are g's, and p is taken when each of them is a simple root of h
+    mod p: only the primes dividing h's discriminant are passed over.
+    :func:`_lift_root` lifts each root on h (on g while g has had no
+    repeated root mod p) until p^k is above 2^(b+2), twice Fujiwara's
+    bound.  Every integer root of g is a root of h, so it reduces to one
+    of these and is that root's unique lift.  Each lift is counted exactly
+    on g by :func:`_multiplicities`, and one that divides zero times is
+    dropped.
     """
-    n = len(g) - 1
-    # ||g||_2^2 < 2^norm_bits, so a root of multiplicity m is below 2^⌈norm_bits/2m⌉.
-    norm_bits = sum(c * c for c in g).bit_length()
-    # g, g', g'', …, high-to-low, formed as the multiplicities need them.
-    derivatives = [g[::-1]]
-    for p in itertools.islice(_primes_above(2 * n), _LIFT_PRIMES):
-        pairs = sorted(_roots_mod([c % p for c in g], p), key=lambda rm: rm[1] == 1)
-        while len(derivatives) <= max((m for _, m in pairs), default=0):
-            h = derivatives[-1]
-            derivatives.append([c * i for i, c in zip(range(len(h) - 1, 0, -1), h)])
-        moduli = {m: _lift_moduli(p, min(b, -(-norm_bits // (2 * m)) - 1)) for m in {m for _, m in pairs}}
-        lifts = (_lift_root(derivatives[m - 1], derivatives[m], r, p, moduli[m]) for r, m in pairs)
-        found = []
-        for (_, m), (y, mult) in zip(pairs, _multiplicities(g, lifts, 0)):
-            if m > 1 and mult != m:
-                break
-            if mult:
-                found.append((y, mult))
-        else:
-            return sorted(found)
-    return None
+    h = g
+    for p in _primes_above(2 * (len(g) - 1)):
+        pairs = _roots_mod([c % p for c in g], p)
+        if h is g and any(m > 1 for _, m in pairs):
+            h = _square_free_part(g)
+        dh = [i * c for i, c in enumerate(h)][:0:-1]
+        # A root of g mod p is one of h mod p, simple when it is simple in g
+        # or where h' does not vanish.
+        if all(m == 1 or _synthetic_division(dh, r, p)[1] for r, m in pairs):
+            break
+    high, moduli = h[::-1], _lift_moduli(p, b)
+    lifts = sorted(_lift_root(high, dh, r, p, moduli) for r, _ in pairs)
+    return [(y, mult) for y, mult in _multiplicities(g, lifts, 0) if mult]
 
 
 def _synthetic_division(high: list[int], r: int, p: int) -> tuple[list[int], int]:
@@ -636,14 +643,14 @@ def _multiplicities(g: list[int], candidates, p: int):
         yield r, mult
 
 
-def _residue_candidates(g: list[int], p: int):
-    """Every residue when p <= _SCAN_FACTOR·deg g, else the gcd finder's roots of g mod p."""
-    return range(p) if p <= _SCAN_FACTOR * (len(g) - 1) else _roots_large_prime(g, p)
-
-
 def _roots_mod(g: list[int], p: int) -> list[tuple[int, int]]:
-    """(root, multiplicity) of the residues ``g`` mod p, roots ascending."""
-    return [(r, mult) for r, mult in _multiplicities(g, sorted(_residue_candidates(g, p)), p) if mult]
+    """(root, multiplicity) of the residues ``g`` mod p, roots ascending.
+
+    The candidates are every residue when p <= _SCAN_FACTOR·deg g, else the
+    gcd finder's roots of g mod p.
+    """
+    candidates = range(p) if p <= _SCAN_FACTOR * (len(g) - 1) else sorted(_roots_large_prime(g, p))
+    return [(r, mult) for r, mult in _multiplicities(g, candidates, p) if mult]
 
 
 def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]:
@@ -651,23 +658,14 @@ def _in_field_roots_with_multiplicity(poly: Polynomial) -> list[tuple[Raw, int]]
 
     Over GF(p), :func:`_roots_mod` on the residues of ``poly``.  Over Q, g,
     L and b of :func:`_integer_scaling`, where a root y of g is the root
-    y/L of ``poly``: the integer roots come from :func:`_lifted_roots`, and
-    when no small prime resolves g, from the Mersenne prime p of
-    :func:`_mersenne_prime`, whose candidates are the symmetric lifts of
-    every residue when p <= _SCAN_FACTOR·deg and of the gcd finder's roots
-    above.  Either way each candidate is counted exactly over Z by
-    :func:`_multiplicities`, and one that divides zero times is dropped.
+    y/L of ``poly``: the integer roots and their multiplicities come from
+    :func:`_lifted_roots`.
     """
     field_p = _prime(poly.field)
     if field_p:
         return _roots_mod(list(poly.coeffs), field_p)
     g, lcm, b = _integer_scaling(poly)
-    found = _lifted_roots(g, b)
-    if found is None:
-        p = _mersenne_prime(b)
-        lifts = sorted(r - p if r > p // 2 else r for r in _residue_candidates(g, p))
-        found = [(y, mult) for y, mult in _multiplicities(g, lifts, 0) if mult]
-    return [(Fraction(y, lcm), mult) for y, mult in found]
+    return [(Fraction(y, lcm), mult) for y, mult in _lifted_roots(g, b)]
 
 
 # -- eigen structure ----------------------------------------------------------

@@ -25,7 +25,6 @@ from hesspairs import (
 from hesspairs.errors import (
     DuplicateEigenvalueError,
     EigenvaluesOutsideFieldError,
-    HesspairsError,
     LengthMismatchError,
     NotADecompositionError,
     NotSquareError,
@@ -699,13 +698,23 @@ def _planted_over(field, rng):
     return poly, planted, chosen
 
 
+def _mersenne_prime_above(bits):
+    """The least Mersenne prime 2^e - 1 with e > bits, for e up to 607.
+
+    Modulo it the integer roots of g stay distinct when every one is at
+    most 2^(bits - 1) in size.
+    """
+    return next(2**e - 1 for e in (3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607) if e > bits)
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), GF(101), GF(2**31 - 1), QQ], ids=str)
 def test_integer_root_count_matches_field_division(field):
     # The root routine counts on integer coefficients (residues mod p, or
     # L^n poly(y/L) over Z); the generic count divides the field polynomial.
     # Both must find exactly the planted roots: the routine among its own
     # candidates, the reference among the planted roots, decoys, every
-    # residue of a small field and, over Q, the routine's lifts.
+    # residue of a small field and, over Q, p-adic and symmetric lifts of
+    # roots mod small and Mersenne primes.
     rng = random.Random(20 + (field.p if field != QQ else 0))
     sqrt2 = Polynomial.from_coefficients(QQ, [-2, 0, 1])
     if field == QQ:
@@ -728,7 +737,7 @@ def test_integer_root_count_matches_field_division(field):
         decoys += [field.neg(r) for r in planted] + [field.add(r, field.one()) for r in planted]
         if field == QQ:
             g, lcm, b = spectral._integer_scaling(poly)
-            q = spectral._mersenne_prime(b)
+            q = _mersenne_prime_above(b + 2)
             lifts = [y - q if y > q // 2 else y for y in spectral._roots_large_prime(g, q)]
             # The p-adic lifts of every root of g mod a small prime at which
             # 2 is a square, each of multiplicity m from g^(m-1), are decoys too.
@@ -798,24 +807,13 @@ def test_large_rational_eigenvalues(values):
 
 
 def _no_small_prime_poly():
-    """((x^2 - 2)(x^2 - 3)(x^2 - 6))^2, which no lifting prime resolves.
+    """((x^2 - 2)(x^2 - 3)(x^2 - 6))^2, with a double root modulo every prime.
 
     For every prime p above 3 one of 2, 3 and 6 is a square mod p, so g
     mod p has a double root that is no double rational root.
     """
     f = Polynomial.from_coefficients(QQ, [-36, 0, 36, 0, -11, 0, 1])
     return f * f
-
-
-def test_root_bound_beyond_largest_modulus_is_refused(monkeypatch):
-    # Only the Mersenne fallback has a largest modulus, 2^132049 - 1, and
-    # refuses a root bound beyond it.  With the lifting primes switched off,
-    # the 1×1 matrix of 10^40000 takes the fallback and eigen_structure
-    # reports its HesspairsError.  With them, the lift finds the root
-    # (test_root_bound_above_the_mersenne_cap_is_lifted).
-    monkeypatch.setattr(spectral, "_LIFT_PRIMES", 0)
-    with pytest.raises(HesspairsError, match="root bound"):
-        eigen_structure(Matrix.from_rows(QQ, [["1e40000"]]))
 
 
 @pytest.mark.parametrize("entry", ["1e40000", "1e4400"])
@@ -842,18 +840,16 @@ def test_eigenvalue_too_long_to_print_is_a_structured_error(entry, tmp_path, cap
     assert json.loads(second)["eigen"]["a"]["eigenvalues"] == ["2"]
 
 
-def test_root_bound_above_the_mersenne_cap_is_lifted(monkeypatch):
-    # diag(x, -x) with x = 2^133000 + 12345: y^2 - x^2 has its root bound
-    # above the largest Mersenne modulus, and its roots ±x lift from p = 5
-    # (0.3 s on a 2-vCPU VM, CPython 3.11).  The fallback is not taken.
+def test_root_bound_above_the_mersenne_cap_is_lifted():
+    # diag(x, -x) with x = 2^133000 + 12345: y^2 - x^2 has a root bound
+    # above 2^133000, and its roots ±x lift from p = 5 (0.3 s on a 2-vCPU
+    # VM, CPython 3.11).  So does the 1×1 matrix of 10^40000.
     x = 2**133000 + 12345
-    fallback = _counting(monkeypatch, "_mersenne_prime")
     eig = eigen_structure(Matrix.diagonal(QQ, [x, -x]))
     assert [v.value for v in eig.eigenvalues] == [-x, x]
     assert eig.dims == (1, 1)
     eig = eigen_structure(Matrix.from_rows(QQ, [["1e40000"]]))
     assert [v.value for v in eig.eigenvalues] == [10**40000]
-    assert not fallback
 
 
 def _huge_diagonal(bits):
@@ -863,26 +859,23 @@ def _huge_diagonal(bits):
 
 
 @pytest.mark.parametrize("bits", [1000, 2000, 4000])
-def test_huge_rational_diagonals_are_lifted(bits, monkeypatch):
-    # The Mersenne prime above the root bound took 1.7 s, 42 s and 69 s on
-    # the 1000-, 2000- and 4000-bit diagonals; lifting from small primes
-    # takes 0.004, 0.011 and 0.039 s (CPU, 2-vCPU VM, CPython 3.11).  The
-    # fallback is not taken.
+def test_huge_rational_diagonals_are_lifted(bits):
+    # Roots modulo a Mersenne prime above the root bound took 1.7 s, 42 s
+    # and 69 s on the 1000-, 2000- and 4000-bit diagonals; lifting from
+    # small primes takes 0.004, 0.011 and 0.039 s (CPU, 2-vCPU VM,
+    # CPython 3.11).
     values = _huge_diagonal(bits)
-    fallback = _counting(monkeypatch, "_mersenne_prime")
     start = time.perf_counter()
     eig = eigen_structure(Matrix.diagonal(QQ, values))
     assert time.perf_counter() - start < 5
     assert [v.value for v in eig.eigenvalues] == sorted(values)
-    assert not fallback
 
 
-def test_lifted_roots_match_sympy(monkeypatch):
+def test_lifted_roots_match_sympy():
     # The lifting path against sympy, on seeded integer polynomials and on
     # planted ones: repeated roots, the root 0, and extra factors without
-    # rational roots.  None of them reaches the fallback.
+    # rational roots.
     sympy = pytest.importorskip("sympy")
-    fallback = _counting(monkeypatch, "_mersenne_prime")
     rng = random.Random(31)
     cases = []
     for _ in range(40):
@@ -905,15 +898,34 @@ def test_lifted_roots_match_sympy(monkeypatch):
         lead = Fraction(coeffs[-1])
         poly = Polynomial(QQ, [Fraction(c) / lead for c in coeffs])
         assert _in_field_roots_with_multiplicity(poly) == _sympy_rational_roots(sympy, coeffs), coeffs
-    assert not fallback
+
+
+def _sympy_square_free_part(sympy, g):
+    """g / gcd(g, g') for a monic integer g, low-to-high, by sympy."""
+    return [int(c) for c in sympy.Poly(g[::-1], sympy.Symbol("x")).sqf_part().all_coeffs()[::-1]]
+
+
+def _lifting_primes(sympy, g):
+    """The primes above 2·deg g, increasing, up to the first q at which every
+    root of g mod q is a simple root of its square-free part (by sympy)."""
+    x = sympy.Symbol("x")
+    h = sympy.Poly(g[::-1], x).sqf_part()
+    dh = h.diff(x)
+    primes = []
+    for q in sympy.primerange(2 * (len(g) - 1) + 1, 10**6):
+        primes.append(q)
+        if not any(h.eval(r) % q == 0 and dh.eval(r) % q == 0 for r in range(q)):
+            return primes
 
 
 def test_lifting_prime_rejected_when_a_repeated_root_mod_p_is_not_rational(monkeypatch):
-    # The first prime tried is the first above 2·deg.  It is rejected, and
-    # the next one kept, when two distinct rational roots are congruent
-    # modulo it, or when x^2 - 2 has a double root modulo it.  (x^2 - 2)^2
-    # (x - 1) has its first prime 11 kept, at which 2 is not a square.
-    # sympy agrees on every case, and the fallback is not taken.
+    # The first prime tried is the first above 2·deg.  It is passed over,
+    # and the next one taken, when two distinct rational roots are
+    # congruent modulo it: the square-free part keeps their double root.
+    # (x^2 - 2)^2 has a double root modulo 17, at which 2 is a square, but
+    # its square-free part x^2 - 2 a simple one, so 17 is taken; (x^2 - 2)^2
+    # (x - 1) has its first prime 11 taken, at which 2 is not a square.
+    # sympy agrees on every case, and so do the primes of _lifting_primes.
     sympy = pytest.importorskip("sympy")
     sqrt2 = Polynomial.from_coefficients(QQ, [-2, 0, 1])
     cases = [
@@ -921,26 +933,26 @@ def test_lifting_prime_rejected_when_a_repeated_root_mod_p_is_not_rational(monke
         (Polynomial.from_roots(QQ, [3, 14, -5, 0]), [11, 13]),
         # Scaled by L = 2, the roots are 3, 25 and 14 twice: all meet mod 11.
         (Polynomial.from_roots(QQ, [Fraction(3, 2), Fraction(25, 2), 7, 7]), [11, 13]),
-        # Degree 7, first prime 17: 2 is a square mod 17, not mod 19.
-        (sqrt2 * sqrt2 * Polynomial.from_roots(QQ, [1, 0, 0]), [17, 19]),
+        # Degree 7, first prime 17: 2 is a square mod 17.
+        (sqrt2 * sqrt2 * Polynomial.from_roots(QQ, [1, 0, 0]), [17]),
         (sqrt2 * sqrt2 * Polynomial.from_roots(QQ, [1]), [11]),
     ]
     for poly, primes in cases:
         tried = _counting(monkeypatch, "_roots_mod")
-        fallback = _counting(monkeypatch, "_mersenne_prime")
         den = math.lcm(*(c.denominator for c in poly.coeffs))
         expected = _sympy_rational_roots(sympy, [int(c * den) for c in poly.coeffs])
         assert _in_field_roots_with_multiplicity(poly) == expected, poly
         assert [q for _, q in tried] == primes, poly
-        assert not fallback
+        assert _lifting_primes(sympy, spectral._integer_scaling(poly)[0]) == primes, poly
         monkeypatch.undo()
 
 
-def test_fallback_runs_when_no_small_prime_resolves(monkeypatch):
+def test_double_root_mod_every_prime_is_lifted_on_the_square_free_part(monkeypatch):
     # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 has a double root modulo each of the
-    # 60 primes above 24, so every lifting prime is rejected and the
-    # Mersenne path runs.  Like sympy it finds no rational root, and with
-    # rational factors multiplied in, exactly those.
+    # 60 primes above 24, and its square-free part a simple one modulo the
+    # first.  Like sympy, the lift finds no rational root, and with rational
+    # factors multiplied in, exactly those, at the first prime above 2·deg
+    # for the fixed factors and at those of _lifting_primes for seeded ones.
     sympy = pytest.importorskip("sympy")
     poly = _no_small_prime_poly()
     g = [int(c) for c in poly.coeffs]
@@ -949,32 +961,96 @@ def test_fallback_runs_when_no_small_prime_resolves(monkeypatch):
     for extra, expected in (([], []), ([5, 5, Fraction(1, 3)], [(Fraction(1, 3), 1), (Fraction(5), 2)])):
         full = poly * Polynomial.from_roots(QQ, extra)
         tried = _counting(monkeypatch, "_roots_mod")
-        fallback = _counting(monkeypatch, "_mersenne_prime")
         den = math.lcm(*(c.denominator for c in full.coeffs))
         assert _sympy_rational_roots(sympy, [int(c * den) for c in full.coeffs]) == expected
         assert _in_field_roots_with_multiplicity(full) == expected
-        assert len(fallback) == 1
-        assert [q for _, q in tried] == list(
-            itertools.islice(spectral._primes_above(2 * full.degree), spectral._LIFT_PRIMES)
-        )
+        assert [q for _, q in tried] == [next(spectral._primes_above(2 * full.degree))]
+        monkeypatch.undo()
+    rng = random.Random(32)
+    for _ in range(12):
+        extra = [Fraction(rng.randint(-300, 300), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        extra += extra[: rng.randint(0, 3)] + [0] * rng.choice([0, 0, 1])
+        full = poly * Polynomial.from_roots(QQ, extra)
+        tried = _counting(monkeypatch, "_roots_mod")
+        den = math.lcm(*(c.denominator for c in full.coeffs))
+        assert _in_field_roots_with_multiplicity(full) == _sympy_rational_roots(
+            sympy, [int(c * den) for c in full.coeffs]
+        ), extra
+        assert [q for _, q in tried] == _lifting_primes(sympy, spectral._integer_scaling(full)[0]), extra
         monkeypatch.undo()
 
 
-def test_rejected_lifting_primes_lift_below_the_multiplicity_bound(monkeypatch):
-    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 (x - 10^40000): every lifting prime
-    # is rejected on a double residue, lifted once per prime, and then the
-    # fallback refuses the root bound 2^132879.  A double root y has
-    # |y|^2 <= ||g||_2, so the lift stops near 2^66445 instead of
-    # 2^132881: 3.9 s CPU instead of 9.3 s (2-vCPU Xeon VM, CPython 3.11).
+def test_huge_root_beside_repeated_irrational_factors_is_lifted():
+    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 (x - 10^40000): a double root modulo
+    # every prime and a root bound of 2^132879.  Its square-free part has
+    # simple roots modulo the first prime above 26, and the lift of each to
+    # about 2^132881 finds 10^40000: 1.8 s CPU on a 2-vCPU Xeon VM, CPython
+    # 3.11.  Rejecting every prime with a double residue, as before the
+    # square-free part, took 3.9 s and refused the bound.
     poly = _no_small_prime_poly() * Polynomial.from_roots(QQ, [10**40000])
-    b = spectral._integer_scaling(poly)[2]
-    lifts = _counting(monkeypatch, "_lift_root")
     start = time.process_time()
-    with pytest.raises(HesspairsError, match="too large"):
-        _in_field_roots_with_multiplicity(poly)
+    assert _in_field_roots_with_multiplicity(poly) == [(Fraction(10**40000), 1)]
     assert time.process_time() - start < 30
-    assert len(lifts) == spectral._LIFT_PRIMES
-    assert all(moduli[-1].bit_length() < b // 2 + 64 for *_, moduli in lifts)
+
+
+def _gcd_images(monkeypatch):
+    """Record (q, gcd mod q) for every ``spectral._poly_gcd`` call."""
+    images = []
+    gcd = spectral._poly_gcd
+    monkeypatch.setattr(spectral, "_poly_gcd", lambda a, b, q: images.append((q, gcd(a, b, q))) or images[-1][1])
+    return images
+
+
+def test_square_free_part_matches_sympy(monkeypatch):
+    # g / gcd(g, g') against sympy's sqf_part on seeded monic products of
+    # repeated factors (square-free ones and ones without rational roots
+    # among them), on huge coefficients, and on a gcd whose coefficients
+    # need several word primes.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(32)
+    cases = []
+    for _ in range(40):
+        poly = Polynomial.one(QQ)
+        for _ in range(rng.randint(1, 3)):
+            factor = Polynomial.from_coefficients(QQ, [rng.randint(-30, 30) for _ in range(rng.randint(1, 3))] + [1])
+            for _ in range(rng.randint(1, 3)):
+                poly = poly * factor
+        cases.append([int(c) for c in poly.coeffs])
+    for g in cases:
+        assert spectral._square_free_part(g) == _sympy_square_free_part(sympy, g), g
+    big, small = rng.getrandbits(500), -rng.getrandbits(500)
+    sqrt2 = Polynomial.from_coefficients(QQ, [-2, 0, 1])
+    huge = Polynomial.from_roots(QQ, [big, big, small]) * sqrt2 * sqrt2 * sqrt2
+    g = [int(v) for v in huge.coeffs]
+    images = _gcd_images(monkeypatch)
+    assert spectral._square_free_part(g) == _sympy_square_free_part(sympy, g)
+    # gcd(g, g') = (x - big)(x^2 - 2)^2 has 500-bit coefficients.
+    assert len(images) > 500 // 31
+
+
+def test_square_free_part_drops_unlucky_images(monkeypatch):
+    # Roots congruent modulo a word prime raise the degree of the gcd
+    # image there.  (x - 1)(x - 1 - q0)(x - 5)^2, with q0 the first word
+    # prime: the image mod q0 is (x - 1)(x - 5), which divides g but not g',
+    # and the one of degree 1 mod the next prime starts over.  (x - c)^2
+    # (x - 1)(x - 1 - q1), with q1 the second and c = 2^40 + 15: c needs two
+    # primes, the image of degree 2 mod q1 is dropped, and the lift of the
+    # images mod q0 and q2 is taken when q3 leaves it unchanged.  Both
+    # match sympy, and so do their rational roots.
+    sympy = pytest.importorskip("sympy")
+    q0, q1, q2, q3 = (spectral._word_prime(i) for i in range(4))
+    c = 2**40 + 15
+    cases = [
+        (Polynomial.from_roots(QQ, [1, 1 + q0, 5, 5]), [(q0, 2), (q1, 1)]),
+        (Polynomial.from_roots(QQ, [c, c, 1, 1 + q1]), [(q0, 1), (q1, 2), (q2, 1), (q3, 1)]),
+    ]
+    for poly, degrees in cases:
+        g = [int(v) for v in poly.coeffs]
+        images = _gcd_images(monkeypatch)
+        assert spectral._square_free_part(g) == _sympy_square_free_part(sympy, g)
+        assert [(q, len(image) - 1) for q, image in images] == degrees
+        assert _in_field_roots_with_multiplicity(poly) == _sympy_rational_roots(sympy, g)
+        monkeypatch.undo()
 
 
 def _ref_trim(c):
@@ -1137,22 +1213,18 @@ def test_residue_scan_and_gcd_finder_agree(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [31, 127, 8191])
 def test_rational_scan_matches_finder_and_sympy(p):
-    # Over Q the roots mod each lifting prime, the first above 2·deg, come
-    # from the GF(p) count, and the Mersenne fallback takes the residue scan
-    # when its prime p is at most _SCAN_FACTOR·deg, with the symmetric lifts
-    # of every residue as candidates.  On planted integer polynomials whose
-    # fallback prime is p (repeated roots, the root 0, and x^2 - 2, which has
-    # roots mod p but not in Q), the lifting path, the fallback forced by
-    # _LIFT_PRIMES = 0, each under the default rule, the forced scan and the
-    # forced gcd finder, and sympy must agree.  The lifting path starts at
-    # the first prime above 2·deg and never asks for the Mersenne prime; the
-    # fallback calls the gcd finder with p exactly when p > _SCAN_FACTOR·deg.
-    # With p forced below the prime of the root bound, roots at ±⌊p/2⌋ test
-    # the ends of the fallback's lift.
+    # Over Q the roots mod each lifting prime come from the GF(p) count:
+    # the residue scan when the prime is at most _SCAN_FACTOR·deg, the gcd
+    # finder above.  On planted integer polynomials whose root bound puts
+    # the least Mersenne prime above twice it at p (repeated roots, the
+    # root 0, and x^2 - 2, which has roots mod p but not in Q), and on
+    # roots at ±⌊p/2⌋, the default rule, the forced scan and the forced gcd
+    # finder must agree with sympy.  The primes tried are those of
+    # _lifting_primes, and the default rule never calls the gcd finder.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(p)
     height = {31: 2, 127: 6, 8191: 200}[p]
-    mersenne_prime, finder, roots_mod = spectral._mersenne_prime, spectral._roots_large_prime, spectral._roots_mod
+    finder, roots_mod = spectral._roots_large_prime, spectral._roots_mod
     cases = []
     while len(cases) < 12:
         roots = [rng.randint(-height, height) for _ in range(rng.randint(1, 4))]
@@ -1162,32 +1234,24 @@ def test_rational_scan_matches_finder_and_sympy(p):
         poly = Polynomial.from_roots(QQ, roots)
         if rng.random() < 0.3:
             poly = poly * Polynomial.from_coefficients(QQ, [-2, 0, 1])
-        if mersenne_prime(spectral._integer_scaling(poly)[2]) == p:
-            cases.append((poly, False))
+        if _mersenne_prime_above(spectral._integer_scaling(poly)[2] + 2) == p:
+            cases.append(poly)
     half = p // 2
     for roots in ([half, -half], [half, half, 0, -half, 1], [-half, -half, -half]):
-        cases.append((Polynomial.from_roots(QQ, roots), True))
-    for poly, forced in cases:
-        expected = _sympy_rational_roots(sympy, [int(c) for c in poly.coeffs])
-        for lift_primes in (spectral._LIFT_PRIMES, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(spectral, "_LIFT_PRIMES", lift_primes)
-                primes, mersennes, calls = [], [], []
-                mp.setattr(spectral, "_roots_mod", lambda g, q: primes.append(q) or roots_mod(g, q))
-                mp.setattr(
-                    spectral, "_mersenne_prime", lambda b: mersennes.append(b) or (p if forced else mersenne_prime(b))
-                )
-                mp.setattr(spectral, "_roots_large_prime", lambda g, q: calls.append(q) or finder(g, q))
-                assert _in_field_roots_with_multiplicity(poly) == expected, poly
-                if lift_primes:
-                    assert primes[:1] == [next(spectral._primes_above(2 * poly.degree))], poly
-                    assert mersennes == calls == [], poly
-                else:
-                    assert primes == [] and len(mersennes) == 1, poly
-                    assert calls == ([] if p <= spectral._SCAN_FACTOR * poly.degree else [p])
-                for factor in (p, 0):
-                    mp.setattr(spectral, "_SCAN_FACTOR", factor)
-                    assert _in_field_roots_with_multiplicity(poly) == expected, (poly, factor, lift_primes)
+        cases.append(Polynomial.from_roots(QQ, roots))
+    for poly in cases:
+        coeffs = [int(c) for c in poly.coeffs]
+        expected = _sympy_rational_roots(sympy, coeffs)
+        with pytest.MonkeyPatch.context() as mp:
+            primes, calls = [], []
+            mp.setattr(spectral, "_roots_mod", lambda g, q: primes.append(q) or roots_mod(g, q))
+            mp.setattr(spectral, "_roots_large_prime", lambda g, q: calls.append(q) or finder(g, q))
+            assert _in_field_roots_with_multiplicity(poly) == expected, poly
+            assert primes == _lifting_primes(sympy, coeffs), poly
+            assert calls == [], poly
+            for factor in (p, 0):
+                mp.setattr(spectral, "_SCAN_FACTOR", factor)
+                assert _in_field_roots_with_multiplicity(poly) == expected, (poly, factor)
 
 
 @pytest.mark.parametrize("p", [13, 101, 1009, 2**31 - 1])
@@ -1362,10 +1426,11 @@ def test_gcd_finder_gets_only_odd_primes_above_the_scan_bound(monkeypatch):
     # The gcd finder assumes an odd prime p above the degree and checks
     # nothing itself; eigen_structure must call it only with
     # p > _SCAN_FACTOR·deg, on seeded matrices with and without in-field
-    # spectra, over small and large fields.  Every large field must reach
-    # it: GF(65537) and GF(2^31 - 1) by their own prime, Q through the
-    # Mersenne fallback, with prime 2^61 - 1, of the companion matrix of
-    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 (x - 2^40).
+    # spectra, over small and large fields.  GF(65537) and GF(2^31 - 1)
+    # must reach it by their own prime.  Q must not: its lifting primes
+    # stay below _SCAN_FACTOR·deg, also on the companion matrix of
+    # ((x^2 - 2)(x^2 - 3)(x^2 - 6))^2 (x - 2^40), with a double root
+    # modulo every prime.
     finder = spectral._roots_large_prime
     calls = []
 
@@ -1396,6 +1461,6 @@ def test_gcd_finder_gets_only_odd_primes_above_the_scan_bound(monkeypatch):
             with pytest.raises(EigenvaluesOutsideFieldError) as err:
                 eigen_structure(companion(QQ, poly.coeffs))
             assert err.value.unfactored_degree == 12
-            assert calls == [2**61 - 1]
-        if field in (GF(65537), GF(2**31 - 1), QQ):
+            assert not calls
+        if field in (GF(65537), GF(2**31 - 1)):
             assert calls, field
