@@ -4,19 +4,20 @@ A pair (A, A*) is *irreducible* when no subspace W with 0 != W != V
 satisfies A W ⊆ W and A* W ⊆ W.  :func:`decide_irreducible` has two
 rungs:
 
-1. any field: if the unital algebra generated by {A, A*} has dimension
-   n^2, the pair is irreducible (Burnside sufficiency).  The primitive
-   idempotents E_i of a diagonalizable side are polynomials in it, so
-   the algebra 𝒜 is the direct sum of its blocks E_i 𝒜 E_j; written in
-   an eigenbasis of that side, each block is closed in an echelon of
-   width m_i·m_j instead of one of width n^2.  The column of blocks
-   𝒜E_j of the smallest eigenspace is closed first: when it has
+1. any field: is the unital algebra 𝒜 generated by {A, A*} all of
+   M_n?  If so the pair is irreducible (Burnside sufficiency).  The
+   primitive idempotents E_i of a diagonalizable side are polynomials in
+   it, so 𝒜 is the direct sum of its blocks E_i 𝒜 E_j; written in an
+   eigenbasis of that side, each block is closed in an echelon of width
+   m_i·m_j instead of one of width n^2.  Only the column of blocks 𝒜E_j
+   of the smallest eigenspace is closed: 𝒜 = M_n exactly when it has
    dimension n·m_j and one transposed spin from a coordinate vector of
-   that eigenspace fills K^n, 𝒜 = M_n and no other block is closed.
-   When every eigenspace is a line, no block is closed at all: 𝒜 holds
-   E_jj·G·E_ii = g_ji·E_ji for each generator G, so it is spanned by the
-   E_ji with j reachable from i in the digraph of nonzero entries, and
-   the pair is irreducible when that digraph is strongly connected;
+   that eigenspace fills K^n, so a shorter column, or a proper dual
+   spin, answers "no" at once.  When every eigenspace is a line, no
+   block is closed at all: 𝒜 holds E_jj·G·E_ii = g_ji·E_ji for each
+   generator G, so it is spanned by the E_ji with j reachable from i in
+   the digraph of nonzero entries, and 𝒜 = M_n exactly when that digraph
+   is strongly connected;
 2. Norton's criterion (Parker 1984; Holt and Rees 1994) on singular
    elements X of that algebra, one shared step per X
    (:func:`_norton_step`).  The spin of a point of ker X is either V or a
@@ -136,51 +137,51 @@ def spin(v: Sequence[Raw], generators: Sequence[Matrix]) -> SubspaceBasis:
     return ech.to_subspace()
 
 
-def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ...]]:
-    """Dimension and spanning set of the unital algebra generated by the matrices.
+def algebra_closure(generators: Sequence[Matrix]) -> tuple[int]:
+    """Rung 1: is the unital algebra 𝒜 generated by the matrices all of M_n?
+
+    Returns (k,): k = n^2 exactly when 𝒜 = M_n; otherwise k < n^2 is a
+    lower bound on dim 𝒜.
 
     The coordinates are split into blocks: the groups of equal entries of
     a diagonal first generator, whose projections E_I are polynomials in
-    it and so lie in the algebra 𝒜; a non-diagonal first generator is one
-    block.  Then 𝒜 is the direct sum of the blocks E_I 𝒜 E_J.  For each
-    column block J, span{I_J} is closed under left multiplication by the
+    it and so lie in 𝒜; a non-diagonal first generator is one block.
+    Then 𝒜 is the direct sum of the blocks E_I 𝒜 E_J.  For a column
+    block J, span{I_J} is closed under left multiplication by the
     generators' blocks G_IK, which reaches every word, in one echelon of
-    width |I|·|J| per row block I.  The dimension is at most n^2; the
-    spanning set holds n×n matrices, each block embedded.
+    width |I|·|J| per row block I; that gives dim 𝒜E_J.
 
-    The smallest column block J is closed first.  When 𝒜E_J has its
-    largest dimension n·|J| and, for one s ∈ J, e_s spins to K^n under the
-    transposed generators, the algebra is all of M_n and the n^2 matrix
-    units are returned without closing the other blocks: 𝒜E_J holds every
-    E_rs, so 𝒜 holds E_rs·X = e_r(e_s^T X) for each X ∈ 𝒜, and the rows
-    e_s^T X fill K^n.  Otherwise every block is closed and the dimension is
-    exact.
+    Only the smallest column block J is closed.  If 𝒜 = M_n, then
+    dim 𝒜E_J = n·|J| and e_s^T 𝒜 = K^n for every s, so a shorter 𝒜E_J
+    answers "no" with k = dim 𝒜E_J.  When 𝒜E_J is full and, for one
+    s ∈ J, e_s spins to K^n under the transposed generators, 𝒜 = M_n:
+    𝒜E_J holds every E_rs, so 𝒜 holds E_rs·X = e_r(e_s^T X) for each
+    X ∈ 𝒜, and the rows e_s^T X fill K^n.  A proper dual spin answers
+    "no" with k = n·|J|.  With one block, 𝒜E_J is 𝒜 and k = dim 𝒜.
 
     When every block is one coordinate (a diagonal first generator with
     distinct entries) nothing is closed.  Each E_ii is a polynomial in
     the first generator, so 𝒜 holds E_jj·G·E_ii = g_ji·E_ji for every
     generator G, and the products of these give E_ji whenever j is
     reachable from i along nonzero entries g_ji.  The span of those E_ji
-    is an algebra that holds every generator, so it is 𝒜, of dimension
-    Σ_i |reach(i)|.
+    is an algebra that holds every generator, so it is 𝒜, and 𝒜 = M_n
+    exactly when every coordinate reaches every other.  k is |reach(i)|
+    for the first coordinate i that does not.
     """
+    # A 1-tuple because perfbench/tracing.py wraps this function by name and reads result[0].
     field, n = _check_generators(generators)
     blocks = _coordinate_blocks(generators[0])
     if len(blocks) == n:
         succ = [{j for g in generators for j in range(n) if g.entries[j][i]} for i in range(n)]
-        reach = []
         for i in range(n):
             seen, stack = {i}, [i]
             while stack:
                 new = succ[stack.pop()] - seen
                 seen |= new
                 stack.extend(new)
-            reach.append(seen)
-        units = _matrix_units(field, n)
-        if all(len(r) == n for r in reach):
-            return n * n, units
-        basis = tuple(units[j * n + i] for j in range(n) for i in range(n) if j in reach[i])
-        return len(basis), basis
+            if len(seen) < n:
+                return (len(seen),)
+        return (n * n,)
     # movers[k]: the blocks G_IK, as rows of raw entries, with their row
     # block I, that act on block K; zero blocks and scalar diagonal blocks
     # give nothing new.  Both are recognized by truth value.
@@ -193,59 +194,42 @@ def algebra_closure(generators: Sequence[Matrix]) -> tuple[int, tuple[Matrix, ..
                 if any(map(any, blk)) and not (i == k and _is_scalar(blk)):
                     movers[k].append((i, blk))
 
-    def close(j: int) -> list[Matrix]:
-        """A basis of 𝒜E_J for the column block J = blocks[j], each block embedded.
-
-        Blocks are rows of raw entries.  A product G_IK·m is formed flat,
-        row-major, as the echelon of row block I takes it, and is only
-        shaped into rows when it is new.
-        """
-        cols = blocks[j]
-        width = len(cols)
-        echs = [_Echelon(field, len(rows) * width) for rows in blocks]
-        ident = Matrix.identity(field, width).entries
-        echs[j].insert([x for row in ident for x in row])
-        out = [_embed(field, n, cols, cols, ident)]
-        queue = [(j, ident)]
-        room = n * width - 1
-        while queue and room:
-            k, m = queue.pop()
-            m_cols = tuple(zip(*m))
-            for i, g in movers[k]:
-                ech = echs[i]
-                if ech.dim == ech.width:
-                    continue
-                flat = [field.dot(row, col) for row in g for col in m_cols]
-                if ech.insert(flat):
-                    prod = tuple(tuple(flat[r:r + width]) for r in range(0, len(flat), width))
-                    out.append(_embed(field, n, blocks[i], cols, prod))
-                    queue.append((i, prod))
-                    room -= 1
-                    if not room:
-                        break
-        return out
-
-    first = min(range(len(blocks)), key=lambda j: len(blocks[j]))
-    first_basis = close(first)
-    if len(blocks) > 1 and len(first_basis) == n * len(blocks[first]):
-        s = blocks[first][0]
-        if spin([int(c == s) for c in range(n)], [g.transpose() for g in generators]).dim == n:
-            return n * n, _matrix_units(field, n)
-    basis = [m for j in range(len(blocks)) for m in (first_basis if j == first else close(j))]
-    return len(basis), tuple(basis)
+    # Close 𝒜E_J.  A product G_IK·m is formed flat, row-major, as the
+    # echelon of row block I takes it, and is only shaped into rows when
+    # it is new; room counts the dimensions still missing from n·|J|.
+    j = min(range(len(blocks)), key=lambda b: len(blocks[b]))
+    cols = blocks[j]
+    width = len(cols)
+    echs = [_Echelon(field, len(rows) * width) for rows in blocks]
+    ident = Matrix.identity(field, width).entries
+    echs[j].insert([x for row in ident for x in row])
+    queue = [(j, ident)]
+    room = n * width - 1
+    while queue and room:
+        k, m = queue.pop()
+        m_cols = tuple(zip(*m))
+        for i, g in movers[k]:
+            ech = echs[i]
+            if ech.dim == ech.width:
+                continue
+            flat = [field.dot(row, col) for row in g for col in m_cols]
+            if ech.insert(flat):
+                queue.append((i, tuple(tuple(flat[r:r + width]) for r in range(0, len(flat), width))))
+                room -= 1
+                if not room:
+                    break
+    if room or width == n:
+        return (n * width - room,)
+    s = cols[0]
+    if spin([int(c == s) for c in range(n)], [g.transpose() for g in generators]).dim == n:
+        return (n * n,)
+    return (n * width,)
 
 
 def _is_scalar(blk: Block) -> bool:
     """True when the square block ``blk`` is c·I."""
     c = blk[0][0]
     return all(x == c if r == s else not x for r, row in enumerate(blk) for s, x in enumerate(row))
-
-
-def _matrix_units(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
-    """E_rs for r, s < n in row-major order; the matrices share their row tuples."""
-    unit = Matrix.identity(field, n).entries
-    zero = Matrix.zeros(field, n, n).entries
-    return tuple(Matrix(field, zero[:r] + (unit[s],) + zero[r + 1:]) for r in range(n) for s in range(n))
 
 
 def _coordinate_blocks(m: Matrix) -> list[tuple[int, ...]]:
@@ -256,18 +240,6 @@ def _coordinate_blocks(m: Matrix) -> list[tuple[int, ...]]:
     for i, row in enumerate(m.entries):
         groups.setdefault(row[i], []).append(i)
     return [tuple(g) for g in groups.values()]
-
-
-def _embed(field: FieldSpec, n: int, rows: Sequence[int], cols: Sequence[int], blk: Block) -> Matrix:
-    """The n×n matrix that is ``blk`` on rows × cols and zero elsewhere; zero rows are shared."""
-    zero_row = (field.zero(),) * n
-    grid = [zero_row] * n
-    for r, entries in zip(rows, blk):
-        out = list(zero_row)
-        for c, x in zip(cols, entries):
-            out[c] = x
-        grid[r] = tuple(out)
-    return Matrix(field, tuple(grid))
 
 
 def verify_invariant(w: SubspaceBasis, a: Matrix, a_star: Matrix) -> bool:
@@ -296,24 +268,24 @@ def decide_irreducible(
 ) -> IrreducibilityVerdict:
     """Decide whether the pair (A, A*) is irreducible.
 
-    Rung 1 is the algebra dimension, closed in an eigenbasis of one side
-    (:func:`_eigenbasis_generators`); on an irreducible pair it usually
-    stops after the smallest eigenspace's column of blocks and one dual
-    spin (:func:`algebra_closure`).  Rung 2 runs :func:`_norton_step` on
-    the singular algebra elements of :func:`_singular_elements`, in the
-    order the module docstring gives, until one decides.  The verdict
-    depends on the pair alone.  ``eigen_a`` / ``eigen_a_star`` are
-    optional precomputed eigen structures; when absent they are computed
-    here, and a spectrum outside the field gives neither an eigenbasis
-    nor eigenspace elements.
+    Rung 1 asks whether the algebra of {A, A*} is all of M_n, in an
+    eigenbasis of one side (:func:`_eigenbasis_generators`); it closes
+    at most the smallest eigenspace's column of blocks and runs at most
+    one dual spin (:func:`algebra_closure`).  Rung 2 runs
+    :func:`_norton_step` on the singular algebra elements of
+    :func:`_singular_elements`, in the order the module docstring gives,
+    until one decides.  The verdict depends on the pair alone.
+    ``eigen_a`` / ``eigen_a_star`` are optional precomputed eigen
+    structures; when absent they are computed here, and a spectrum
+    outside the field gives neither an eigenbasis nor eigenspace
+    elements.
     """
     _, n = _check_generators([a, a_star])
     eigs = [_try_eigen(m) if eig is None else eig for m, eig in ((a, eigen_a), (a_star, eigen_a_star))]
 
     # (1) Burnside sufficiency: a full matrix algebra leaves no room for
     # a common invariant subspace.
-    dim, _ = algebra_closure(_eigenbasis_generators(a, a_star, *eigs))
-    if dim == n * n:
+    if algebra_closure(_eigenbasis_generators(a, a_star, *eigs))[0] == n * n:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.ALGEBRA_DIMENSION)
 
     # (2) Norton's criterion.  Every kernel spun in full ends the search,
@@ -344,6 +316,13 @@ def _eigenbasis_generators(a: Matrix, a_star: Matrix,
     P holds an eigenbasis of the diagonalizable side with the smaller
     sum of cubed eigenspace dimensions, D = P^-1 M P is diagonal and M'
     is the other side, so :func:`algebra_closure` works block by block.
+    The Σm³ rule prices a closure of every block, which rung 1 never
+    runs: it closes one column of blocks at most.  What the rule buys is
+    chiefly that Σm³ takes its least value n exactly when every
+    eigenspace is a line, so a multiplicity-free side is always chosen
+    when there is one, and :func:`algebra_closure` reads 𝒜 = M_n off a
+    digraph with no echelon and no spin.  Another rule needs a
+    measurement first.
     P^-1 M' P is that side's shared
     :meth:`~hesspairs.spectral.EigenStructure.eigenbasis_conjugate`.
     Without a diagonalizable side the generators are [A, A*].

@@ -254,9 +254,11 @@ def _admissible_side_orderings(
 
     On an irreducible pair the search is small.  A set S of indices with
     support[j] ⊆ S for every j in S spans a subspace Σ_{j∈S} V_j that A
-    (a sum of its eigenspaces) and ``acting`` both keep; this is also the
-    fact behind the reachability read of
-    :func:`~hesspairs.irreducibility.algebra_closure`.  When a prefix
+    (a sum of its eigenspaces) and ``acting`` both keep; this is also why
+    rung 1 of the irreducibility ladder
+    (:func:`~hesspairs.irreducibility.algebra_closure`) answers "is the
+    algebra all of M_n?" on a multiplicity-free side by testing that the
+    digraph of nonzero entries is strongly connected.  When a prefix
     perm[0..i], i < d, passes the test, each support[perm[k]] with k < i
     lies in perm[0..i], so support[perm[i]] must hold an index outside
     the prefix, or the pair is reducible.  A child survives only when it

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import rand_diagonalizable, rand_invertible, rand_matrix
+from conftest import exact_algebra_closure, rand_diagonalizable, rand_invertible, rand_matrix
 from hesspairs import (
     GF,
     QQ,
@@ -73,14 +73,21 @@ def test_spin_rejects_size_mismatch():
 
 
 def test_algebra_closure_identity_only():
-    dim, basis = algebra_closure([Matrix.identity(GF(5), 3)])
+    # One coordinate block: rung 1 closes the whole algebra and is exact.
+    gens = [Matrix.identity(GF(5), 3)]
+    dim, basis = exact_algebra_closure(gens)
     assert dim == 1
     assert len(basis) == 1
+    assert algebra_closure(gens) == (1,)
 
 
 def test_algebra_closure_projector():
-    dim, _ = algebra_closure([Matrix.diagonal(QQ, [0, 1])])
+    # Two one-coordinate blocks and no edge: rung 1 stops at coordinate 0,
+    # which reaches only itself.
+    gens = [Matrix.diagonal(QQ, [0, 1])]
+    dim, _ = exact_algebra_closure(gens)
     assert dim == 2
+    assert algebra_closure(gens) == (1,)
 
 
 def _unimodular(field, n, rng):
@@ -116,7 +123,9 @@ def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypa
     # with more than one block either read the algebra off the digraph of
     # nonzero entries (every block one coordinate: no echelon, no spin),
     # take the full-algebra shortcut (the dual spin from the smallest
-    # block fills K^n) or close every block.
+    # block fills K^n) or stop short of M_n.  The exact dimensions come
+    # from the reference closure; rung 1 must agree on "is it M_n?", stay
+    # below the exact dimension, and be exact on one block.
     from hesspairs import irreducibility
 
     rng = random.Random(f"closure:{field!r}")
@@ -154,10 +163,12 @@ def test_eigenbasis_closure_matches_one_block_closure_randomized(field, monkeypa
                 break
         dual_spins.clear()
         echelons.clear()
-        dim = algebra_closure(gens)[0]
+        k = algebra_closure(gens)[0]
         reachability = not echelons and not dual_spins
         assert reachability == (len(_coordinate_blocks(gens[0])) == n)
-        assert dim == algebra_closure(oracle)[0]
+        dim = exact_algebra_closure(gens)[0]
+        assert (k == n * n) == (dim == n * n) and k <= dim
+        assert dim == exact_algebra_closure(oracle)[0] == algebra_closure(oracle)[0]
         # Only the first closure has more than one block and can spin.
         assert multi or dual_spins == []
         if multi:
@@ -204,23 +215,28 @@ def _reachability_generators(field, n, rng, values):
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), GF(2**31 - 1), QQ], ids=repr)
 def test_reachability_closure_is_exact_randomized(field):
     # A diagonal first generator with distinct entries: the closure is read
-    # off the digraph of nonzero entries.  Its dimension and span must equal
-    # the one-block closure of the same generators after a unimodular
-    # change of basis P, its basis transported to P^-1·m·P.
+    # off the digraph of nonzero entries.  In the reference closure its
+    # dimension and span must equal the one-block closure of the same
+    # generators after a unimodular change of basis P, its basis
+    # transported to P^-1·m·P; rung 1 must agree on "is it M_n?" and be
+    # exact on the one block.
     rng = random.Random(f"reachability:{field!r}")
     values = list(range(field.p)) if field.is_finite and field.p < 10 else list(range(-20, 21))
     seen = Counter()
     for _ in range(40):
         n = rng.randint(1, min(6, len(values)))
         kind, gens = _reachability_generators(field, n, rng, values)
-        dim, basis = algebra_closure(gens)
+        dim, basis = exact_algebra_closure(gens)
         while True:
             p = _unimodular(field, n, rng)
             p_inv = p.inverse()
             oracle = [p_inv * g * p for g in gens]
             if len(_coordinate_blocks(oracle[0])) == 1:
                 break
-        one_dim, one_basis = algebra_closure(oracle)
+        one_dim, one_basis = exact_algebra_closure(oracle)
+        k = algebra_closure(gens)[0]
+        assert (k == n * n) == (dim == n * n) and k <= dim
+        assert algebra_closure(oracle) == (one_dim,)
         moved = [p_inv * m * p for m in basis]
         assert dim == one_dim == len(basis) == _flat_rank(field, moved)
         assert _flat_rank(field, moved + list(one_basis)) == dim
@@ -293,12 +309,13 @@ def test_multiplicity_free_side_closes_no_echelon_and_spins_nothing(monkeypatch)
     reducible = (p * Matrix.diagonal(field, range(6)) * p.inverse(), p * upper * p.inverse())
     pairs = [(inst.a, inst.a_star), reducible]
     gens = [_eigenbasis_generators(a, b, _try_eigen(a), _try_eigen(b)) for a, b in pairs]
+    # Coordinate i reaches every j <= i of the upper triangle, in some order.
+    dim, basis = exact_algebra_closure(gens[1])
+    assert dim == len(basis) == 6 * 7 // 2
     monkeypatch.setattr(irreducibility, "_Echelon", _refuse)
     monkeypatch.setattr(irreducibility, "spin", _refuse)
-    assert algebra_closure(gens[0])[0] == 36
-    # Coordinate i reaches every j <= i of the upper triangle, in some order.
-    dim, basis = algebra_closure(gens[1])
-    assert dim == len(basis) == 6 * 7 // 2
+    assert algebra_closure(gens[0]) == (36,)
+    assert algebra_closure(gens[1])[0] < 36
     assert decide_irreducible(inst.a, inst.a_star) == IrreducibilityVerdict(
         IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.ALGEBRA_DIMENSION
     )
@@ -375,9 +392,11 @@ def test_block_closure_basis_spans_the_one_block_algebra():
     assert _coordinate_blocks(d) == [(0, 2), (1, 4), (3,)]
     assert _coordinate_blocks(b) == [(0, 1, 2, 3, 4)]
 
-    dim, basis = algebra_closure([d, b])
-    one_dim, one_basis = algebra_closure([b, d])
+    dim, basis = exact_algebra_closure([d, b])
+    one_dim, one_basis = exact_algebra_closure([b, d])
     assert dim == one_dim < 25
+    assert algebra_closure([b, d]) == (one_dim,)
+    assert algebra_closure([d, b])[0] <= dim
     assert len(basis) == dim and all(m.nrows == m.ncols == 5 for m in basis)
     assert _flat_rank(field, basis) == dim
     assert _flat_rank(field, basis + one_basis) == dim
@@ -387,14 +406,16 @@ def test_full_column_block_without_a_full_dual_spin_is_not_the_full_algebra():
     # B keeps span{e0, e1}, so the algebra is block upper triangular:
     # K[B_00] (2) + its column block over e2 (2) + the corner (1).  Its
     # smallest column block 𝒜E_{2} is full, 3 = n·|J|, but the row
-    # e2^T 𝒜 = (0, 0, *) is not, so the closure must not stop at n^2.
+    # e2^T 𝒜 = (0, 0, *) is not, so rung 1 must answer n·|J| = 3, not n^2.
     field = QQ
     d = Matrix.diagonal(field, [1, 1, 2])
     b = Matrix.from_rows(field, [[1, 2, 3], [4, 5, 6], [0, 0, 7]])
     assert _coordinate_blocks(d) == [(0, 1), (2,)]
     assert spin([0, 0, 1], [d, b]).dim == 3
     assert spin([0, 0, 1], [d.transpose(), b.transpose()]).dim == 1
-    assert algebra_closure([d, b])[0] == algebra_closure([b, d])[0] == 5
+    assert exact_algebra_closure([d, b])[0] == exact_algebra_closure([b, d])[0] == 5
+    assert algebra_closure([b, d]) == (5,)
+    assert algebra_closure([d, b]) == (3,)
 
 
 def test_full_algebra_is_proved_from_the_smallest_column_block(monkeypatch):
@@ -425,19 +446,106 @@ def test_full_algebra_is_proved_from_the_smallest_column_block(monkeypatch):
 
     monkeypatch.setattr(irreducibility, "_Echelon", CountingEchelon)
     monkeypatch.setattr(irreducibility, "spin", flagged_spin)
-    dim, basis = algebra_closure(gens)
-    assert dim == len(basis) == 81
-    assert len(set(basis)) == 81 and all(m.nrows == m.ncols == 9 for m in basis)
+    assert algebra_closure(gens) == (81,)
     assert min(len(block) for block in _coordinate_blocks(gens[0])) == 1
     assert len(inserted) == 9
+    dim, basis = exact_algebra_closure(gens)
+    assert dim == len(basis) == 81
+    assert len(set(basis)) == 81 and all(m.nrows == m.ncols == 9 for m in basis)
+
+
+def _block_generators(field, n, rng, values):
+    """[D, G]: D diagonal with 2 to n - 1 distinct entries, G with small entries.
+
+    Half of the G keep span{e_c : c ∈ S} for a random proper set S of
+    coordinates, which D keeps too, so the pair is reducible.
+    """
+    k = rng.randint(2, min(n - 1, len(values)))
+    diag = rng.sample(values, k)
+    diag += [rng.choice(diag) for _ in range(n - k)]
+    rng.shuffle(diag)
+    kept = set(rng.sample(range(n), rng.randint(1, n - 1))) if rng.random() < 0.5 else set()
+    g = Matrix.from_rows(field, [[0 if c in kept and r not in kept else rng.randint(-2, 2)
+                                  for c in range(n)] for r in range(n)])
+    return [Matrix.diagonal(field, diag), g]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), GF(2**31 - 1), QQ], ids=repr)
+def test_rung_one_agrees_with_the_exact_closure_randomized(field):
+    # Rung 1 answers "is the algebra all of M_n?": k = n^2 exactly when the
+    # reference closure has dimension n^2, and k is never above it.  Both
+    # paths with more than one block: the reachability read (every block
+    # one coordinate) and the block path (some block repeated).
+    rng = random.Random(f"rung-one:{field!r}")
+    values = list(range(field.p)) if field.is_finite and field.p < 10 else list(range(-20, 21))
+    seen = Counter()
+    for i in range(120):
+        if i % 2:
+            n = rng.randint(2, min(6, len(values)))
+            _, gens = _reachability_generators(field, n, rng, values)
+            path = "reachability"
+        else:
+            n = rng.randint(3, 6)
+            gens = _block_generators(field, n, rng, values)
+            path = "blocks"
+        assert (len(_coordinate_blocks(gens[0])) == n) == (path == "reachability")
+        k = algebra_closure(gens)[0]
+        dim = exact_algebra_closure(gens)[0]
+        assert (k == n * n) == (dim == n * n), (path, k, dim)
+        assert k <= dim
+        seen[path, "full" if k == n * n else "proper"] += 1
+    # Measured: 27-55 proper and 5-33 full reads per path and field.
+    for path in ("reachability", "blocks"):
+        assert seen[path, "proper"] >= 20 and seen[path, "full"] >= 3, seen
+
+
+def test_reducible_sum_closes_one_column_block_and_spins_once(monkeypatch):
+    # Conjugated direct sums of split-form pairs over GF(101) with block
+    # dims 2-4, as in the wide-gfp benchmark: rung 1 answers "no" after
+    # the smallest column block, so it builds one echelon per row block and
+    # runs at most one dual spin, where closing every column block would
+    # build len(blocks)^2 echelons.
+    from hesspairs import irreducibility
+
+    field = GF(101)
+    echelons, spins, spinning = [], [], []
+
+    class CountingEchelon(irreducibility._Echelon):
+        def __init__(self, field, width):
+            super().__init__(field, width)
+            if not spinning:
+                echelons.append(width)
+
+    def counting_spin(v, generators):
+        spins.append(v)
+        spinning.append(True)
+        try:
+            return spin(v, generators)
+        finally:
+            spinning.pop()
+
+    monkeypatch.setattr(irreducibility, "_Echelon", CountingEchelon)
+    monkeypatch.setattr(irreducibility, "spin", counting_spin)
+    for seed, shape in enumerate([((2, 3, 4), (4, 3, 2)), ((2, 2, 2, 2), (2, 2, 2, 2)), ((3, 4), (4, 2))]):
+        inst = conjugate(gen_reducible(field, shape, range(len(shape[0])), range(10, 10 + len(shape[0])), seed), seed)
+        a, b = inst.a, inst.a_star
+        gens = _eigenbasis_generators(a, b, _try_eigen(a), _try_eigen(b))
+        blocks = _coordinate_blocks(gens[0])
+        n = a.nrows
+        assert 1 < len(blocks) < n
+        echelons.clear()
+        spins.clear()
+        k = algebra_closure(gens)[0]
+        assert k < n * n and exact_algebra_closure(gens)[0] < n * n
+        assert len(echelons) <= len(blocks), (shape, echelons)
+        assert len(spins) <= 1
 
 
 def test_algebra_closure_irreducible_pair_is_full():
     inst = gen_split_form(GF(5), (1, 1, 1), (0, 1, 2), (0, 1, 2), seed=5)
     oracle = decide_irreducible_by_enumeration(inst.a, inst.a_star)
     assert oracle.status is IrreducibilityStatus.IRREDUCIBLE
-    dim, _ = algebra_closure([inst.a, inst.a_star])
-    assert dim == 9
+    assert algebra_closure([inst.a, inst.a_star]) == (9,)
 
 
 def test_identity_pair_reducible_with_witness():
@@ -700,7 +808,8 @@ def test_norton_decides_a_pair_over_a_cubic_extension():
     cubic = (3, 1, 0)  # x^3 + x + 3
     assert all((x**3 + x + 3) % p for x in range(p))
     a, b = _cubic_extension_pair(GF(p), cubic, (2, 5))
-    assert algebra_closure([a, b])[0] == 12
+    assert exact_algebra_closure([a, b])[0] == 12
+    assert algebra_closure([a, b])[0] <= 12
     verdict = decide_irreducible(a, b)
     assert verdict.status is IrreducibilityStatus.IRREDUCIBLE
     assert verdict.method is DecisionMethod.NORTON
@@ -710,7 +819,8 @@ def test_cubic_extension_pair_is_irreducible_by_enumeration():
     # The same construction over GF(2), small enough for the oracle.
     field = GF(2)
     a, b = _cubic_extension_pair(field, (1, 1, 0), (0, 1))  # x^3 + x + 1
-    assert algebra_closure([a, b])[0] == 12
+    assert exact_algebra_closure([a, b])[0] == 12
+    assert algebra_closure([a, b])[0] <= 12
     assert decide_irreducible_by_enumeration(a, b).status is IrreducibilityStatus.IRREDUCIBLE
     assert decide_irreducible(a, b) == IrreducibilityVerdict(
         IrreducibilityStatus.IRREDUCIBLE, DecisionMethod.NORTON
@@ -782,8 +892,7 @@ def test_generated_irreducible_instances_have_full_algebra():
         if verdict.status is IrreducibilityStatus.IRREDUCIBLE:
             count += 1
             assert verdict.method is DecisionMethod.ALGEBRA_DIMENSION
-            dim, _ = algebra_closure([inst.a, inst.a_star])
-            assert dim == 9
+            assert algebra_closure([inst.a, inst.a_star]) == (9,)
     assert count >= 5
 
 
