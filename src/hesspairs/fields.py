@@ -15,15 +15,17 @@ field at API boundaries (eigenvalues, split eigenvalue sequences, generator
 truth); it does no arithmetic.
 
 Two vector primitives serve both fields: :meth:`FieldSpec.dot` (Σ x·y),
-behind polynomial products, the algebra closure and GF(p) matrix
-products, and :meth:`FieldSpec.scale` (c·y entrywise).  Both work on
-integers and build one canonical value per result entry: over GF(p) one
-reduction modulo p, over Q one ``Fraction(numerator, denominator)`` formed
-from the integer numerators and denominators of the inputs.
+behind polynomial products and the algebra closure's block products, and
+:meth:`FieldSpec.scale` (c·y entrywise).  Both work on integers and build
+one canonical value per result entry: over GF(p) one reduction modulo p,
+over Q one ``Fraction(numerator, denominator)`` formed from the integer
+numerators and denominators of the inputs.
 :meth:`PrimeField.sub_scaled` (x − c·y entrywise) is the GF(p) echelon
-row operation and the Hessenberg reduction's.  Over Q, matrix products,
-the Berkowitz recurrence and echelons run on integer images instead
-(:mod:`hesspairs.linalg`), so Q has no row operation on ``Fraction``s.
+row operation and the Hessenberg reduction's.  Matrix products run on
+images kept on the matrix instead (:mod:`hesspairs.linalg`): packed
+columns over GF(p), integer images over Q, where the Berkowitz
+recurrence and echelons run on integers too, so Q has no row operation
+on ``Fraction``s.
 """
 
 from __future__ import annotations

@@ -9,9 +9,13 @@ Conventions used throughout the package:
   subspaces is plain structural equality.
 
 Internally every entry is a raw value (``Fraction`` or int residue).  Over
-GF(p) the owning :class:`~hesspairs.fields.FieldSpec` performs the
-arithmetic: matrix products are rows of
-:meth:`~hesspairs.fields.FieldSpec.dot`, every echelon row reduction is one
+GF(p) a matrix product runs on packed integers (Kronecker substitution,
+:func:`_pack`): a matrix keeps each of its columns as one int, with entry
+r in bits [r·w, (r+1)·w), formed on its first product, so m·v is one
+``sum`` of packed columns times the entries of v, and each entry is read
+back with one shift, one mask and one ``% p``; m·m' is m·v for each
+column v of m'.  The owning :class:`~hesspairs.fields.FieldSpec` performs
+the echelon arithmetic: every row reduction is one
 :meth:`~hesspairs.fields.PrimeField.sub_scaled`, and every new echelon row
 is normalized by one :meth:`~hesspairs.fields.FieldSpec.scale`.
 
@@ -41,6 +45,18 @@ from .errors import AmbientMismatchError, NotSquareError
 from .fields import FieldSpec, Rationals, Raw
 
 Vector = tuple[Raw, ...]
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """Σ values[r]·2^(r·width): value r in bits [r·width, (r+1)·width) of one int.
+
+    Kronecker substitution (Dumas, Fousse and Salvy 2011): a product or sum
+    of packed ints acts slot by slot while no slot carries into the next.
+    """
+    acc = 0
+    for c in reversed(values):
+        acc = acc << width | c
+    return acc
 
 
 def _integer_image(vec: Sequence) -> tuple[list[int], int]:
@@ -188,9 +204,11 @@ class Matrix:
         self.entries = entries
         self.nrows = len(entries)
         self.ncols = len(entries[0]) if entries else (ncols or 0)
-        # Over Q products run on one integer image D·self (integer_rows).
+        # Products run on one image of self, formed on the first product:
+        # over Q the integer matrix D·self (integer_rows), over GF(p) the
+        # packed columns (_packed_columns).
         self._integral = isinstance(field, Rationals)
-        self._image: tuple[list[list[int]], int] | None = None
+        self._image: tuple | None = None
 
     # construction --------------------------------------------------------
 
@@ -243,6 +261,14 @@ class Matrix:
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product self·other.
+
+        Over Q one ``Fraction`` per entry, of an integer dot product of a
+        row of D·self (:meth:`integer_rows`) with the integer image of a
+        column of ``other``.  Over GF(p) column j of the product is
+        self·(column j of other) by :meth:`mul_vec`, on self's packed
+        columns.
+        """
         self._check_field(other)
         if self.ncols != other.nrows:
             raise AmbientMismatchError(
@@ -257,7 +283,8 @@ class Matrix:
                 tuple([Fraction(sum(map(mul, row, xs)), big * d) for xs, d in images])
                 for row in rows
             ), ncols=other.ncols)
-        return Matrix(F, tuple(tuple(F.dot(row, col) for col in cols) for row in self.entries), ncols=other.ncols)
+        products = [self.mul_vec(col) for col in cols]
+        return Matrix(F, tuple(zip(*products)) if products else ((),) * self.nrows, ncols=other.ncols)
 
     def scale(self, value) -> "Matrix":
         F = self.field
@@ -280,14 +307,36 @@ class Matrix:
         )
 
     def mul_vec(self, vec: Sequence[Raw]) -> Vector:
-        """Apply to a column vector of raw values."""
+        """Apply to a column vector of raw values.
+
+        Over GF(p) one sum of ints: the packed columns of
+        :meth:`_packed_columns` times the entries of v reduced mod p, so
+        slot r holds Σ_j m[r][j]·v_j, read back with one shift, one mask
+        and one ``% p``.
+        """
         if self._integral:
             ys, den = self._integer_product(vec)
             return tuple([Fraction(y, den) for y in ys])
         if len(vec) != self.ncols:
             raise AmbientMismatchError("vector length does not match column count")
-        F = self.field
-        return tuple([F.dot(row, vec) for row in self.entries])
+        p = self.field.p
+        columns, width, mask = self._packed_columns()
+        s = sum(map(mul, columns, [x % p for x in vec]))
+        return tuple([(s >> shift & mask) % p for shift in range(0, self.nrows * width, width)])
+
+    def _packed_columns(self) -> tuple[list[int], int, int]:
+        """(columns, width, mask) over GF(p): column j packed into one int by :func:`_pack`.
+
+        Entries are reduced mod p, and width = 2·bits(p - 1) + bits(ncols),
+        so a slot holding a sum of ncols products below p² never carries
+        into the next.  Formed once, on the first product, and kept.
+        """
+        if self._image is None:
+            p = self.field.p
+            width = 2 * (p - 1).bit_length() + self.ncols.bit_length()
+            columns = [_pack([x % p for x in col], width) for col in zip(*self.entries)]
+            self._image = columns, width, (1 << width) - 1
+        return self._image
 
     def mul_line(self, vec: Sequence[Raw]) -> Sequence[Raw]:
         """m·v up to a nonzero scalar: for products that go straight into an echelon.

@@ -66,7 +66,7 @@ from .errors import (
     NotSquareError,
 )
 from .fields import FieldElement, FieldSpec, PrimeField, Raw, _is_prime
-from .linalg import Matrix, SubspaceBasis, _Echelon, _shift_maps_into, kernel
+from .linalg import Matrix, SubspaceBasis, _Echelon, _pack, _shift_maps_into, kernel
 
 # A polynomial of degree n has its roots mod p (the field's prime, or over
 # Q a lifting prime) found by trying every residue when
@@ -329,10 +329,7 @@ class _PackedModulus:
             row = [(s - top * c) % p for s, c in zip([0, *row[:-1]], mod)]
 
     def pack(self, coeffs: list[int]) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc << self.width | c
-        return acc
+        return _pack(coeffs, self.width)
 
     def unpack(self, s: int) -> list[int]:
         """The slots of ``s``, low to high, up to its highest nonzero one."""

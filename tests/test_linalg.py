@@ -389,6 +389,81 @@ def test_gf_analysis_forms_no_integer_image(monkeypatch, capsys, name):
     assert '"field"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in _FIXTURES.glob("pair_*_q*.json")))
+def test_q_analysis_packs_no_matrix(monkeypatch, capsys, name):
+    # The mirror of the check above: Q products never touch the packed
+    # GF(p) image.
+    def refuse(self):
+        raise AssertionError("GF(p) columns packed over Q")
+
+    monkeypatch.setattr(Matrix, "_packed_columns", refuse)
+    assert cli.main(["analyze", str(_FIXTURES / name)]) == 0
+    assert '"field"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2**31 - 1])
+def test_packed_products_match_dot(p):
+    # mul_vec and __mul__ over GF(p) run on packed columns; they must equal
+    # the termwise F.dot on every input F.dot takes: the carry bound (every
+    # entry p - 1), square and non-square shapes (Krylov's K is n x k),
+    # zero vectors and zero rows, and raw negative or unreduced entries in
+    # both the matrix and the vector.
+    F = GF(p)
+    rng = random.Random(f"packed:{p}")
+    top = p - 1
+    for n in range(1, 31):
+        for k in sorted({1, max(1, n // 3), n}):
+            for rows, cols in ((n, k), (k, n)):
+                full = Matrix(F, tuple((top,) * cols for _ in range(rows)), ncols=cols)
+                raw = Matrix(F, tuple(
+                    tuple(rng.choice((0, top, rng.randrange(p), -rng.randrange(1, 3 * p), rng.randrange(p, 5 * p)))
+                          for _ in range(cols))
+                    if i % 4 else (0,) * cols
+                    for i in range(rows)
+                ), ncols=cols)
+                vectors = [
+                    (top,) * cols,
+                    (0,) * cols,
+                    tuple(rng.randrange(p) for _ in range(cols)),
+                    tuple(rng.choice((-top, -1, p, 2 * p + 1, top * top)) for _ in range(cols)),
+                ]
+                right = Matrix(F, tuple(
+                    tuple(rng.choice((top, 0, -rng.randrange(1, 2 * p), rng.randrange(3 * p))) for _ in range(rows))
+                    for _ in range(cols)
+                ), ncols=rows)
+                for m in (full, raw):
+                    for v in vectors:
+                        assert m.mul_vec(v) == tuple(F.dot(row, v) for row in m.entries)
+                    product = m * right
+                    assert (product.nrows, product.ncols) == (rows, rows)
+                    assert product.entries == tuple(
+                        tuple(F.dot(row, col) for col in zip(*right.entries)) for row in m.entries
+                    )
+
+
+def test_gf_matrix_packs_its_columns_once(monkeypatch):
+    # Over GF(p) a matrix packs its columns on its first product and keeps
+    # them: across one Krylov run m packs its n columns once, and the n x k
+    # matrix K its k columns once, however often each is applied.
+    F = GF(101)
+    rng = random.Random("pack-once")
+    n, k = 6, 4
+    m = rand_matrix(F, n, rng)
+    packed = []
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda values, width: packed.append(len(values)) or pack(values, width))
+    krylov = spectral._krylov_columns(m, [1] + [0] * (n - 1), k)
+    assert packed == [n] * n
+    for _ in range(3):
+        m.mul_vec([F.rand(rng) for _ in range(n)])
+        m.mul_line([F.rand(rng) for _ in range(n)])
+        krylov.mul_line([F.rand(rng) for _ in range(k)])
+        krylov.mul_vec([F.rand(rng) for _ in range(k)])
+        m * krylov
+    assert packed == [n] * n + [n] * k
+    assert m._packed_columns() is m._packed_columns()
+
+
 def test_q_matrix_forms_its_image_once(monkeypatch):
     calls = []
     image = linalg._integer_image
